@@ -89,12 +89,6 @@ def leq_a(x: Sequence[int], y: Sequence[int], a: int) -> bool:
     return bool(np.all(y[changed] == a))
 
 
-def _require_table(f: QaryFunction) -> QaryFunction:
-    if f.table is None:
-        return f.tabulate()
-    return f
-
-
 def _cover_violation(table: np.ndarray, q: int, n: int, a: int, binary: bool) -> dict | None:
     """First violation over single-coordinate covers ``x -> (x with x_i := a)``.
 
@@ -130,7 +124,7 @@ def _cover_violation(table: np.ndarray, q: int, n: int, a: int, binary: bool) ->
 
 def check_monotone(f: QaryFunction) -> CheckResult:
     """Pass iff ``f(x) = a`` propagates along every ``x <=_a y``, for all symbols a."""
-    f = _require_table(f)
+    f = f.tabulate()
     if f.codomain != "alphabet" or f.out_q != f.q:
         raise InvalidFunctionError("monotonicity needs codomain = input alphabet")
     for a in range(f.q):
@@ -142,7 +136,7 @@ def check_monotone(f: QaryFunction) -> CheckResult:
 
 def check_zero_monotone(f: QaryFunction) -> CheckResult:
     """Pass iff the {0,1}-valued ``f`` is nondecreasing along ``<=_0``."""
-    f = _require_table(f)
+    f = f.tabulate()
     if not f.is_binary():
         raise InvalidFunctionError("zero-monotonicity is defined for {0,1} values")
     table = f.table.astype(np.int64)
@@ -152,7 +146,7 @@ def check_zero_monotone(f: QaryFunction) -> CheckResult:
 
 def anchored_monotone_violation(f: QaryFunction, anchor: int) -> dict | None:
     """Witness against ``x <=_anchor y  =>  f(x) <= f(y)`` for {0,1}-valued f."""
-    f = _require_table(f)
+    f = f.tabulate()
     if not f.is_binary():
         raise InvalidFunctionError("anchored monotonicity is defined for {0,1} values")
     return _cover_violation(f.table.astype(np.int64), f.q, f.n, anchor, binary=True)
@@ -160,7 +154,7 @@ def anchored_monotone_violation(f: QaryFunction, anchor: int) -> dict | None:
 
 def check_symmetric(f: QaryFunction, group: SymmetryGroup) -> CheckResult:
     """Pass iff ``f(x_sigma) = f(x)`` for every generator sigma of the group."""
-    f = _require_table(f)
+    f = f.tabulate()
     if group.n != f.n:
         raise DimensionMismatchError(f"group degree {group.n} != arity {f.n}")
     transitive = group.is_transitive()
@@ -200,7 +194,7 @@ def _alphabet_generators(q: int) -> list[np.ndarray]:
 
 def check_fair(f: QaryFunction) -> CheckResult:
     """Pass iff ``f(pi o x) = pi(f(x))`` for the generators of the symbol group."""
-    f = _require_table(f)
+    f = f.tabulate()
     if f.codomain != "alphabet" or f.out_q != f.q:
         raise InvalidFunctionError("fairness needs codomain = input alphabet")
     tensor = f.table.reshape((f.q,) * f.n)

@@ -2,10 +2,14 @@
 
 A real function on a product space splits uniquely into components indexed by
 coordinate subsets: each component depends only on its subset and integrates
-to zero against any conditioning that does not contain the subset.  All the
-inequality verifiers in this module (hypercontractivity, level bounds, the
-variance/influence report) run on that decomposition, computed exactly over
-dense tables.
+to zero against any conditioning that does not contain the subset.  Write
+``E_i`` for the average over coordinate ``i``.  The component for ``S`` is
+``f`` with ``I - E_i`` applied for each ``i`` in ``S`` and ``E_i`` for each
+``i`` outside it, so all components come from one split per coordinate.  The
+coordinate difference is ``delta_i f = f - E_i f`` and the influence of ``i``
+is its squared L2 norm.  All the inequality verifiers in this module
+(hypercontractivity, level bounds, the variance/influence report) run on these
+quantities, computed exactly over dense tables.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .core import (
     QaryFunction,
     TableSizeError,
     average_over_axis,
-    conditional_expectation,
     expectation,
     product_weights,
 )
@@ -38,6 +41,11 @@ def _as_real_table(f: QaryFunction) -> QaryFunction:
 
 def subset_bits(mask: int, n: int) -> list[int]:
     return [i for i in range(n) if mask >> i & 1]
+
+
+def _subset_sizes(n: int) -> np.ndarray:
+    """``|S|`` for every subset bitmask ``S`` of ``n`` coordinates, in mask order."""
+    return np.array([mask.bit_count() for mask in range(1 << n)])
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -71,19 +79,16 @@ class EfronSteinDecomposition:
 
     def delta(self, i: int) -> np.ndarray:
         """Sum of the components whose subset contains coordinate ``i``."""
-        masks = np.arange(self.components.shape[0])
-        keep = (masks >> i & 1).astype(bool)
-        return self.components[keep].sum(axis=0)
+        return (np.arange(self.components.shape[0]) >> i & 1) @ self.components
 
     def squared_norms(self) -> np.ndarray:
         """Per-subset squared L2 norms under the measure."""
         w = product_weights(self.measure, self.n)
-        return self.components**2 @ w
+        return np.einsum("sx,sx,x->s", self.components, self.components, w)
 
     def level_mass(self, k: int) -> float:
         """Total squared norm at subsets of size exactly ``k``."""
-        sizes = np.array([m.bit_count() for m in range(self.components.shape[0])])
-        return float(self.squared_norms()[sizes == k].sum())
+        return float(self.squared_norms()[_subset_sizes(self.n) == k].sum())
 
 
 def efron_stein(f: QaryFunction, measure: ProductMeasure) -> EfronSteinDecomposition:
@@ -98,23 +103,19 @@ def efron_stein(f: QaryFunction, measure: ProductMeasure) -> EfronSteinDecomposi
         raise TableSizeError(
             f"decomposition storage 2**{f.n} * {f.q}**{f.n} exceeds the cap"
         )
-    full = n_masks - 1
-    # conditional means E[f | X_S] for every subset, filled top-down: drop the
-    # lowest coordinate missing from the mask and integrate it out
+    # row ``mask`` holds f with (I - E_j) applied for each j in mask and E_j for
+    # each coordinate j < i outside it; step i splits every row with mask < 2**i
+    # into E_i (kept in place) and I - E_i (written to row mask | 2**i), one row
+    # at a time so no temporary grows to the size of the store
     tables = np.empty((n_masks, size))
-    tables[full] = f.table
-    for mask in range(full - 1, -1, -1):
-        free = full & ~mask
-        i = (free & -free).bit_length() - 1
-        tables[mask] = average_over_axis(
-            tables[mask | (1 << i)], measure.atoms, i, f.q, f.n
-        )
-    # signed subset (Moebius) transform turns conditionals into components
+    tables[0] = f.table
     for i in range(f.n):
-        bit = 1 << i
-        for mask in range(n_masks):
-            if mask & bit:
-                tables[mask] -= tables[mask ^ bit]
+        shape = (f.q**i, f.q, f.q ** (f.n - 1 - i))
+        for mask in range(1 << i):
+            row = tables[mask].reshape(shape)
+            mean = np.einsum("aqb,q->ab", row, measure.atoms)[:, None, :]
+            np.subtract(row, mean, out=tables[mask | 1 << i].reshape(shape))
+            row[...] = mean
     return EfronSteinDecomposition(q=f.q, n=f.n, measure=measure, components=tables)
 
 
@@ -123,20 +124,16 @@ def delta_i(f: QaryFunction, measure: ProductMeasure, i: int) -> QaryFunction:
     f = _as_real_table(f)
     if not 0 <= i < f.n:
         raise DimensionMismatchError(f"coordinate {i} outside [0, {f.n})")
-    rest = [j for j in range(f.n) if j != i]
-    centered = f.table - conditional_expectation(f, measure, rest).table
+    if f.q != measure.q:
+        raise DimensionMismatchError("function/measure alphabet mismatch")
+    centered = f.table - average_over_axis(f.table, measure.atoms, i, f.q, f.n)
     return QaryFunction(q=f.q, n=f.n, codomain="real", out_q=None, table=centered)
 
 
 def influence(f: QaryFunction, measure: ProductMeasure, i: int) -> float:
-    """Expected conditional variance of ``f`` given all coordinates but ``i``."""
-    f = _as_real_table(f)
-    if not 0 <= i < f.n:
-        raise DimensionMismatchError(f"coordinate {i} outside [0, {f.n})")
-    mean = average_over_axis(f.table, measure.atoms, i, f.q, f.n)
-    second = average_over_axis(f.table**2, measure.atoms, i, f.q, f.n)
-    value = float(product_weights(measure, f.n) @ (second - mean**2))
-    return max(0.0, value)
+    """``||delta_i f||_2^2``: the expected conditional variance of ``f`` given
+    all coordinates but ``i``."""
+    return lp_norm(delta_i(f, measure, i), measure, 2.0) ** 2
 
 
 def lp_norm(g: QaryFunction, measure: ProductMeasure, p: float) -> float:
@@ -172,11 +169,11 @@ def influence_report(f: QaryFunction, measure: ProductMeasure) -> InfluenceRepor
     f = _as_real_table(f)
     influences, l1s, l32s, l2s = [], [], [], []
     for i in range(f.n):
-        influences.append(influence(f, measure, i))
         d = delta_i(f, measure, i)
         l1s.append(lp_norm(d, measure, 1.0))
         l32s.append(lp_norm(d, measure, 1.5))
         l2s.append(lp_norm(d, measure, 2.0))
+        influences.append(l2s[-1] ** 2)
     return InfluenceReport(
         influences=tuple(influences),
         total=float(sum(influences)),
@@ -190,8 +187,7 @@ def noise_operator(d: EfronSteinDecomposition, theta: float) -> QaryFunction:
     """Attenuate each component by ``theta`` to the power of its subset size."""
     if not 0.0 <= theta <= 1.0:
         raise DimensionMismatchError(f"noise parameter {theta} outside [0, 1]")
-    sizes = np.array([m.bit_count() for m in range(d.components.shape[0])])
-    table = (theta**sizes) @ d.components
+    table = (theta ** _subset_sizes(d.n)) @ d.components
     return QaryFunction(q=d.q, n=d.n, codomain="real", out_q=None, table=table)
 
 
@@ -322,7 +318,6 @@ def talagrand_report(f: QaryFunction, measure: ProductMeasure) -> TalagrandRepor
     """Report the variance bound ingredients for a tabulated real function."""
     f = _as_real_table(f)
     measure.require_positive("influence-sum report")
-    d = efron_stein(f, measure)
     mean = expectation(f, measure)
     centered = QaryFunction(
         q=f.q, n=f.n, codomain="real", out_q=None, table=f.table - mean
@@ -330,15 +325,14 @@ def talagrand_report(f: QaryFunction, measure: ProductMeasure) -> TalagrandRepor
     variance = lp_norm(centered, measure, 2.0) ** 2
     alpha = measure.min_atom()
     log_inv = math.log(1.0 / alpha)
-    norms = d.squared_norms()
-    sizes = np.array([m.bit_count() for m in range(norms.shape[0])])
+    norms = efron_stein(f, measure).squared_norms()
+    sizes = _subset_sizes(f.n)
     terms = []
     m2_sum = 0.0
     for i in range(f.n):
         keep = (np.arange(norms.shape[0]) >> i & 1).astype(bool)
         m2_sum += float((norms[keep] / sizes[keep]).sum())
-        delta_table = d.delta(i)
-        g = QaryFunction(q=f.q, n=f.n, codomain="real", out_q=None, table=delta_table)
+        g = delta_i(f, measure, i)
         l2 = lp_norm(g, measure, 2.0)
         if l2 <= 1e-15:
             continue  # coordinate does not appear in f

@@ -95,9 +95,15 @@ class _PluralityExact:
             raise DimensionMismatchError("measure alphabet mismatch")
         positive = measure.atoms > 0
         safe_log = np.log(np.where(positive, measure.atoms, 1.0))
-        p = np.exp(self._log_coeff + self._counts @ safe_log)
-        if not positive.all():
-            p[(self._counts[:, ~positive] > 0).any(axis=1)] = 0.0
+        exponent = self._log_coeff + self._counts @ safe_log
+        if positive.all():
+            p = np.exp(exponent)
+        else:
+            # a composition with a count on a zero atom has probability 0, and
+            # its multinomial coefficient alone can overflow exp, so exp skips
+            # it (a -inf exponent, or where= on every call, costs more)
+            possible = ~(self._counts[:, ~positive] > 0).any(axis=1)
+            p = np.exp(exponent, out=np.zeros_like(exponent), where=possible)
         return float(p @ self._share[:, a])
 
 

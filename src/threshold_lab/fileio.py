@@ -34,6 +34,12 @@ class FileFormatError(ThresholdLabError):
     pass
 
 
+def _require_schema(doc: dict, schema: str) -> None:
+    found = doc.get("schema") if isinstance(doc, dict) else None
+    if found != schema:
+        raise FileFormatError(f"expected a {schema} document, got schema {found!r}")
+
+
 def function_to_dict(f: QaryFunction) -> dict:
     if f.table is not None:
         table = f.table.tolist()
@@ -55,6 +61,7 @@ def function_to_dict(f: QaryFunction) -> dict:
 
 
 def function_from_dict(doc: dict) -> QaryFunction:
+    _require_schema(doc, FUNCTION_SCHEMA)
     try:
         if "oracle" in doc:
             return resolve_oracle(doc["oracle"], doc.get("params", {}))
@@ -74,6 +81,7 @@ def measure_to_dict(measure: ProductMeasure) -> dict:
 
 
 def measure_from_dict(doc: dict) -> ProductMeasure:
+    _require_schema(doc, MEASURE_SCHEMA)
     try:
         return ProductMeasure(int(doc["q"]), np.asarray(doc["atoms"], dtype=float))
     except KeyError as exc:
@@ -92,6 +100,7 @@ def profile_to_dict(profile: VoterProfile) -> dict:
 
 
 def profile_from_dict(doc: dict) -> VoterProfile:
+    _require_schema(doc, PROFILE_SCHEMA)
     try:
         return VoterProfile.from_rankings(
             int(doc["m"]),
@@ -111,6 +120,7 @@ def choice_function_to_dict(c: ChoiceFunction) -> dict:
 
 
 def choice_function_from_dict(doc: dict) -> ChoiceFunction:
+    _require_schema(doc, CHOICE_SCHEMA)
     try:
         return ChoiceFunction(
             int(doc["m"]),
@@ -131,6 +141,7 @@ def tournament_to_dict(t: Tournament) -> dict:
 
 
 def tournament_from_dict(doc: dict) -> Tournament:
+    _require_schema(doc, TOURNAMENT_SCHEMA)
     try:
         return Tournament.from_pairs(int(doc["m"]), doc["pairs"])
     except KeyError as exc:

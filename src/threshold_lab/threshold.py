@@ -45,15 +45,9 @@ def _binary_table(f: QaryFunction) -> QaryFunction:
     return f
 
 
-def russo_derivative(f: QaryFunction, path: MeasurePath, t: float) -> float:
-    """Derivative of ``t -> E[f]`` along the path, from conditional non-constancy.
-
-    For a {0,1}-valued function monotone along the path's anchor, the
-    derivative equals, coordinate by coordinate, the probability mass where
-    the restriction to that coordinate is non-constant times the base-measure
-    mass of the zero set of the restriction.  Refuses functions that are not
-    anchor-monotone, where the formula is invalid.
-    """
+def _restriction_sums(f: QaryFunction, path: MeasurePath, t: float) -> tuple[float, float]:
+    """The Russo derivative and the mixed conditional-variance sum, from one
+    pass over the restrictions of ``f`` to each coordinate."""
     f = _binary_table(f)
     if f.q != path.q:
         raise DimensionMismatchError("function/path alphabet mismatch")
@@ -65,13 +59,27 @@ def russo_derivative(f: QaryFunction, path: MeasurePath, t: float) -> float:
     mu_t = path.measure_at(t)
     tensor = f.table.astype(float).reshape((f.q,) * f.n)
     rest_weights = product_weights(mu_t, f.n - 1)
-    total = 0.0
+    derivative = mixed = 0.0
     for i in range(f.n):
         restricted = np.moveaxis(tensor, i, -1).reshape(-1, f.q)
+        first = restricted @ path.base.atoms
         not_const = restricted.max(axis=1) != restricted.min(axis=1)
-        inner = 1.0 - restricted @ path.base.atoms
-        total += float(rest_weights @ (not_const * inner))
-    return total
+        derivative += float(rest_weights @ (not_const * (1.0 - first)))
+        # f is {0,1}-valued, so each restriction's second moment is ``first``
+        mixed += float(rest_weights @ (first - first**2))
+    return derivative, mixed
+
+
+def russo_derivative(f: QaryFunction, path: MeasurePath, t: float) -> float:
+    """Derivative of ``t -> E[f]`` along the path, from conditional non-constancy.
+
+    For a {0,1}-valued function monotone along the path's anchor, the
+    derivative equals, coordinate by coordinate, the probability mass where
+    the restriction to that coordinate is non-constant times the base-measure
+    mass of the zero set of the restriction.  Refuses functions that are not
+    anchor-monotone, where the formula is invalid.
+    """
+    return _restriction_sums(f, path, t)[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,19 +106,11 @@ class RussoReport:
 
 def russo_report(f: QaryFunction, path: MeasurePath, t: float) -> RussoReport:
     f = _binary_table(f)
-    derivative = russo_derivative(f, path, t)
+    derivative, mixed = _restriction_sums(f, path, t)
     mu_t = path.measure_at(t)
     real = f.as_real()
     sum_path = sum(influence(real, mu_t, i) for i in range(f.n))
     sum_base = sum(influence(real, path.base, i) for i in range(f.n))
-    tensor = f.table.astype(float).reshape((f.q,) * f.n)
-    rest_weights = product_weights(mu_t, f.n - 1)
-    mixed = 0.0
-    for i in range(f.n):
-        restricted = np.moveaxis(tensor, i, -1).reshape(-1, f.q)
-        first = restricted @ path.base.atoms
-        second = restricted**2 @ path.base.atoms
-        mixed += float(rest_weights @ (second - first**2))
     return RussoReport(
         t=t,
         derivative=derivative,

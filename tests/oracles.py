@@ -45,6 +45,24 @@ def enum_conditional(f: QaryFunction, measure: ProductMeasure, coords, x) -> flo
     return total
 
 
+def enum_component(f: QaryFunction, measure: ProductMeasure, mask: int, x) -> float:
+    """The orthogonal component for the subset ``mask`` at x, by inclusion-exclusion:
+    the sum over T within S of (-1)^(|S|-|T|) E[f | X_T = x_T]."""
+    subset = [i for i in range(f.n) if mask >> i & 1]
+    total = 0.0
+    for size in range(len(subset) + 1):
+        for coords in itertools.combinations(subset, size):
+            sign = (-1) ** (len(subset) - size)
+            total += sign * enum_conditional(f, measure, coords, x)
+    return total
+
+
+def enum_delta(f: QaryFunction, measure: ProductMeasure, i: int, x) -> float:
+    """f(x) minus E[f | every coordinate but i], by enumeration."""
+    rest = [j for j in range(f.n) if j != i]
+    return f(x) - enum_conditional(f, measure, rest, x)
+
+
 def enum_influence(f: QaryFunction, measure: ProductMeasure, i: int) -> float:
     """E[Var[f | x_{-i}]] by direct enumeration."""
     rest = [j for j in range(f.n) if j != i]

@@ -150,6 +150,25 @@ class TestExitCodes:
         assert json.loads(err)["error"] == "NoStrictLeaderError"
 
 
+    def test_schema_mismatch_is_exit_one(self, tmp_path, capsys):
+        measure = str(tmp_path / "mu.json")
+        fileio.save_measure(ProductMeasure(2, [0.5, 0.5]), measure)
+        # a measure document where a function document belongs
+        rc, _, err = run(capsys, "check", "--function", measure)
+        assert rc == 1
+        assert json.loads(err)["error"] == "FileFormatError"
+        # a measure document of an unknown version
+        doc = json.loads((tmp_path / "mu.json").read_text())
+        doc["schema"] = "threshold-lab/measure/v9"
+        (tmp_path / "mu.json").write_text(json.dumps(doc))
+        rc, _, err = run(
+            capsys, "influences", "--family", "plurality", "--q", "2", "--n", "3",
+            "--measure", measure,
+        )
+        assert rc == 1
+        assert json.loads(err)["error"] == "FileFormatError"
+
+
 class TestVerifyCommand:
     def test_hyper_suite_clean(self, capsys):
         rc, out, _ = run(

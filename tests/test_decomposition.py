@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshold_lab import (
     DegenerateMeasureError,
@@ -26,6 +28,8 @@ from threshold_lab import (
 )
 
 from oracles import (
+    enum_component,
+    enum_delta,
     enum_influence,
     enum_lp_norm,
     random_binary_function,
@@ -363,3 +367,32 @@ class TestTalagrandReport:
         for f, _, mu in small_corpus[:30]:
             rep = talagrand_report(f, mu)
             assert rep.m2_sum == pytest.approx(rep.variance, abs=1e-9)
+
+
+@st.composite
+def tables_and_measures(draw):
+    """A random real table with q in {2, 3}, n <= 3, and atoms of at least 1e-3."""
+    q = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 3))
+    values = draw(st.lists(st.floats(-10, 10), min_size=q**n, max_size=q**n))
+    weights = np.array(draw(st.lists(st.floats(0, 1), min_size=q, max_size=q)))
+    shares = weights / weights.sum() if weights.sum() > 0 else np.full(q, 1.0 / q)
+    floor = 1e-3
+    measure = ProductMeasure(q, floor + (1.0 - q * floor) * shares)
+    return QaryFunction.from_table(q, n, values, codomain="real"), measure
+
+
+class TestAgainstEnumeration:
+    @settings(max_examples=40, deadline=None)
+    @given(tables_and_measures())
+    def test_components_deltas_and_influences(self, case):
+        f, mu = case
+        pts = list(itertools.product(range(f.q), repeat=f.n))
+        d = efron_stein(f, mu)
+        for mask in masks_of(f.n):
+            expected = [enum_component(f, mu, mask, x) for x in pts]
+            assert np.allclose(d.components[mask], expected, rtol=0.0, atol=1e-9)
+        for i in range(f.n):
+            expected = [enum_delta(f, mu, i, x) for x in pts]
+            assert np.allclose(delta_i(f, mu, i).table, expected, rtol=0.0, atol=1e-9)
+            assert influence(f, mu, i) == pytest.approx(enum_influence(f, mu, i), abs=1e-9)

@@ -18,6 +18,7 @@ from threshold_lab import (
     prob_value,
     recursive_plurality,
     resolve_oracle,
+    scan_path,
 )
 from threshold_lab.families import edge_list, plurality_winners
 
@@ -60,6 +61,15 @@ class TestPlurality:
         mu = ProductMeasure(2, [0.0, 1.0])
         assert f.oracle.exact_prob(mu, 0) == pytest.approx(0.0, abs=1e-15)
         assert f.oracle.exact_prob(mu, 1) == pytest.approx(1.0, abs=1e-15)
+
+    def test_zero_atom_scan_does_not_overflow(self):
+        # at n = 729 the multinomial coefficient of a composition that puts a
+        # count on a zero atom overflows exp unless it is masked first
+        # (the pytest configuration turns the RuntimeWarning into an error)
+        f = plurality(3, 729)
+        curve = scan_path(f, 0, ProductMeasure(3, [0.0, 0.5, 0.5]), grid_size=3)
+        assert curve.values[0] == 0.0
+        assert curve.values[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_evaluator_agrees_with_mc_at_large_n(self):
         from threshold_lab import mc_estimate

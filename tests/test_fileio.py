@@ -81,6 +81,35 @@ class TestProfileAndChoiceFiles:
         assert np.array_equal(again.beats, t.beats)
 
 
+class TestSchemaValidation:
+    LOADERS = [
+        (fileio.function_from_dict, fileio.FUNCTION_SCHEMA),
+        (fileio.measure_from_dict, fileio.MEASURE_SCHEMA),
+        (fileio.profile_from_dict, fileio.PROFILE_SCHEMA),
+        (fileio.choice_function_from_dict, fileio.CHOICE_SCHEMA),
+        (fileio.tournament_from_dict, fileio.TOURNAMENT_SCHEMA),
+    ]
+
+    # each maps the loader's own schema to a document it must refuse
+    BAD_DOCS = {
+        "missing": lambda schema: {"q": 2, "m": 2},
+        "wrong-version": lambda schema: {"schema": schema.replace("/v1", "/v9"), "q": 2, "m": 2},
+        "wrong-type": lambda schema: {"schema": fileio.CURVE_SCHEMA, "q": 2, "m": 2},
+        "not-an-object": lambda schema: [0.5, 0.5],
+    }
+
+    @pytest.mark.parametrize("loader, schema", LOADERS)
+    @pytest.mark.parametrize("bad", BAD_DOCS)
+    def test_missing_or_unknown_schema(self, loader, schema, bad):
+        with pytest.raises(fileio.FileFormatError, match="schema"):
+            loader(self.BAD_DOCS[bad](schema))
+
+    @pytest.mark.parametrize("loader, schema", LOADERS)
+    def test_missing_field(self, loader, schema):
+        with pytest.raises(fileio.FileFormatError, match="missing field"):
+            loader({"schema": schema})
+
+
 class TestDecompositionExport:
     def test_components_and_metadata(self):
         f = QaryFunction.from_table(2, 2, [0.0, 1.0, 1.0, 0.0], codomain="real")
