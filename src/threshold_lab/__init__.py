@@ -23,7 +23,6 @@ from .core import (
     expectation,
     permute_input_symbols,
     prob_value,
-    sample_simplex,
 )
 from .checks import (
     CheckResult,

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,6 +20,7 @@ from .core import (
     QaryFunction,
     SimplexSampler,
     ThresholdLabError,
+    product_weights,
 )
 from .decomposition import (
     efron_stein,
@@ -37,18 +36,9 @@ from .social_choice import (
     mcgarvey_profile,
     saari_search,
 )
-from .threshold import jury_experiment, scan_path, simplex_sweep, threshold_window
+from .threshold import ThresholdCurve, jury_experiment, scan_path, simplex_sweep, threshold_window
 
 REPORT_SCHEMA = "threshold-lab/report/v1"
-
-
-def worker_count() -> int:
-    """Worker cap from THRESHOLD_LAB_THREADS (default 1)."""
-    raw = os.environ.get("THRESHOLD_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit(args, text: str) -> None:
@@ -93,124 +83,6 @@ def _load_measure(args, q: int) -> ProductMeasure:
         atoms = np.array([float(v) for v in args.atoms.split(",")])
         return ProductMeasure(len(atoms), atoms)
     return ProductMeasure.uniform(q)
-
-
-def _base_measure(args, f: QaryFunction, anchor: int) -> ProductMeasure:
-    if args.base:
-        return fileio.load_measure(args.base)
-    atoms = np.full(f.q, 1.0 / (f.q - 1))
-    atoms[anchor] = 0.0
-    return ProductMeasure(f.q, atoms)
-
-
-def _add_function_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--function", help="function JSON file")
-    p.add_argument("--family", help="built-in family name")
-    p.add_argument("--q", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--tie-break", dest="tie_break", default=None)
-    p.add_argument("--arity", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--vertices", type=int)
-    p.add_argument("--property", dest="property")
-    p.add_argument("--coord", type=int)
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="output path (atomic write); default stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=0)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="threshold-lab",
-        description="Sharp-threshold analysis and social-choice experiments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("family", help="tabulate a built-in family to a function file")
-    _add_function_options(p)
-    _add_common(p)
-
-    p = sub.add_parser("check", help="structural checks with witnesses")
-    _add_function_options(p)
-    _add_common(p)
-    p.add_argument("--group", help="symmetry group: cyclic | full | graph")
-
-    p = sub.add_parser("decompose", help="export the orthogonal decomposition")
-    _add_function_options(p)
-    _add_common(p)
-    p.add_argument("--measure", help="measure JSON file")
-    p.add_argument("--atoms", help="comma-separated atoms")
-
-    p = sub.add_parser("influences", help="influence and difference-norm report")
-    _add_function_options(p)
-    _add_common(p)
-    p.add_argument("--measure")
-    p.add_argument("--atoms")
-
-    p = sub.add_parser("verify", help="inequality suites over random corpora")
-    _add_common(p)
-    p.add_argument("--suite", choices=("hyper", "level", "talagrand"), required=True)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--qmax", type=int, default=4)
-    p.add_argument("--nmax", type=int, default=3)
-
-    p = sub.add_parser("scan", help="threshold curve along a simplex path")
-    _add_function_options(p)
-    _add_common(p)
-    p.set_defaults(format="csv")
-    p.add_argument("--anchor", type=int, default=0)
-    p.add_argument("--base", help="base measure JSON file (zero mass at anchor)")
-    p.add_argument("--grid", type=int, default=101)
-    p.add_argument("--method", choices=("exact", "mc"), default="exact")
-    p.add_argument("--samples", type=int, default=10_000)
-
-    p = sub.add_parser("window", help="scan plus crossing-window location")
-    _add_function_options(p)
-    _add_common(p)
-    p.add_argument("--anchor", type=int, default=0)
-    p.add_argument("--base")
-    p.add_argument("--grid", type=int, default=101)
-    p.add_argument("--method", choices=("exact", "mc"), default="exact")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--eps", type=float, default=0.1)
-
-    p = sub.add_parser("sweep", help="simplex measure of the critical set")
-    _add_function_options(p)
-    _add_common(p)
-    p.add_argument("--anchor", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--inner-samples", dest="inner_samples", type=int, default=10_000)
-
-    p = sub.add_parser("jury", help="leader-biased election experiment")
-    _add_function_options(p)
-    _add_common(p)
-    p.add_argument("--measure")
-    p.add_argument("--atoms")
-    p.add_argument("--leader", type=int, default=0)
-    p.add_argument("--samples", type=int, default=10_000)
-
-    p = sub.add_parser("mcgarvey", help="profile realizing a tournament by majority")
-    _add_common(p)
-    p.add_argument("--tournament", required=True, help="tournament JSON file")
-
-    p = sub.add_parser("saari", help="profile realizing a choice function by plurality")
-    _add_common(p)
-    p.add_argument("--choice", required=True, help="choice-function JSON file")
-    p.add_argument("--budget", type=int, default=10_000)
-
-    p = sub.add_parser("indeterminacy", help="sampled plurality agreement experiment")
-    _add_common(p)
-    p.add_argument("--choice", required=True)
-    p.add_argument("--profile", help="realizing profile JSON (defaults to saari search)")
-    p.add_argument("--voters", type=int, default=1000)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--budget", type=int, default=10_000)
-
-    return parser
 
 
 def _cmd_family(args) -> None:
@@ -270,8 +142,7 @@ def _cmd_influences(args) -> None:
     _emit_json(args, doc)
 
 
-def _verify_one(suite: str, seed_entry: tuple) -> dict:
-    q, n, seed = seed_entry
+def _verify_one(suite: str, q: int, n: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     atoms = rng.dirichlet(np.ones(q))
     while atoms.min() < 1e-3:
@@ -283,8 +154,6 @@ def _verify_one(suite: str, seed_entry: tuple) -> dict:
         rep = verify_hypercontractivity(g, measure)
         return {"ok": rep.ok, "margin": rep.rhs - rep.lhs}
     if suite == "level":
-        from .core import product_weights
-
         mean = float(product_weights(measure, n) @ table)
         centered = QaryFunction.from_table(q, n, table - mean, codomain="real")
         oks = []
@@ -300,24 +169,17 @@ def _verify_one(suite: str, seed_entry: tuple) -> dict:
 
 def _cmd_verify(args) -> None:
     rng = np.random.default_rng(args.seed)
-    jobs = []
+    results = []
     for _ in range(args.trials):
         q = int(rng.integers(2, args.qmax + 1))
         n = int(rng.integers(1, args.nmax + 1))
-        jobs.append((q, n, int(rng.integers(0, 2**63 - 1))))
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda j: _verify_one(args.suite, j), jobs))
-    else:
-        results = [_verify_one(args.suite, j) for j in jobs]
+        results.append(_verify_one(args.suite, q, n, int(rng.integers(0, 2**63 - 1))))
     violations = sum(1 for r in results if not r.get("ok", True))
     doc = {
         "suite": args.suite,
         "trials": args.trials,
         "violations": violations,
         "seed": args.seed,
-        "workers": workers,
     }
     if args.suite in ("hyper", "level"):
         doc["min_margin"] = min(r["margin"] for r in results)
@@ -327,13 +189,22 @@ def _cmd_verify(args) -> None:
     _emit_json(args, doc)
 
 
-def _cmd_scan(args) -> None:
+def _curve(args) -> ThresholdCurve:
     f = _load_function(args)
-    base = _base_measure(args, f, args.anchor)
-    curve = scan_path(
+    if args.base:
+        base = fileio.load_measure(args.base)
+    else:
+        atoms = np.full(f.q, 1.0 / (f.q - 1))
+        atoms[args.anchor] = 0.0
+        base = ProductMeasure(f.q, atoms)
+    return scan_path(
         f, args.anchor, base, grid_size=args.grid, method=args.method,
         samples=args.samples, seed=args.seed,
     )
+
+
+def _cmd_scan(args) -> None:
+    curve = _curve(args)
     if args.format == "csv":
         _emit(args, fileio.curve_to_csv(curve))
     else:
@@ -341,14 +212,7 @@ def _cmd_scan(args) -> None:
 
 
 def _cmd_window(args) -> None:
-    f = _load_function(args)
-    base = _base_measure(args, f, args.anchor)
-    curve = scan_path(
-        f, args.anchor, base, grid_size=args.grid, method=args.method,
-        samples=args.samples, seed=args.seed,
-    )
-    window = threshold_window(curve, args.eps)
-    _emit_json(args, window.as_dict())
+    _emit_json(args, threshold_window(_curve(args), args.eps).as_dict())
 
 
 def _cmd_sweep(args) -> None:
@@ -403,27 +267,99 @@ def _cmd_indeterminacy(args) -> None:
     _emit_json(args, report.as_dict())
 
 
-_COMMANDS = {
-    "family": _cmd_family,
-    "check": _cmd_check,
-    "decompose": _cmd_decompose,
-    "influences": _cmd_influences,
-    "verify": _cmd_verify,
-    "scan": _cmd_scan,
-    "window": _cmd_window,
-    "sweep": _cmd_sweep,
-    "jury": _cmd_jury,
-    "mcgarvey": _cmd_mcgarvey,
-    "saari": _cmd_saari,
-    "indeterminacy": _cmd_indeterminacy,
+#: Every option once: name (without ``--``) -> ``add_argument`` keywords.
+_OPTIONS = {
+    "function": {"help": "function JSON file"},
+    "family": {"help": "built-in family name"},
+    "q": {"type": int},
+    "n": {"type": int},
+    "tie-break": {},
+    "arity": {"type": int},
+    "depth": {"type": int},
+    "vertices": {"type": int},
+    "property": {},
+    "coord": {"type": int},
+    "out": {"help": "output path (atomic write); default stdout"},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+    "seed": {"type": int, "default": 0},
+    "group": {"help": "symmetry group: cyclic | full | graph"},
+    "measure": {"help": "measure JSON file"},
+    "atoms": {"help": "comma-separated atoms"},
+    "suite": {"choices": ("hyper", "level", "talagrand"), "required": True},
+    "trials": {"type": int, "default": 200},
+    "qmax": {"type": int, "default": 4},
+    "nmax": {"type": int, "default": 3},
+    "anchor": {"type": int, "default": 0},
+    "base": {"help": "base measure JSON file (zero mass at anchor)"},
+    "grid": {"type": int, "default": 101},
+    "method": {"choices": ("exact", "mc"), "default": "exact"},
+    "samples": {"type": int, "default": 10_000},
+    "eps": {"type": float, "default": 0.1},
+    "inner-samples": {"type": int, "default": 10_000},
+    "leader": {"type": int, "default": 0},
+    "tournament": {"required": True, "help": "tournament JSON file"},
+    "choice": {"required": True, "help": "choice-function JSON file"},
+    "budget": {"type": int, "default": 10_000},
+    "profile": {"help": "realizing profile JSON (defaults to saari search)"},
+    "voters": {"type": int, "default": 1000},
 }
+
+_FUNCTION = (
+    "function", "family", "q", "n", "tie-break", "arity", "depth", "vertices", "property", "coord",
+)
+_OUTPUT = ("out", "format", "seed")
+_MEASURE = ("measure", "atoms")
+_CURVE = ("anchor", "base", "grid", "method", "samples")
+
+#: name -> (handler, help, option names, defaults that differ from _OPTIONS).
+_SUBCOMMANDS = {
+    "family": (_cmd_family, "tabulate a built-in family to a function file",
+               _FUNCTION + _OUTPUT, {}),
+    "check": (_cmd_check, "structural checks with witnesses",
+              _FUNCTION + _OUTPUT + ("group",), {}),
+    "decompose": (_cmd_decompose, "export the orthogonal decomposition",
+                  _FUNCTION + _OUTPUT + _MEASURE, {}),
+    "influences": (_cmd_influences, "influence and difference-norm report",
+                   _FUNCTION + _OUTPUT + _MEASURE, {}),
+    "verify": (_cmd_verify, "inequality suites over random corpora",
+               _OUTPUT + ("suite", "trials", "qmax", "nmax"), {}),
+    "scan": (_cmd_scan, "threshold curve along a simplex path",
+             _FUNCTION + _OUTPUT + _CURVE, {"format": "csv"}),
+    "window": (_cmd_window, "scan plus crossing-window location",
+               _FUNCTION + _OUTPUT + _CURVE + ("eps",), {}),
+    "sweep": (_cmd_sweep, "simplex measure of the critical set",
+              _FUNCTION + _OUTPUT + ("anchor", "eps", "samples", "inner-samples"), {}),
+    "jury": (_cmd_jury, "leader-biased election experiment",
+             _FUNCTION + _OUTPUT + _MEASURE + ("leader", "samples"), {}),
+    "mcgarvey": (_cmd_mcgarvey, "profile realizing a tournament by majority",
+                 _OUTPUT + ("tournament",), {}),
+    "saari": (_cmd_saari, "profile realizing a choice function by plurality",
+              _OUTPUT + ("choice", "budget"), {}),
+    "indeterminacy": (_cmd_indeterminacy, "sampled plurality agreement experiment",
+                      _OUTPUT + ("choice", "profile", "voters", "samples", "budget"),
+                      {"samples": 200}),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="threshold-lab",
+        description="Sharp-threshold analysis and social-choice experiments.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, help_text, options, defaults) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            p.add_argument(f"--{option}", **_OPTIONS[option])
+        p.set_defaults(handler=handler, **defaults)
+    return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        args.handler(args)
         return 0
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -420,11 +420,6 @@ class SimplexSampler:
         return children
 
 
-def sample_simplex(sampler: SimplexSampler) -> ProductMeasure:
-    """Draw the sampler's next uniform point of the simplex."""
-    return sampler.sample()
-
-
 @dataclasses.dataclass(frozen=True)
 class MeasurePath:
     """The segment ``mu^t = t * delta_anchor + (1 - t) * base`` for t in [0, 1].

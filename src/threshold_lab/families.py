@@ -13,7 +13,6 @@ import itertools
 from math import comb
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (
     DimensionMismatchError,
@@ -77,6 +76,8 @@ class _PluralityExact:
     """
 
     def __init__(self, q: int, n: int, tie_break: str):
+        from scipy.special import gammaln  # deferred: scipy is slow to import
+
         self.q, self.n = q, n
         counts = _compositions(n, q)
         self._counts = counts

@@ -64,7 +64,14 @@ def function_from_dict(doc: dict) -> QaryFunction:
     _require_schema(doc, FUNCTION_SCHEMA)
     try:
         if "oracle" in doc:
-            return resolve_oracle(doc["oracle"], doc.get("params", {}))
+            f = resolve_oracle(doc["oracle"], doc.get("params", {}))
+            for field, built in (("q", f.q), ("n", f.n)):
+                if field in doc and int(doc[field]) != built:
+                    raise FileFormatError(
+                        f"oracle document has {field}={doc[field]}, "
+                        f"but {doc['oracle']} with these params has {field}={built}"
+                    )
+            return f
         return QaryFunction.from_table(
             q=int(doc["q"]),
             n=int(doc["n"]),

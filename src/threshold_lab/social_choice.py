@@ -12,7 +12,6 @@ import dataclasses
 import itertools
 
 import numpy as np
-from scipy.optimize import LinearConstraint, milp
 
 from .core import DimensionMismatchError, ThresholdLabError
 from .families import plurality_winners
@@ -296,6 +295,8 @@ def saari_search(
     raises :class:`SearchBudgetExceededError` when the minimal realizing
     profile exceeds the budget.
     """
+    from scipy.optimize import LinearConstraint, milp  # deferred: scipy is slow to import
+
     m = c0.m
     orders = all_orders(m)
     k = len(orders)

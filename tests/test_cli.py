@@ -1,17 +1,112 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import threshold_lab
 from threshold_lab import ChoiceFunction, ProductMeasure, QaryFunction, Tournament, dictator
 from threshold_lab import fileio
-from threshold_lab.cli import main
+from threshold_lab.cli import build_parser, main
 
 
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+_COMMON = {"out": None, "format": "json", "seed": 0}
+_FUNCTION = {
+    "function": None, "family": None, "q": None, "n": None, "tie_break": None,
+    "arity": None, "depth": None, "vertices": None, "property": None, "coord": None,
+}
+_CURVE = {"anchor": 0, "base": None, "grid": 101, "method": "exact", "samples": 10_000}
+
+PARSED = [
+    (
+        ["family", "--family", "plurality", "--q", "3", "--n", "5", "--tie-break", "first"],
+        {**_COMMON, **_FUNCTION, "command": "family", "family": "plurality", "q": 3, "n": 5,
+         "tie_break": "first"},
+    ),
+    (
+        ["check", "--family", "graph_property", "--vertices", "4",
+         "--property", "max_clique_color", "--group", "graph"],
+        {**_COMMON, **_FUNCTION, "command": "check", "family": "graph_property",
+         "vertices": 4, "property": "max_clique_color", "group": "graph"},
+    ),
+    (
+        ["decompose", "--family", "dictator", "--q", "2", "--n", "2", "--atoms", "0.5,0.5"],
+        {**_COMMON, **_FUNCTION, "command": "decompose", "family": "dictator", "q": 2, "n": 2,
+         "measure": None, "atoms": "0.5,0.5"},
+    ),
+    (
+        ["influences", "--function", "f.json", "--measure", "m.json", "--format", "csv"],
+        {**_COMMON, **_FUNCTION, "command": "influences", "function": "f.json",
+         "measure": "m.json", "atoms": None, "format": "csv"},
+    ),
+    (
+        ["verify", "--suite", "hyper"],
+        {**_COMMON, "command": "verify", "suite": "hyper", "trials": 200, "qmax": 4,
+         "nmax": 3},
+    ),
+    (
+        ["scan", "--family", "plurality", "--q", "2", "--n", "9", "--base", "b.json"],
+        {**_COMMON, **_FUNCTION, **_CURVE, "command": "scan", "family": "plurality", "q": 2,
+         "n": 9, "base": "b.json", "format": "csv"},
+    ),
+    (
+        ["window", "--family", "recursive_plurality", "--q", "2", "--arity", "3", "--depth",
+         "2", "--method", "mc", "--eps", "0.2"],
+        {**_COMMON, **_FUNCTION, **_CURVE, "command": "window",
+         "family": "recursive_plurality", "q": 2, "arity": 3, "depth": 2, "method": "mc",
+         "eps": 0.2},
+    ),
+    (
+        ["sweep", "--family", "dictator", "--q", "2", "--n", "1", "--coord", "0",
+         "--inner-samples", "50"],
+        {**_COMMON, **_FUNCTION, "command": "sweep", "family": "dictator", "q": 2, "n": 1,
+         "coord": 0, "anchor": 0, "eps": 0.1, "samples": 10_000, "inner_samples": 50},
+    ),
+    (
+        ["jury", "--family", "plurality", "--q", "3", "--n", "501", "--atoms",
+         "0.45,0.275,0.275", "--leader", "1"],
+        {**_COMMON, **_FUNCTION, "command": "jury", "family": "plurality", "q": 3, "n": 501,
+         "measure": None, "atoms": "0.45,0.275,0.275", "leader": 1, "samples": 10_000},
+    ),
+    (
+        ["mcgarvey", "--tournament", "t.json", "--out", "p.json"],
+        {**_COMMON, "command": "mcgarvey", "tournament": "t.json", "out": "p.json"},
+    ),
+    (
+        ["saari", "--choice", "c.json", "--budget", "50", "--seed", "3"],
+        {**_COMMON, "command": "saari", "choice": "c.json", "budget": 50, "seed": 3},
+    ),
+    (
+        ["indeterminacy", "--choice", "c.json", "--profile", "p.json"],
+        {**_COMMON, "command": "indeterminacy", "choice": "c.json", "profile": "p.json",
+         "voters": 1000, "samples": 200, "budget": 10_000},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,expected", PARSED, ids=[a[0] for a, _ in PARSED])
+def test_parsed_options(argv, expected):
+    parsed = vars(build_parser().parse_args(argv))
+    parsed.pop("handler", None)
+    assert parsed == expected
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(threshold_lab.__file__))
+    code = "import sys, threshold_lab.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestCheckCommand:
@@ -184,14 +279,6 @@ class TestVerifyCommand:
         )
         assert rc == 0
         assert json.loads(out)["violations"] == 0
-
-    def test_thread_env_respected(self, capsys, monkeypatch):
-        monkeypatch.setenv("THRESHOLD_LAB_THREADS", "2")
-        rc, out, _ = run(
-            capsys, "verify", "--suite", "hyper", "--trials", "10", "--seed", "1"
-        )
-        assert rc == 0
-        assert json.loads(out)["workers"] == 2
 
 
 class TestFamilyCommand:

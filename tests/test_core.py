@@ -18,7 +18,6 @@ from threshold_lab import (
     expectation,
     permute_input_symbols,
     prob_value,
-    sample_simplex,
 )
 from threshold_lab.core import all_points, index_of, product_weights
 
@@ -187,7 +186,7 @@ class TestConditionalExpectation:
 
 class TestSimplexSampler:
     def test_dimension_one_is_point(self):
-        mu = sample_simplex(SimplexSampler(1, seed=3))
+        mu = SimplexSampler(1, seed=3).sample()
         assert mu.atoms.tolist() == [1.0]
 
     def test_uniform_mean_on_two_atoms(self):

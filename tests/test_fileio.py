@@ -9,8 +9,12 @@ from threshold_lab import (
     QaryFunction,
     Tournament,
     VoterProfile,
+    antisym_majority,
+    dictator,
     efron_stein,
+    graph_property,
     plurality,
+    recursive_plurality,
     scan_path,
 )
 from threshold_lab import fileio
@@ -45,6 +49,21 @@ class TestFunctionFiles:
     def test_missing_field(self):
         with pytest.raises(fileio.FileFormatError):
             fileio.function_from_dict({"q": 2})
+
+    @pytest.mark.parametrize("f", [
+        plurality(3, 5),
+        recursive_plurality(2, 3, 2),
+        graph_property(4, 2, "most_popular_color"),
+        antisym_majority(3),
+        dictator(3, 4, 2),
+    ], ids=lambda f: f.oracle.name)
+    def test_oracle_sizes_checked(self, f):
+        doc = fileio.function_to_dict(f)
+        g = fileio.function_from_dict(doc)
+        assert (g.q, g.n) == (f.q, f.n)
+        for field, wrong in (("q", f.q + 1), ("n", f.n + 1)):
+            with pytest.raises(fileio.FileFormatError):
+                fileio.function_from_dict({**doc, field: wrong})
 
 
 class TestMeasureFiles:
