@@ -57,22 +57,32 @@ class UsageError(Exception):
     """Usage error carrying the message for exit code 2."""
 
 
+#: Family parameter -> the option that sets it.
+_FAMILY_PARAMS = {
+    "q": "q",
+    "n": "n",
+    "tie_break": "tie-break",
+    "arity": "arity",
+    "depth": "depth",
+    "vertices": "vertices",
+    "property_kind": "property",
+    "coord": "coord",
+}
+
+
 def _load_function(args) -> QaryFunction:
     if args.function:
         return fileio.load_function(args.function)
     if args.family:
         params = {
-            "q": args.q,
-            "n": args.n,
-            "tie_break": args.tie_break,
-            "arity": args.arity,
-            "depth": args.depth,
-            "vertices": args.vertices,
-            "property_kind": args.property,
-            "coord": args.coord,
+            key: getattr(args, option.replace("-", "_")) for key, option in _FAMILY_PARAMS.items()
         }
         params = {k: v for k, v in params.items() if v is not None}
-        return resolve_oracle(args.family, params)
+        try:
+            return resolve_oracle(args.family, params)
+        except KeyError as exc:  # a builder read a parameter no option set
+            option = _FAMILY_PARAMS[exc.args[0]]
+            raise UsageError(f"--family {args.family} needs --{option}") from None
     raise UsageError("one of --function/--family is required")
 
 

@@ -136,13 +136,24 @@ def influence(f: QaryFunction, measure: ProductMeasure, i: int) -> float:
     return lp_norm(delta_i(f, measure, i), measure, 2.0) ** 2
 
 
+def _influences(f: QaryFunction, measure: ProductMeasure) -> list[float]:
+    """Every coordinate's :func:`influence`, from one weight table."""
+    f = _as_real_table(f)
+    w = product_weights(measure, f.n)
+    return [_weighted_norm(delta_i(f, measure, i).table, w, 2.0) ** 2 for i in range(f.n)]
+
+
 def lp_norm(g: QaryFunction, measure: ProductMeasure, p: float) -> float:
     """The L_p norm of ``g`` under the product measure."""
     if p < 1:
         raise DimensionMismatchError(f"L_p norms need p >= 1, got {p}")
     g = _as_real_table(g)
-    w = product_weights(measure, g.n)
-    return float((w @ np.abs(g.table) ** p) ** (1.0 / p))
+    return _weighted_norm(g.table, product_weights(measure, g.n), p)
+
+
+def _weighted_norm(table: np.ndarray, w: np.ndarray, p: float) -> float:
+    """The L_p norm of a dense table under the point weights ``w``."""
+    return float((w @ np.abs(table) ** p) ** (1.0 / p))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,12 +178,13 @@ class InfluenceReport:
 
 def influence_report(f: QaryFunction, measure: ProductMeasure) -> InfluenceReport:
     f = _as_real_table(f)
+    w = product_weights(measure, f.n)
     influences, l1s, l32s, l2s = [], [], [], []
     for i in range(f.n):
-        d = delta_i(f, measure, i)
-        l1s.append(lp_norm(d, measure, 1.0))
-        l32s.append(lp_norm(d, measure, 1.5))
-        l2s.append(lp_norm(d, measure, 2.0))
+        d = delta_i(f, measure, i).table
+        l1s.append(_weighted_norm(d, w, 1.0))
+        l32s.append(_weighted_norm(d, w, 1.5))
+        l2s.append(_weighted_norm(d, w, 2.0))
         influences.append(l2s[-1] ** 2)
     return InfluenceReport(
         influences=tuple(influences),
@@ -319,10 +331,8 @@ def talagrand_report(f: QaryFunction, measure: ProductMeasure) -> TalagrandRepor
     f = _as_real_table(f)
     measure.require_positive("influence-sum report")
     mean = expectation(f, measure)
-    centered = QaryFunction(
-        q=f.q, n=f.n, codomain="real", out_q=None, table=f.table - mean
-    )
-    variance = lp_norm(centered, measure, 2.0) ** 2
+    w = product_weights(measure, f.n)
+    variance = _weighted_norm(f.table - mean, w, 2.0) ** 2
     alpha = measure.min_atom()
     log_inv = math.log(1.0 / alpha)
     norms = efron_stein(f, measure).squared_norms()
@@ -332,11 +342,11 @@ def talagrand_report(f: QaryFunction, measure: ProductMeasure) -> TalagrandRepor
     for i in range(f.n):
         keep = (np.arange(norms.shape[0]) >> i & 1).astype(bool)
         m2_sum += float((norms[keep] / sizes[keep]).sum())
-        g = delta_i(f, measure, i)
-        l2 = lp_norm(g, measure, 2.0)
+        g = delta_i(f, measure, i).table
+        l2 = _weighted_norm(g, w, 2.0)
         if l2 <= 1e-15:
             continue  # coordinate does not appear in f
-        l1 = lp_norm(g, measure, 1.0)
+        l1 = _weighted_norm(g, w, 1.0)
         log_ratio = math.log(l2 / l1)
         degenerate = log_ratio <= 1e-12
         term = None if degenerate else l2 * l2 / log_ratio

@@ -54,17 +54,20 @@ def plurality_winners(X: np.ndarray, q: int, tie_break: str = "first_occurrence"
 
 
 def _compositions(n: int, q: int) -> np.ndarray:
-    """All count vectors of ``n`` items over ``q`` symbols, as an (M, q) array."""
-    out = []
-    for cuts in itertools.combinations(range(n + q - 1), q - 1):
-        prev = -1
-        row = []
-        for c in cuts:
-            row.append(c - prev - 1)
-            prev = c
-        row.append(n + q - 2 - prev)
-        out.append(row)
-    return np.asarray(out, dtype=np.int64)
+    """All count vectors of ``n`` items over ``q`` symbols, as an (M, q) int64
+    array in lexicographic order."""
+    # built one symbol at a time: a prefix leaving ``r`` items has ``r + 1``
+    # children, whose next counts run 0..r in order
+    counts = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([n], dtype=np.int64)
+    for _ in range(q - 1):
+        children = left + 1
+        parent = np.repeat(np.arange(left.size), children)
+        start = np.cumsum(children) - children
+        step = np.arange(parent.size) - np.repeat(start, children)
+        counts = np.column_stack([counts[parent], step])
+        left = left[parent] - step
+    return np.column_stack([counts, left])
 
 
 class _PluralityExact:
@@ -80,8 +83,10 @@ class _PluralityExact:
 
         self.q, self.n = q, n
         counts = _compositions(n, q)
-        self._counts = counts
-        self._log_coeff = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
+        # float once here: an int64 matrix would be converted on every call
+        self._counts = counts.astype(np.float64)
+        log_gamma = gammaln(np.arange(n + 2))
+        self._log_coeff = log_gamma[n + 1] - log_gamma[counts + 1].sum(axis=1)
         maxc = counts.max(axis=1, keepdims=True)
         tied = counts == maxc
         if tie_break == "smallest_index":

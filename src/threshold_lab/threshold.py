@@ -25,7 +25,7 @@ from .core import (
     prob_value,
     product_weights,
 )
-from .decomposition import influence
+from .decomposition import _influences
 
 _MC_CHUNK_ENTRIES = 2_000_000
 
@@ -109,8 +109,8 @@ def russo_report(f: QaryFunction, path: MeasurePath, t: float) -> RussoReport:
     derivative, mixed = _restriction_sums(f, path, t)
     mu_t = path.measure_at(t)
     real = f.as_real()
-    sum_path = sum(influence(real, mu_t, i) for i in range(f.n))
-    sum_base = sum(influence(real, path.base, i) for i in range(f.n))
+    sum_path = sum(_influences(real, mu_t))
+    sum_base = sum(_influences(real, path.base))
     return RussoReport(
         t=t,
         derivative=derivative,
@@ -391,6 +391,8 @@ def jury_experiment(
     """
     if f.q != measure.q:
         raise DimensionMismatchError("function/measure alphabet mismatch")
+    if not 0 <= i < f.q:
+        raise DimensionMismatchError(f"leader {i} outside [0, {f.q})")
     atoms = measure.atoms
     others = np.delete(atoms, i)
     margin = float(atoms[i] - others.max())

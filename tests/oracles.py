@@ -30,6 +30,20 @@ def enum_prob(f: QaryFunction, measure: ProductMeasure, a: int) -> float:
     return sum(point_prob(x, measure) for x in points(f.q, f.n) if f(x) == a)
 
 
+def enum_compositions(n: int, q: int) -> np.ndarray:
+    """All count vectors of ``n`` items over ``q`` symbols, as an (M, q) array."""
+    out = []
+    for cuts in itertools.combinations(range(n + q - 1), q - 1):
+        prev = -1
+        row = []
+        for c in cuts:
+            row.append(c - prev - 1)
+            prev = c
+        row.append(n + q - 2 - prev)
+        out.append(row)
+    return np.asarray(out, dtype=np.int64)
+
+
 def enum_conditional(f: QaryFunction, measure: ProductMeasure, coords, x) -> float:
     """E[f | X_S = x_S] at the point x, by enumerating the complement."""
     coords = set(coords)

@@ -245,6 +245,32 @@ class TestExitCodes:
         assert json.loads(err)["error"] == "NoStrictLeaderError"
 
 
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["--family", "plurality", "--q", "3"], "--n"),
+            (["--family", "recursive_plurality", "--q", "2", "--arity", "3"], "--depth"),
+            (["--family", "graph_property", "--q", "2", "--vertices", "3"], "--property"),
+        ],
+    )
+    def test_family_missing_parameter_is_usage_error(self, capsys, argv, option):
+        rc, out, err = run(capsys, "scan", *argv)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: --family {argv[1]} needs {option}\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["--leader", "7"], ["--leader", "-1", "--atoms", "0.2,0.3,0.5"]]
+    )
+    def test_jury_leader_out_of_range_is_exit_one(self, capsys, argv):
+        rc, out, err = run(
+            capsys, "jury", "--family", "plurality", "--q", "3", "--n", "5",
+            "--samples", "10", *argv,
+        )
+        assert rc == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DimensionMismatchError"
+
     def test_schema_mismatch_is_exit_one(self, tmp_path, capsys):
         measure = str(tmp_path / "mu.json")
         fileio.save_measure(ProductMeasure(2, [0.5, 0.5]), measure)

@@ -178,6 +178,26 @@ class TestDeltaAndInfluence:
         assert rep.as_dict()["delta_l2"][0] == pytest.approx(math.sqrt(0.125), abs=1e-12)
 
 
+    def test_reports_equal_per_coordinate_norms(self, rng):
+        # the reports build the weights once; each value must be exactly the
+        # one that influence and lp_norm give coordinate by coordinate
+        f = random_real_function(3, 4, rng)
+        mu = random_positive_measure(3, rng)
+        rep = influence_report(f, mu)
+        for i in range(f.n):
+            d = delta_i(f, mu, i)
+            assert rep.influences[i] == influence(f, mu, i)
+            assert rep.delta_l1[i] == lp_norm(d, mu, 1.0)
+            assert rep.delta_l32[i] == lp_norm(d, mu, 1.5)
+            assert rep.delta_l2[i] == lp_norm(d, mu, 2.0)
+        tal = talagrand_report(f, mu)
+        centered = QaryFunction.from_table(3, 4, f.table - expectation(f, mu), codomain="real")
+        assert tal.variance == lp_norm(centered, mu, 2.0) ** 2
+        for term in tal.terms:
+            d = delta_i(f, mu, term.coord)
+            assert (term.l1, term.l2) == (lp_norm(d, mu, 1.0), lp_norm(d, mu, 2.0))
+
+
 class TestLpNorm:
     def test_plus_minus_one(self):
         g = QaryFunction.from_table(2, 1, [-1.0, 1.0], codomain="real")

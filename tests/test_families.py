@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshold_lab import (
     ProductMeasure,
@@ -20,9 +22,9 @@ from threshold_lab import (
     resolve_oracle,
     scan_path,
 )
-from threshold_lab.families import edge_list, plurality_winners
+from threshold_lab.families import TIE_BREAKS, _compositions, edge_list, plurality_winners
 
-from oracles import enum_prob, random_positive_measure
+from oracles import enum_compositions, enum_prob, random_positive_measure
 
 
 class TestPlurality:
@@ -79,6 +81,52 @@ class TestPlurality:
         exact = f.oracle.exact_prob(mu, 0)
         est = mc_estimate(f, mu, 0, 20_000, seed=11)
         assert abs(est.p_hat - exact) <= 3 * est.half_width + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 15))
+def test_compositions_match_enumeration(q, n):
+    got = _compositions(n, q)
+    want = enum_compositions(n, q)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape
+    assert (got == want).all()  # same rows in the same order
+
+
+def _enumerated_exact_prob(q, n, tie_break, measure, a):
+    """``P[plurality = a]`` from enumerated compositions: int64 counts times log
+    atoms and ``gammaln(counts + 1)``, the same float operations in the same
+    order as the evaluator."""
+    from scipy.special import gammaln
+
+    counts = enum_compositions(n, q)
+    log_coeff = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1)
+    tied = counts == counts.max(axis=1, keepdims=True)
+    if tie_break == "smallest_index":
+        share = np.zeros(counts.shape)
+        share[np.arange(counts.shape[0]), tied.argmax(axis=1)] = 1.0
+    else:
+        share = tied / tied.sum(axis=1, keepdims=True)
+    positive = measure.atoms > 0
+    exponent = log_coeff + counts @ np.log(np.where(positive, measure.atoms, 1.0))
+    if positive.all():
+        p = np.exp(exponent)
+    else:
+        possible = ~(counts[:, ~positive] > 0).any(axis=1)
+        p = np.exp(exponent, out=np.zeros_like(exponent), where=possible)
+    return float(p @ share[:, a])
+
+
+@pytest.mark.parametrize("q,n", [(3, 61), (4, 21), (5, 13)])
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+def test_exact_prob_is_bitwise_the_enumerated_formula(q, n, tie_break):
+    f = plurality(q, n, tie_break)
+    atoms = np.linspace(1.0, 2.0, q)
+    zeroed = atoms.copy()
+    zeroed[1] = 0.0
+    for mu in (ProductMeasure(q, atoms / atoms.sum()), ProductMeasure(q, zeroed / zeroed.sum())):
+        for a in range(q):
+            assert f.oracle.exact_prob(mu, a) == _enumerated_exact_prob(q, n, tie_break, mu, a)
 
 
 class TestRecursivePlurality:

@@ -13,6 +13,7 @@ from threshold_lab import (
     SimplexSampler,
     WindowUndefinedError,
     dictator,
+    influence,
     jury_experiment,
     mc_estimate,
     plurality,
@@ -122,6 +123,17 @@ class TestRussoDerivative:
             rep = russo_report(f, path, t)
             assert rep.derivative >= rep.influence_sum_path_measure - 1e-9
             assert rep.derivative >= rep.conditional_variance_sum - 1e-9
+
+    def test_influence_sums_equal_per_coordinate_influences(self, rng):
+        f = random_zero_monotone(3, 4, rng)
+        path = MeasurePath(anchor=0, base=ProductMeasure(3, [0.0, 0.3, 0.7]))
+        rep = russo_report(f, path, 0.4)
+        real = f.as_real()
+        mu_t = path.measure_at(0.4)
+        assert rep.influence_sum_path_measure == sum(influence(real, mu_t, i) for i in range(4))
+        assert rep.influence_sum_base_measure == sum(
+            influence(real, path.base, i) for i in range(4)
+        )
 
     def test_base_measure_influence_sum_can_exceed_derivative(self):
         # q=3 OR-style function: far along the path the derivative drops
