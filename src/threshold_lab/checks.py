@@ -15,6 +15,7 @@ from .core import (
     DimensionMismatchError,
     InvalidFunctionError,
     QaryFunction,
+    _relabel_index,
     points_of,
 )
 
@@ -97,27 +98,25 @@ def _cover_violation(table: np.ndarray, q: int, n: int, a: int, binary: bool) ->
     (``f(x) = a`` forces ``f(y) = a``) to order preservation
     (``f(x) <= f(y)`` for {0,1} values).
     """
-    size = table.shape[0]
-    idx = np.arange(size)
+    # x is flagged when f(x) is a source value and f(y) a sink value; at
+    # digit a the cover y is x itself, and no value is both
+    source = table == (1 if binary else a)
+    sink = table == 0 if binary else ~source
     for i in range(n):
         stride = q ** (n - 1 - i)
-        digit = (idx // stride) % q
-        movable = digit != a
-        y_idx = idx + (a - digit) * stride
-        if binary:
-            bad = movable & (table == 1) & (table[y_idx] == 0)
-        else:
-            bad = movable & (table == a) & (table[y_idx] != a)
+        # axis 1 is coordinate i, so the slice at a holds every x's cover y
+        bad = source.reshape(-1, q, stride) & sink.reshape(-1, q, stride)[:, a : a + 1, :]
         if bad.any():
-            x_idx = int(idx[bad][0])
-            pts = points_of(np.array([x_idx, int(y_idx[bad][0])]), q, n)
+            x_idx = int(bad.argmax())
+            y_idx = x_idx + (a - x_idx // stride % q) * stride
+            pts = points_of(np.array([x_idx, y_idx]), q, n)
             return {
                 "a": int(a),
                 "coord": int(i),
                 "x": pts[0].tolist(),
                 "y": pts[1].tolist(),
                 "f_x": table[x_idx].item(),
-                "f_y": table[int(y_idx[bad][0])].item(),
+                "f_y": table[y_idx].item(),
             }
     return None
 
@@ -197,9 +196,8 @@ def check_fair(f: QaryFunction) -> CheckResult:
     f = f.tabulate()
     if f.codomain != "alphabet" or f.out_q != f.q:
         raise InvalidFunctionError("fairness needs codomain = input alphabet")
-    tensor = f.table.reshape((f.q,) * f.n)
     for pi in _alphabet_generators(f.q):
-        relabeled_inputs = tensor[np.ix_(*([pi] * f.n))].ravel()
+        relabeled_inputs = f.table[_relabel_index(pi, f.n)]
         relabeled_outputs = pi[f.table]
         bad = relabeled_inputs != relabeled_outputs
         if bad.any():

@@ -24,6 +24,10 @@ MAX_TABLE_SIZE = 1 << 24
 
 ATOM_SUM_TOL = 1e-12
 
+#: Coordinates held by the point buffer that :meth:`QaryFunction.tabulate`
+#: hands to an oracle's ``batch``.
+_TABULATE_COORDS = 4_000_000
+
 
 class ThresholdLabError(Exception):
     """Base class for domain errors raised by this package."""
@@ -144,20 +148,48 @@ class ProductMeasure:
         return ProductMeasure(self.q, atoms / atoms.sum())
 
 
+def _expand_digits(start: np.ndarray, per_symbol: np.ndarray, n: int, op) -> np.ndarray:
+    """Fold ``op`` over the digits of every point of ``[q]**n``, in index order.
+
+    Entry ``index(x)`` is ``op(...op(op(start, s[x_0]), s[x_1])..., s[x_{n-1}])``
+    with ``s = per_symbol``; ``op(v, s, out=...)`` writes into ``out``.
+    Appending digit k to every index so far fills the stride-q slice ``k::q``,
+    so no index is ever decoded.
+    """
+    q = len(per_symbol)
+    v = start
+    for _ in range(n):
+        nxt = np.empty(v.size * q, dtype=v.dtype)
+        for k in range(q):
+            op(v, per_symbol[k], out=nxt[k::q])
+        v = nxt
+    return v
+
+
+def _relabel_index(perm: np.ndarray, n: int) -> np.ndarray:
+    """``index(perm(x))`` at every index of ``x``, ``perm`` acting on each symbol."""
+    q = len(perm)
+
+    def shift_in(v, s, out):
+        np.multiply(v, q, out=out)
+        out += s
+
+    return _expand_digits(np.zeros(1, dtype=np.int64), perm, n, shift_in)
+
+
 def product_weights(measure: ProductMeasure, n: int) -> np.ndarray:
     """Weights ``w(x) = prod_i mu(x_i)`` over all of ``[q]**n`` in index order."""
     table_size(measure.q, n)
-    w = np.ones(1)
-    for _ in range(n):
-        w = np.multiply.outer(w, measure.atoms).ravel()
-    return w
+    return _expand_digits(np.ones(1), measure.atoms, n, np.multiply)
 
 
 @dataclasses.dataclass(frozen=True)
 class Oracle:
     """Named pure evaluator backing a function too large to tabulate.
 
-    ``batch`` maps an ``(N, n)`` integer array to ``N`` values.  An optional
+    ``batch`` maps an ``(N, n)`` integer array to ``N`` values and must not
+    modify its points: :meth:`QaryFunction.tabulate` passes a read-only view
+    of a buffer it reuses, so writing into it raises ``ValueError``.  An optional
     ``exact_prob(measure, a)`` computes ``P[f = a]`` exactly from structure
     (e.g. a count dynamic program), enabling exact threshold scans at sizes
     far beyond the table cap.
@@ -254,6 +286,8 @@ class QaryFunction:
         if points.ndim != 2 or points.shape[1] != self.n:
             raise DimensionMismatchError(f"expected an (N, {self.n}) array")
         if self.table is not None:
+            if points.size and (points.min() < 0 or points.max() >= self.q):
+                raise DimensionMismatchError(f"coordinates must lie in [0, {self.q})")
             idx = np.zeros(points.shape[0], dtype=np.int64)
             for j in range(self.n):
                 idx = idx * self.q + points[:, j]
@@ -264,16 +298,25 @@ class QaryFunction:
         """Materialize a dense table (subject to the size cap)."""
         if self.table is not None:
             return self
-        size = table_size(self.q, self.n)
+        q, n = self.q, self.n
+        size = table_size(q, n)
         dtype = np.int64 if self.codomain == "alphabet" else float
         values = np.empty(size, dtype=dtype)
-        # chunked so the decoded points matrix stays small at the size cap
-        chunk = max(1, 4_000_000 // self.n)
-        for start in range(0, size, chunk):
-            idx = np.arange(start, min(start + chunk, size))
-            values[start : start + idx.shape[0]] = self.batch(
-                points_of(idx, self.q, self.n)
-            )
+        # blocks of q**low points share their high digits; the point buffer
+        # stays within _TABULATE_COORDS coordinates at the size cap
+        rows = max(1, _TABULATE_COORDS // n)
+        low = 0
+        while low < n and q ** (low + 1) <= rows:
+            low += 1
+        block = q**low
+        high = n - low
+        buf = np.empty((block, n), dtype=np.int64)
+        buf[:, high:] = points_of(np.arange(block), q, low)
+        points = buf.view()
+        points.setflags(write=False)
+        for b, digits in enumerate(points_of(np.arange(q**high), q, high)):
+            buf[:, :high] = digits
+            values[b * block : (b + 1) * block] = self.batch(points)
         return QaryFunction(
             q=self.q,
             n=self.n,
@@ -318,10 +361,9 @@ def permute_input_symbols(f: QaryFunction, perm: Sequence[int]) -> QaryFunction:
     if sorted(perm.tolist()) != list(range(f.q)):
         raise DimensionMismatchError(f"perm must be a permutation of [{f.q})")
     tab = f.tabulate()
-    tensor = tab.table.reshape((f.q,) * f.n)
-    permuted = tensor[np.ix_(*([perm] * f.n))]
+    permuted = tab.table[_relabel_index(perm, f.n)]
     return QaryFunction(
-        q=f.q, n=f.n, codomain=f.codomain, out_q=f.out_q, table=permuted.ravel()
+        q=f.q, n=f.n, codomain=f.codomain, out_q=f.out_q, table=permuted
     )
 
 

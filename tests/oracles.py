@@ -44,6 +44,44 @@ def enum_compositions(n: int, q: int) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
+def outer_product_weights(measure: ProductMeasure, n: int) -> np.ndarray:
+    """Product weights by repeated outer products, the library's former loop."""
+    w = np.ones(1)
+    for _ in range(n):
+        w = np.multiply.outer(w, measure.atoms).ravel()
+    return w
+
+
+def ix_relabel(table: np.ndarray, q: int, n: int, perm) -> np.ndarray:
+    """The table of ``x -> f(perm(x))`` by open-mesh indexing over the n axes,
+    the library's former form."""
+    tensor = table.reshape((q,) * n)
+    return tensor[np.ix_(*([perm] * n))].ravel()
+
+
+def enum_cover_violation(table: np.ndarray, q: int, n: int, a: int, binary: bool) -> dict | None:
+    """First cover ``x -> (x with x_i := a)`` breaking the predicate, scanning
+    coordinates in order and the points of each in index order."""
+    pts = list(points(q, n))
+    position = {x: k for k, x in enumerate(pts)}
+    for i in range(n):
+        for x_idx, x in enumerate(pts):
+            if x[i] == a:
+                continue
+            y = x[:i] + (a,) + x[i + 1 :]
+            f_x, f_y = table[x_idx], table[position[y]]
+            if (f_x == 1 and f_y == 0) if binary else (f_x == a and f_y != a):
+                return {
+                    "a": a,
+                    "coord": i,
+                    "x": list(x),
+                    "y": list(y),
+                    "f_x": f_x.item(),
+                    "f_y": f_y.item(),
+                }
+    return None
+
+
 def enum_conditional(f: QaryFunction, measure: ProductMeasure, coords, x) -> float:
     """E[f | X_S = x_S] at the point x, by enumerating the complement."""
     coords = set(coords)

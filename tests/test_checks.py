@@ -20,9 +20,11 @@ from threshold_lab import (
     plurality,
     prob_value,
 )
+from threshold_lab.checks import _alphabet_generators, _cover_violation
+from threshold_lab.core import index_of
 from threshold_lab.families import vertex_action_generators
 
-from oracles import brute_monotone
+from oracles import brute_monotone, enum_cover_violation, ix_relabel
 
 
 def reverify_monotone_witness(f, witness):
@@ -80,6 +82,26 @@ class TestCheckMonotone:
             n = int(rng.integers(1, 4))
             f = QaryFunction.from_table(q, n, rng.integers(0, q, size=q**n))
             assert check_monotone(f).passed == brute_monotone(f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 5), st.integers(0, 2**31), st.booleans())
+    def test_cover_witness_equals_enumeration(self, q, n, seed, from_plurality):
+        rng = np.random.default_rng(seed)
+        if from_plurality:
+            # one flipped entry breaks monotonicity near a single point
+            table = plurality(q, n).tabulate().table.copy()
+            k = int(rng.integers(q**n))
+            table[k] = (table[k] + rng.integers(1, q)) % q
+        else:
+            table = rng.integers(0, q, size=q**n)
+        for a in range(q):
+            assert _cover_violation(table, q, n, a, False) == enum_cover_violation(
+                table, q, n, a, False
+            )
+            indicator = (table == a).astype(np.int64)
+            assert _cover_violation(indicator, q, n, a, True) == enum_cover_violation(
+                indicator, q, n, a, True
+            )
 
 
 class TestCheckZeroMonotone:
@@ -193,3 +215,19 @@ class TestCheckFair:
         assert check_fair(f).passed
         for a in range(3):
             assert prob_value(f, mu, a) == pytest.approx(1 / 3, abs=1e-10)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_witness_from_the_ix_relabelling(self, q, rng):
+        for n in range(1, 5):
+            f = QaryFunction.from_table(q, n, rng.integers(0, q, size=q**n))
+            result = check_fair(f)
+            for pi in _alphabet_generators(q):
+                bad = np.flatnonzero(ix_relabel(f.table, q, n, pi) != pi[f.table])
+                if bad.size:
+                    break
+            assert result.passed == (bad.size == 0)
+            if not result.passed:
+                w = result.witness
+                assert w["symbol_permutation"] == pi.tolist()
+                assert index_of(w["x"], q) == bad[0]
+                assert w["f_pi_x"] == ix_relabel(f.table, q, n, pi)[bad[0]]

@@ -19,9 +19,18 @@ from threshold_lab import (
     permute_input_symbols,
     prob_value,
 )
-from threshold_lab.core import all_points, index_of, product_weights
+from threshold_lab import core
+from threshold_lab.core import Oracle, _relabel_index, all_points, index_of, product_weights
 
-from oracles import enum_expectation, enum_prob, random_positive_measure, random_real_function
+from oracles import (
+    enum_expectation,
+    enum_prob,
+    ix_relabel,
+    outer_product_weights,
+    points,
+    random_positive_measure,
+    random_real_function,
+)
 
 
 class TestProductMeasure:
@@ -65,6 +74,14 @@ class TestTableIndexing:
     def test_size_cap(self):
         with pytest.raises(TableSizeError):
             all_points(2, 25)
+
+    def test_table_batch_rejects_out_of_range_points(self):
+        f = QaryFunction.from_table(2, 2, [0, 1, 1, 0])
+        for point in ([0, 2], [0, -1]):
+            with pytest.raises(DimensionMismatchError):
+                f.batch(np.array([point]))
+            with pytest.raises(DimensionMismatchError):
+                f(point)
 
 
 class TestExpectation:
@@ -244,6 +261,101 @@ class TestPermuteInputSymbols:
         inv = np.argsort(perm)
         g = permute_input_symbols(permute_input_symbols(f, perm), inv.tolist())
         assert np.array_equal(g.table, f.table)
+
+
+class TestDigitBuilders:
+    """The digit-wise builders against the outer-product and ``np.ix_`` forms
+    they replaced, compared with ``==``."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_product_weights_bitwise(self, q, rng):
+        measures = [random_positive_measure(q, rng), ProductMeasure.uniform(q)]
+        zero = rng.dirichlet(np.ones(q))
+        zero[1] = 0.0
+        measures.append(ProductMeasure(q, zero / zero.sum()))
+        for mu in measures:
+            n = 1
+            while q**n <= 5000:
+                w = product_weights(mu, n)
+                assert w.dtype == np.float64
+                assert np.array_equal(w, outer_product_weights(mu, n))
+                n += 1
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_relabelling_bitwise(self, q, rng):
+        for n in range(1, 5):
+            f = QaryFunction.from_table(q, n, rng.integers(0, q, size=q**n))
+            for perm in itertools.permutations(range(q)):
+                perm = np.array(perm)
+                expected = ix_relabel(f.table, q, n, perm)
+                assert np.array_equal(f.table[_relabel_index(perm, n)], expected)
+                assert np.array_equal(permute_input_symbols(f, perm).table, expected)
+
+
+def _real_valued(q, n):
+    # elementwise per row, so its values cannot depend on how rows are batched
+    oracle = Oracle(name="real", params={}, batch=lambda X: X[:, 0] / 3 + 0.25 * X[:, -1])
+    return QaryFunction.from_oracle(q, n, oracle, codomain="real")
+
+
+def _tabulate_cases():
+    from threshold_lab import families as fam
+
+    return [
+        fam.plurality(3, 1),
+        fam.plurality(2, 5),
+        fam.plurality(3, 4, "smallest_index"),
+        fam.recursive_plurality(2, 3, 1),
+        fam.recursive_plurality(3, 2, 2),
+        *(fam.graph_property(2, 3, kind) for kind in fam.GRAPH_PROPERTIES),
+        *(fam.graph_property(4, 2, kind) for kind in fam.GRAPH_PROPERTIES),
+        fam.antisym_majority(1),
+        fam.antisym_majority(3),
+        fam.dictator(3, 1),
+        fam.dictator(2, 6, 4),
+        _real_valued(2, 1),
+        _real_valued(3, 4),
+    ]
+
+
+class TestTabulate:
+    @pytest.mark.parametrize("f", _tabulate_cases(), ids=lambda f: f"{f.oracle.name}-{f.q}-{f.n}")
+    @pytest.mark.parametrize("rows", ["one", "below", "at", "above"])
+    def test_matches_enumeration(self, f, rows, monkeypatch):
+        size = f.q**f.n
+        # point-buffer rows of 1, just below, at and just above the table size
+        budget = {"one": 1, "below": size - 1, "at": size, "above": size + 1}[rows]
+        monkeypatch.setattr(core, "_TABULATE_COORDS", max(1, budget) * f.n)
+        expected = [f(x) for x in points(f.q, f.n)]
+        tab = f.tabulate()
+        assert tab.table.dtype == (np.int64 if f.codomain == "alphabet" else np.float64)
+        assert tab.table.tolist() == expected
+
+    def test_blocks_at_the_default_budget(self):
+        from threshold_lab import dictator
+
+        # 2**18 points exceed the 4_000_000 // 18 rows, so two blocks of 2**17
+        enumerated = np.array(list(points(2, 18)), dtype=np.int64)
+        for coord in (0, 17):
+            f = dictator(2, 18, coord)
+            calls = []
+
+            def batch(X, inner=f.oracle.batch):
+                calls.append(len(X))
+                return inner(X)
+
+            traced = QaryFunction.from_oracle(2, 18, Oracle("dictator", {}, batch))
+            assert np.array_equal(traced.tabulate().table, enumerated[:, coord])
+            assert calls == [2**17, 2**17]
+
+    def test_batch_may_not_write_its_points(self):
+        def batch(X):
+            X[:, 0] = 0
+            return X[:, 0]
+
+        f = QaryFunction.from_oracle(2, 3, Oracle(name="writer", params={}, batch=batch))
+        with pytest.raises(ValueError):
+            f.tabulate()
 
 
 def test_product_weights_match_point_probabilities(rng):
