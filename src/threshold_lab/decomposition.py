@@ -7,9 +7,23 @@ to zero against any conditioning that does not contain the subset.  Write
 ``f`` with ``I - E_i`` applied for each ``i`` in ``S`` and ``E_i`` for each
 ``i`` outside it, so all components come from one split per coordinate.  The
 coordinate difference is ``delta_i f = f - E_i f`` and the influence of ``i``
-is its squared L2 norm.  All the inequality verifiers in this module
-(hypercontractivity, level bounds, the variance/influence report) run on these
-quantities, computed exactly over dense tables.
+is its squared L2 norm, the expected variance of ``f`` along coordinate ``i``.
+
+Only :func:`efron_stein` (and the CLI's ``decompose`` built on it) stores the
+components, ``2**n`` tables of ``q**n`` entries.  The reports and verifiers
+hold ``q**n`` entries at a time and make one pass per coordinate over the
+``(q**i, q, q**(n-1-i))`` view of the table:
+
+* :func:`influence` and the reports' influences and difference norms use the
+  :func:`delta_i` table of each coordinate;
+* :func:`verify_hypercontractivity` uses ``_noise``,
+  ``T_theta = prod_i (theta I + (1 - theta) E_i)``;
+* :func:`verify_level_bound` and :func:`talagrand_report` use
+  ``_subset_norms``: coefficients in a basis orthonormal under the measure
+  with the constant first on every axis, squared and summed per axis into
+  constant and non-constant parts, which gives ``||f_S||^2`` for every ``S``.
+
+All values are exact over dense tables.
 """
 
 from __future__ import annotations
@@ -27,15 +41,17 @@ from .core import (
     ProductMeasure,
     QaryFunction,
     TableSizeError,
+    _check_compatible,
     average_over_axis,
     expectation,
     product_weights,
 )
 
 
-def _as_real_table(f: QaryFunction) -> QaryFunction:
+def _as_real_table(f: QaryFunction, measure: ProductMeasure) -> QaryFunction:
     if f.codomain != "real":
         raise InvalidFunctionError("decomposition operations need a real codomain")
+    _check_compatible(f, measure)
     return f.tabulate()
 
 
@@ -45,7 +61,61 @@ def subset_bits(mask: int, n: int) -> list[int]:
 
 def _subset_sizes(n: int) -> np.ndarray:
     """``|S|`` for every subset bitmask ``S`` of ``n`` coordinates, in mask order."""
-    return np.array([mask.bit_count() for mask in range(1 << n)])
+    sizes = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        # setting bit i of each mask below 2**i adds one element
+        np.add(sizes[: 1 << i], 1, out=sizes[1 << i : 2 << i])
+    return sizes
+
+
+def _axis_view(table: np.ndarray, q: int, n: int, i: int) -> np.ndarray:
+    """``table`` as ``(q**i, q, q**(n-1-i))``, coordinate ``i`` in the middle."""
+    return table.reshape(q**i, q, q ** (n - 1 - i))
+
+
+def _noise(f: QaryFunction, measure: ProductMeasure, theta: float) -> np.ndarray:
+    """``T_theta f = prod_i (theta I + (1 - theta) E_i) f``, one pass per axis.
+
+    Expanding the product gives ``sum_S theta**|S| f_S``, the attenuation of
+    :func:`noise_operator`, without the components.
+    """
+    out = np.array(f.table, dtype=float)
+    for i in range(f.n):
+        view = _axis_view(out, f.q, f.n, i)
+        mean = np.einsum("aqb,q->ab", view, measure.atoms)[:, None, :]
+        view *= theta
+        view += (1.0 - theta) * mean
+    return out
+
+
+def _subset_norms(f: QaryFunction, measure: ProductMeasure) -> np.ndarray:
+    """``||f_S||^2`` for every subset bitmask ``S``, in mask order.
+
+    Row ``k`` of ``basis`` maps ``f`` along one axis to its coefficient on
+    ``phi_k``, where ``phi_0 = 1`` and the ``phi_k`` are orthonormal under
+    the measure: they are the columns of a QR factor whose first column is
+    ``sqrt(atoms)``, divided by it (signs do not matter once squared).  A
+    coefficient belongs to the subset of axes where its index is non-zero,
+    so the squares are summed on each axis into index 0 and the rest.
+    """
+    q, n = f.q, f.n
+    root = np.sqrt(measure.atoms)
+    ortho, _ = np.linalg.qr(np.column_stack((root, np.eye(q)[:, 1:])))
+    basis = ortho.T * root
+    coef = np.array(f.table, dtype=float)
+    spare = np.empty_like(coef)
+    for i in range(n):
+        view = _axis_view(coef, q, n, i)
+        np.einsum("kx,axb->akb", basis, view, out=_axis_view(spare, q, n, i))
+        coef, spare = spare, coef
+    coef *= coef
+    if q > 2:  # at q = 2 every axis already holds just the two parts
+        for i in range(n):
+            view = coef.reshape(2**i, q, -1)
+            coef = np.concatenate((view[:, :1], view[:, 1:].sum(axis=1, keepdims=True)), axis=1)
+    # axis i of the (2,)*n result is bit n-1-i of the flat index; reversed
+    # axes put coordinate i on bit i
+    return coef.reshape((2,) * n).transpose().ravel()
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -93,9 +163,7 @@ class EfronSteinDecomposition:
 
 def efron_stein(f: QaryFunction, measure: ProductMeasure) -> EfronSteinDecomposition:
     """Compute the full orthogonal decomposition of a tabulated real function."""
-    f = _as_real_table(f)
-    if f.q != measure.q:
-        raise DimensionMismatchError("function/measure alphabet mismatch")
+    f = _as_real_table(f, measure)
     measure.require_positive("orthogonal decomposition")
     size = f.table.shape[0]
     n_masks = 1 << f.n
@@ -110,22 +178,19 @@ def efron_stein(f: QaryFunction, measure: ProductMeasure) -> EfronSteinDecomposi
     tables = np.empty((n_masks, size))
     tables[0] = f.table
     for i in range(f.n):
-        shape = (f.q**i, f.q, f.q ** (f.n - 1 - i))
         for mask in range(1 << i):
-            row = tables[mask].reshape(shape)
+            row = _axis_view(tables[mask], f.q, f.n, i)
             mean = np.einsum("aqb,q->ab", row, measure.atoms)[:, None, :]
-            np.subtract(row, mean, out=tables[mask | 1 << i].reshape(shape))
+            np.subtract(row, mean, out=_axis_view(tables[mask | 1 << i], f.q, f.n, i))
             row[...] = mean
     return EfronSteinDecomposition(q=f.q, n=f.n, measure=measure, components=tables)
 
 
 def delta_i(f: QaryFunction, measure: ProductMeasure, i: int) -> QaryFunction:
     """``f`` minus its conditional mean given every coordinate except ``i``."""
-    f = _as_real_table(f)
+    f = _as_real_table(f, measure)
     if not 0 <= i < f.n:
         raise DimensionMismatchError(f"coordinate {i} outside [0, {f.n})")
-    if f.q != measure.q:
-        raise DimensionMismatchError("function/measure alphabet mismatch")
     centered = f.table - average_over_axis(f.table, measure.atoms, i, f.q, f.n)
     return QaryFunction(q=f.q, n=f.n, codomain="real", out_q=None, table=centered)
 
@@ -138,7 +203,7 @@ def influence(f: QaryFunction, measure: ProductMeasure, i: int) -> float:
 
 def _influences(f: QaryFunction, measure: ProductMeasure) -> list[float]:
     """Every coordinate's :func:`influence`, from one weight table."""
-    f = _as_real_table(f)
+    f = _as_real_table(f, measure)
     w = product_weights(measure, f.n)
     return [_weighted_norm(delta_i(f, measure, i).table, w, 2.0) ** 2 for i in range(f.n)]
 
@@ -147,7 +212,7 @@ def lp_norm(g: QaryFunction, measure: ProductMeasure, p: float) -> float:
     """The L_p norm of ``g`` under the product measure."""
     if p < 1:
         raise DimensionMismatchError(f"L_p norms need p >= 1, got {p}")
-    g = _as_real_table(g)
+    g = _as_real_table(g, measure)
     return _weighted_norm(g.table, product_weights(measure, g.n), p)
 
 
@@ -177,7 +242,7 @@ class InfluenceReport:
 
 
 def influence_report(f: QaryFunction, measure: ProductMeasure) -> InfluenceReport:
-    f = _as_real_table(f)
+    f = _as_real_table(f, measure)
     w = product_weights(measure, f.n)
     influences, l1s, l32s, l2s = [], [], [], []
     for i in range(f.n):
@@ -240,11 +305,12 @@ def verify_hypercontractivity(
     g: QaryFunction, measure: ProductMeasure, tol: float = 1e-9
 ) -> NormInequalityReport:
     """Check ``||T_sigma g||_2 <= ||g||_{3/2}`` at the safe noise rate."""
+    g = _as_real_table(g, measure)
     measure.require_positive("hypercontractivity check")
     sigma = hypercontractive_sigma(measure.min_atom())
-    d = efron_stein(g, measure)
-    lhs = lp_norm(noise_operator(d, sigma), measure, 2.0)
-    rhs = lp_norm(g, measure, 1.5)
+    w = product_weights(measure, g.n)
+    lhs = _weighted_norm(_noise(g, measure, sigma), w, 2.0)
+    rhs = _weighted_norm(g.table, w, 1.5)
     return NormInequalityReport(sigma=sigma, lhs=lhs, rhs=rhs, ok=lhs <= rhs + tol)
 
 
@@ -267,14 +333,14 @@ def verify_level_bound(
     Requires a mean-zero ``g``; the bound follows from hypercontractivity at
     squared noise rate ``alpha^2/6``.
     """
-    g = _as_real_table(g)
+    g = _as_real_table(g, measure)
     measure.require_positive("level bound check")
     if abs(expectation(g, measure)) > 1e-9:
         raise InvalidFunctionError("level bound needs a mean-zero function")
     if not 1 <= k <= g.n:
         raise DimensionMismatchError(f"level {k} outside [1, {g.n}]")
     alpha = measure.min_atom()
-    lhs = efron_stein(g, measure).level_mass(k)
+    lhs = float(_subset_norms(g, measure)[_subset_sizes(g.n) == k].sum())
     rhs = (6.0 / alpha**2) ** k * lp_norm(g, measure, 1.5) ** 2
     return LevelBoundReport(k=k, lhs=lhs, rhs=rhs, ok=lhs <= rhs + tol)
 
@@ -328,20 +394,18 @@ class TalagrandReport:
 
 def talagrand_report(f: QaryFunction, measure: ProductMeasure) -> TalagrandReport:
     """Report the variance bound ingredients for a tabulated real function."""
-    f = _as_real_table(f)
+    f = _as_real_table(f, measure)
     measure.require_positive("influence-sum report")
     mean = expectation(f, measure)
     w = product_weights(measure, f.n)
     variance = _weighted_norm(f.table - mean, w, 2.0) ** 2
     alpha = measure.min_atom()
     log_inv = math.log(1.0 / alpha)
-    norms = efron_stein(f, measure).squared_norms()
-    sizes = _subset_sizes(f.n)
+    # sum_i sum_{S containing i} ||f_S||^2 / |S| counts each non-empty S once;
+    # from the subset norms it checks the variance computed on the table
+    m2_sum = float(_subset_norms(f, measure)[1:].sum())
     terms = []
-    m2_sum = 0.0
     for i in range(f.n):
-        keep = (np.arange(norms.shape[0]) >> i & 1).astype(bool)
-        m2_sum += float((norms[keep] / sizes[keep]).sum())
         g = delta_i(f, measure, i).table
         l2 = _weighted_norm(g, w, 2.0)
         if l2 <= 1e-15:

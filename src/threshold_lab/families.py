@@ -74,8 +74,9 @@ class _PluralityExact:
     """Exact ``P[plurality = a]`` via the count-vector dynamic program.
 
     Conditioned on the count vector, arrangements are exchangeable, so under
-    ``first_occurrence`` every tied symbol wins with equal probability; under
-    ``smallest_index`` the smallest tied symbol wins outright.
+    ``first_occurrence`` every tied symbol wins with equal probability (the
+    ``(M, q)`` float matrix ``_share``); under ``smallest_index`` the smallest
+    tied symbol wins outright (one integer ``_winner`` per composition).
     """
 
     def __init__(self, q: int, n: int, tie_break: str):
@@ -90,27 +91,37 @@ class _PluralityExact:
         maxc = counts.max(axis=1, keepdims=True)
         tied = counts == maxc
         if tie_break == "smallest_index":
-            share = np.zeros(counts.shape)
-            share[np.arange(counts.shape[0]), tied.argmax(axis=1)] = 1.0
+            self._winner = tied.argmax(axis=1).astype(np.min_scalar_type(q - 1))
+            self._share = None
         else:
-            share = tied / tied.sum(axis=1, keepdims=True)
-        self._share = share
+            self._winner = None
+            self._share = tied / tied.sum(axis=1, keepdims=True)
 
     def __call__(self, measure: ProductMeasure, a: int) -> float:
         if measure.q != self.q:
             raise DimensionMismatchError("measure alphabet mismatch")
+        if not 0 <= a < self.q:
+            raise DimensionMismatchError(f"symbol {a} outside [0, {self.q})")
         positive = measure.atoms > 0
         safe_log = np.log(np.where(positive, measure.atoms, 1.0))
         exponent = self._log_coeff + self._counts @ safe_log
         if positive.all():
-            p = np.exp(exponent)
+            p = np.exp(exponent, out=exponent)
         else:
             # a composition with a count on a zero atom has probability 0, and
             # its multinomial coefficient alone can overflow exp, so exp skips
             # it (a -inf exponent, or where= on every call, costs more)
             possible = ~(self._counts[:, ~positive] > 0).any(axis=1)
             p = np.exp(exponent, out=np.zeros_like(exponent), where=possible)
-        return float(p @ self._share[:, a])
+        if self._winner is None:
+            return float(p @ self._share[:, a])
+        # the 0/1 column is every other entry of a scratch buffer, so BLAS
+        # reads it through a stride, as it read a column of the one-hot (M, q)
+        # matrix, and sums in the same order; a contiguous column or
+        # p[mask].sum() sums in another order and moves values in the last bit
+        column = np.empty((p.shape[0], 2))[:, 0]
+        np.equal(self._winner, a, out=column)
+        return float(p @ column)
 
 
 def plurality(q: int, n: int, tie_break: str = "first_occurrence") -> QaryFunction:

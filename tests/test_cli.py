@@ -306,6 +306,18 @@ class TestVerifyCommand:
         assert rc == 0
         assert json.loads(out)["violations"] == 0
 
+    def test_level_suite_margin_at_twelve_bits(self, capsys):
+        # min_margin printed by the decomposition-based level check (one
+        # 2**n * q**n store per level) that the subset-norm kernel replaced
+        rc, out, _ = run(
+            capsys, "verify", "--suite", "level", "--trials", "20", "--nmax", "12",
+            "--qmax", "2", "--seed", "7",
+        )
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["violations"] == 0
+        assert doc["min_margin"] == pytest.approx(5.743210836030783, rel=0.0, abs=1e-12)
+
 
 class TestFamilyCommand:
     def test_tabulates_to_function_file(self, tmp_path):
@@ -333,6 +345,19 @@ class TestInfluencesAndDecompose:
         doc = json.loads(out)
         assert len(doc["influences"]) == 3
         assert doc["talagrand"]["variance"] > 0
+
+    @pytest.mark.parametrize("q,n", [(2, 13), (3, 10)])
+    def test_influences_past_the_decomposition_cap(self, capsys, q, n):
+        # 2**n * q**n exceeds the table cap, q**n does not
+        assert 2**n * q**n > threshold_lab.MAX_TABLE_SIZE
+        rc, out, err = run(
+            capsys, "influences", "--family", "plurality", "--q", str(q), "--n", str(n)
+        )
+        assert (rc, err) == (0, "")
+        doc = json.loads(out)
+        assert len(doc["influences"]) == n
+        tal = doc["talagrand"]
+        assert tal["m2_sum"] == pytest.approx(tal["variance"], rel=0.0, abs=1e-9)
 
     def test_decompose_json(self, capsys):
         rc, out, _ = run(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshold_lab import (
+    DimensionMismatchError,
     ProductMeasure,
     QaryFunction,
     antisym_majority,
@@ -127,6 +128,35 @@ def test_exact_prob_is_bitwise_the_enumerated_formula(q, n, tie_break):
     for mu in (ProductMeasure(q, atoms / atoms.sum()), ProductMeasure(q, zeroed / zeroed.sum())):
         for a in range(q):
             assert f.oracle.exact_prob(mu, a) == _enumerated_exact_prob(q, n, tie_break, mu, a)
+
+
+def test_smallest_index_keeps_one_winner_per_composition(rng):
+    # the one-hot share matrix became an integer winner per composition; the
+    # values must keep every bit of the matrix-column formula.  Both sides are
+    # a BLAS ddot over a strided column, so this pins that the evaluator still
+    # reads its column through a stride.  It relies on the BLAS summing two
+    # strided dots of one length in one order, whatever the stride (OpenBLAS
+    # does); under a BLAS that does not, it can fail by a last bit although
+    # the evaluator is right
+    q, n = 3, 61
+    f = plurality(q, n, "smallest_index")
+    evaluator = f.oracle.exact_prob
+    assert evaluator._share is None
+    assert evaluator._winner.shape == (math.comb(n + q - 1, q - 1),)
+    assert evaluator._winner.itemsize == 1
+    measures = [ProductMeasure.uniform(q), ProductMeasure(q, [0.5, 0.0, 0.5])]
+    measures += [ProductMeasure(q, rng.dirichlet(np.ones(q))) for _ in range(6)]
+    for mu in measures:
+        for a in range(q):
+            assert evaluator(mu, a) == _enumerated_exact_prob(q, n, "smallest_index", mu, a)
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+def test_exact_prob_rejects_a_symbol_outside_the_alphabet(tie_break):
+    evaluator = plurality(3, 5, tie_break).oracle.exact_prob
+    for a in (-1, 3):
+        with pytest.raises(DimensionMismatchError):
+            evaluator(ProductMeasure.uniform(3), a)
 
 
 class TestRecursivePlurality:
