@@ -46,6 +46,7 @@ from .decomposition import (
     talagrand_report,
     verify_hypercontractivity,
     verify_level_bound,
+    verify_level_bounds,
 )
 from .families import (
     antisym_majority,

@@ -189,10 +189,14 @@ class Oracle:
 
     ``batch`` maps an ``(N, n)`` integer array to ``N`` values and must not
     modify its points: :meth:`QaryFunction.tabulate` passes a read-only view
-    of a buffer it reuses, so writing into it raises ``ValueError``.  An optional
-    ``exact_prob(measure, a)`` computes ``P[f = a]`` exactly from structure
-    (e.g. a count dynamic program), enabling exact threshold scans at sizes
-    far beyond the table cap.
+    of a buffer it reuses, so writing into it raises ``ValueError``.  The
+    points may come in any integer dtype: Monte Carlo passes the narrowest
+    unsigned dtype that holds ``q - 1`` (``uint8`` up to q = 256) and
+    :meth:`QaryFunction.tabulate` passes int64, so ``batch`` must not assume
+    int64 (``x.sum(axis=1) - y.sum(axis=1)`` on ``uint8`` rows, for one, wraps
+    around zero).  An optional ``exact_prob(measure, a)`` computes
+    ``P[f = a]`` exactly from structure (e.g. a count dynamic program),
+    enabling exact threshold scans at sizes far beyond the table cap.
     """
 
     name: str
@@ -281,8 +285,14 @@ class QaryFunction:
         return int(value) if self.codomain == "alphabet" else float(value)
 
     def batch(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate on an ``(N, n)`` array of points."""
-        points = np.asarray(points, dtype=np.int64)
+        """Evaluate on an ``(N, n)`` array of points.
+
+        Integer points reach the oracle in their own dtype, unwidened; any
+        other input is cast to int64 first.
+        """
+        points = np.asarray(points)
+        if points.dtype.kind not in "iu":
+            points = points.astype(np.int64)
         if points.ndim != 2 or points.shape[1] != self.n:
             raise DimensionMismatchError(f"expected an (N, {self.n}) array")
         if self.table is not None:
@@ -290,7 +300,8 @@ class QaryFunction:
                 raise DimensionMismatchError(f"coordinates must lie in [0, {self.q})")
             idx = np.zeros(points.shape[0], dtype=np.int64)
             for j in range(self.n):
-                idx = idx * self.q + points[:, j]
+                # int64 + uint64 would promote to float64
+                idx = idx * self.q + points[:, j].astype(np.int64, copy=False)
             return self.table[idx]
         return self.oracle.batch(points)
 

@@ -18,10 +18,11 @@ hold ``q**n`` entries at a time and make one pass per coordinate over the
   :func:`delta_i` table of each coordinate;
 * :func:`verify_hypercontractivity` uses ``_noise``,
   ``T_theta = prod_i (theta I + (1 - theta) E_i)``;
-* :func:`verify_level_bound` and :func:`talagrand_report` use
-  ``_subset_norms``: coefficients in a basis orthonormal under the measure
-  with the constant first on every axis, squared and summed per axis into
-  constant and non-constant parts, which gives ``||f_S||^2`` for every ``S``.
+* :func:`verify_level_bound`, :func:`verify_level_bounds` (every level from
+  one pass) and :func:`talagrand_report` use ``_subset_norms``:
+  coefficients in a basis orthonormal under the measure with the constant
+  first on every axis, squared and summed per axis into constant and
+  non-constant parts, which gives ``||f_S||^2`` for every ``S``.
 
 All values are exact over dense tables.
 """
@@ -333,16 +334,37 @@ def verify_level_bound(
     Requires a mean-zero ``g``; the bound follows from hypercontractivity at
     squared noise rate ``alpha^2/6``.
     """
+    return _level_bounds(g, measure, [k], tol)[0]
+
+
+def verify_level_bounds(
+    g: QaryFunction, measure: ProductMeasure, tol: float = 1e-9
+) -> list[LevelBoundReport]:
+    """:func:`verify_level_bound` at every level ``k = 1..n``, in order, from
+    one pass of the subset-norm kernel."""
+    return _level_bounds(g, measure, range(1, g.n + 1), tol)
+
+
+def _level_bounds(
+    g: QaryFunction, measure: ProductMeasure, levels, tol: float
+) -> list[LevelBoundReport]:
     g = _as_real_table(g, measure)
     measure.require_positive("level bound check")
     if abs(expectation(g, measure)) > 1e-9:
         raise InvalidFunctionError("level bound needs a mean-zero function")
-    if not 1 <= k <= g.n:
-        raise DimensionMismatchError(f"level {k} outside [1, {g.n}]")
+    for k in levels:
+        if not 1 <= k <= g.n:
+            raise DimensionMismatchError(f"level {k} outside [1, {g.n}]")
     alpha = measure.min_atom()
-    lhs = float(_subset_norms(g, measure)[_subset_sizes(g.n) == k].sum())
-    rhs = (6.0 / alpha**2) ** k * lp_norm(g, measure, 1.5) ** 2
-    return LevelBoundReport(k=k, lhs=lhs, rhs=rhs, ok=lhs <= rhs + tol)
+    norms = _subset_norms(g, measure)
+    sizes = _subset_sizes(g.n)
+    l32_sq = lp_norm(g, measure, 1.5) ** 2
+    reports = []
+    for k in levels:
+        lhs = float(norms[sizes == k].sum())
+        rhs = (6.0 / alpha**2) ** k * l32_sq
+        reports.append(LevelBoundReport(k=k, lhs=lhs, rhs=rhs, ok=lhs <= rhs + tol))
+    return reports
 
 
 @dataclasses.dataclass(frozen=True)

@@ -9,6 +9,7 @@ table cap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
 
@@ -31,7 +32,8 @@ def _check_tie_break(tie_break: str) -> None:
 
 
 def plurality_winners(X: np.ndarray, q: int, tie_break: str = "first_occurrence") -> np.ndarray:
-    """Row-wise plurality winner of an ``(N, n)`` array of symbols.
+    """Row-wise plurality winner of an ``(N, n)`` array of symbols, in any
+    integer dtype.
 
     ``first_occurrence`` resolves ties toward the tied symbol appearing
     earliest in the row: fair and monotone, but ties make it sensitive to
@@ -40,17 +42,21 @@ def plurality_winners(X: np.ndarray, q: int, tie_break: str = "first_occurrence"
     odd n ties never occur and the two rules coincide.
     """
     _check_tie_break(tie_break)
-    X = np.asarray(X, dtype=np.int64)
-    counts = np.stack([(X == v).sum(axis=1) for v in range(q)], axis=1)
+    X = np.asarray(X)
+    counts = np.stack([np.count_nonzero(X == v, axis=1) for v in range(q)], axis=1)
     tied = counts == counts.max(axis=1, keepdims=True)
+    # the first maximum is the smallest tied symbol
+    winners = tied.argmax(axis=1)
     if tie_break == "smallest_index":
-        return tied.argmax(axis=1)
-    n = X.shape[1]
-    first = np.empty((X.shape[0], q), dtype=np.int64)
+        return winners
+    rows = np.flatnonzero(np.count_nonzero(tied, axis=1) > 1)
+    X, n = X[rows], X.shape[1]
+    first = np.empty((rows.size, q), dtype=np.int64)
     for v in range(q):
         hit = X == v
         first[:, v] = np.where(hit.any(axis=1), hit.argmax(axis=1), n)
-    return np.where(tied, first, n + 1).argmin(axis=1)
+    winners[rows] = np.where(tied[rows], first, n + 1).argmin(axis=1)
+    return winners
 
 
 def _compositions(n: int, q: int) -> np.ndarray:
@@ -77,25 +83,40 @@ class _PluralityExact:
     ``first_occurrence`` every tied symbol wins with equal probability (the
     ``(M, q)`` float matrix ``_share``); under ``smallest_index`` the smallest
     tied symbol wins outright (one integer ``_winner`` per composition).
+
+    The arrays are built on the first call, not with the function: a Monte
+    Carlo job such as ``jury`` on ``plurality(3, 501)`` never calls the
+    evaluator, and would otherwise build 126,253 compositions for nothing.
     """
 
     def __init__(self, q: int, n: int, tie_break: str):
+        self.q, self.n, self.tie_break = q, n, tie_break
+
+    @functools.cached_property
+    def _arrays(self) -> tuple:
+        # two threads making the first call may both build (cached_property
+        # takes no lock from Python 3.12 on); they build equal arrays and one
+        # set is kept, so the race costs time and never changes a value
         from scipy.special import gammaln  # deferred: scipy is slow to import
 
-        self.q, self.n = q, n
+        q, n = self.q, self.n
         counts = _compositions(n, q)
-        # float once here: an int64 matrix would be converted on every call
-        self._counts = counts.astype(np.float64)
         log_gamma = gammaln(np.arange(n + 2))
-        self._log_coeff = log_gamma[n + 1] - log_gamma[counts + 1].sum(axis=1)
-        maxc = counts.max(axis=1, keepdims=True)
-        tied = counts == maxc
-        if tie_break == "smallest_index":
-            self._winner = tied.argmax(axis=1).astype(np.min_scalar_type(q - 1))
-            self._share = None
+        log_coeff = log_gamma[n + 1] - log_gamma[counts + 1].sum(axis=1)
+        tied = counts == counts.max(axis=1, keepdims=True)
+        if self.tie_break == "smallest_index":
+            winner = tied.argmax(axis=1).astype(np.min_scalar_type(q - 1))
+            share = None
         else:
-            self._winner = None
-            self._share = tied / tied.sum(axis=1, keepdims=True)
+            winner = None
+            share = tied / tied.sum(axis=1, keepdims=True)
+        # float once here: an int64 matrix would be converted on every call
+        return counts.astype(np.float64), log_coeff, winner, share
+
+    _counts = property(lambda self: self._arrays[0])
+    _log_coeff = property(lambda self: self._arrays[1])
+    _winner = property(lambda self: self._arrays[2])
+    _share = property(lambda self: self._arrays[3])
 
     def __call__(self, measure: ProductMeasure, a: int) -> float:
         if measure.q != self.q:
@@ -157,12 +178,41 @@ def recursive_plurality(
     if arity < 2 or depth < 1:
         raise DimensionMismatchError("need arity >= 2 and depth >= 1")
     n = arity**depth
+    counter = np.min_scalar_type(arity)
+
+    def gates(Y: np.ndarray) -> np.ndarray:
+        # gate g reads columns g*arity .. g*arity + arity - 1, so its j-th
+        # input, across all gates, is the strided slice Y[:, j::arity]
+        inputs = [Y[:, j::arity] for j in range(arity)]
+        counts = np.zeros((q,) + inputs[0].shape, dtype=counter)
+        for v in range(q):
+            for column in inputs:
+                counts[v] += column == v
+        # only a strictly larger count moves the winner, so ties keep the
+        # smallest symbol
+        top = counts[0]
+        winners = np.zeros(top.shape, dtype=np.int64)
+        for v in range(1, q):
+            np.copyto(winners, v, where=counts[v] > top)
+            top = np.maximum(top, counts[v])
+        if tie_break == "smallest_index":
+            return winners
+        # first occurrence: in a gate with two symbols at its top count (none
+        # at q = 2 with odd arity), the tied symbol at the earliest input wins
+        at_top = counts == top
+        unresolved = at_top.sum(axis=0, dtype=counter) > 1
+        for column in inputs:
+            if not unresolved.any():
+                break
+            first = np.take_along_axis(at_top, column[None], axis=0)[0] & unresolved
+            np.copyto(winners, column, where=first)
+            unresolved &= ~first
+        return winners
 
     def batch(X: np.ndarray) -> np.ndarray:
-        Y = np.asarray(X, dtype=np.int64)
+        Y = np.asarray(X)
         while Y.shape[1] > 1:
-            blocks = Y.reshape(-1, arity)
-            Y = plurality_winners(blocks, q, tie_break).reshape(Y.shape[0], -1)
+            Y = gates(Y)
         return Y[:, 0]
 
     oracle = Oracle(
@@ -272,9 +322,10 @@ def antisym_majority(n: int) -> QaryFunction:
         raise DimensionMismatchError("need n >= 1 (input length 2n)")
 
     def batch(X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.int64)
+        X = np.asarray(X)
         x, y = X[:, :n], X[:, n:]
-        diff = x.sum(axis=1) - y.sum(axis=1)
+        # int64 sums: uint8 sums would come out unsigned and wrap below zero
+        diff = x.sum(axis=1, dtype=np.int64) - y.sum(axis=1, dtype=np.int64)
         out = (diff > 0).astype(np.int64)
         tie = diff == 0
         if tie.any():
@@ -304,7 +355,7 @@ def dictator(q: int, n: int, coord: int = 0) -> QaryFunction:
     oracle = Oracle(
         name="dictator",
         params={"q": q, "n": n, "coord": coord},
-        batch=lambda X: np.asarray(X, dtype=np.int64)[:, coord],
+        batch=lambda X: np.asarray(X)[:, coord].astype(np.int64),
         exact_prob=exact_prob,
     )
     return QaryFunction.from_oracle(q, n, oracle)

@@ -140,11 +140,20 @@ def mc_estimate(
         raise DimensionMismatchError("function/measure alphabet mismatch")
     rng = np.random.default_rng(seed)
     chunk_rows = max(1, _MC_CHUNK_ENTRIES // f.n)
+    # the draws of rng.choice(q, size, p=atoms), bit for bit: the same cdf and
+    # uniforms, inverted by q - 1 comparisons (searchsorted(side="right")
+    # counts the cdf entries <= u) into the narrowest unsigned dtype
+    cdf = measure.atoms.cumsum()
+    cdf /= cdf[-1]
+    symbol = np.min_scalar_type(f.q - 1)
     hits = 0
     remaining = samples
     while remaining > 0:
         rows = min(chunk_rows, remaining)
-        X = rng.choice(f.q, size=(rows, f.n), p=measure.atoms)
+        U = rng.random((rows, f.n))
+        X = np.zeros((rows, f.n), dtype=symbol)
+        for edge in cdf[:-1]:
+            X += U >= edge
         hits += int((f.batch(X) == a).sum())
         remaining -= rows
     p_hat = hits / samples

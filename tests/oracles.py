@@ -180,3 +180,29 @@ def random_real_function(q: int, n: int, rng: np.random.Generator) -> QaryFuncti
 def random_binary_function(q: int, n: int, rng: np.random.Generator) -> QaryFunction:
     table = rng.integers(0, 2, size=q**n).astype(float)
     return QaryFunction.from_table(q, n, table, codomain="real")
+
+
+def int64_plurality_winners(X: np.ndarray, q: int, tie_break: str) -> np.ndarray:
+    """Row-wise plurality winner on int64 points, the library's former kernel:
+    every row's first occurrences are computed whether or not it has a tie."""
+    X = np.asarray(X, dtype=np.int64)
+    counts = np.stack([(X == v).sum(axis=1) for v in range(q)], axis=1)
+    tied = counts == counts.max(axis=1, keepdims=True)
+    if tie_break == "smallest_index":
+        return tied.argmax(axis=1)
+    n = X.shape[1]
+    first = np.empty((X.shape[0], q), dtype=np.int64)
+    for v in range(q):
+        hit = X == v
+        first[:, v] = np.where(hit.any(axis=1), hit.argmax(axis=1), n)
+    return np.where(tied, first, n + 1).argmin(axis=1)
+
+
+def reshape_recursive_plurality(X: np.ndarray, q: int, arity: int, tie_break: str) -> np.ndarray:
+    """Tree plurality by reshaping each level to ``(N * gates, arity)`` rows,
+    the library's former kernel."""
+    Y = np.asarray(X, dtype=np.int64)
+    while Y.shape[1] > 1:
+        blocks = Y.reshape(-1, arity)
+        Y = int64_plurality_winners(blocks, q, tie_break).reshape(Y.shape[0], -1)
+    return Y[:, 0]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -181,6 +182,58 @@ class TestDeterminism:
             assert rc == 0
             paths.append(open(out).read())
         assert paths[0] != paths[1]
+
+
+# sha256 of the stdout of each command.  The Monte Carlo ones were printed when
+# points were drawn with rng.choice into int64 and every family evaluator
+# widened to int64; the one-byte draws and the evaluators that read them must
+# keep every byte
+PINNED_STDOUT = [
+    ("scan --family plurality --q 3 --n 31 --method mc --grid 11 --samples 600 --seed 5",
+     "535774427e026015d3715983c19c311dfca34200413ab7f2cf7b9bb98a3a821a"),
+    ("scan --family plurality --q 3 --n 30 --method mc --grid 7 --samples 500 --seed 6 "
+     "--tie-break smallest_index",
+     "e58a127c75a7786481f895441718b4f2339de94987a43a0bd2097cf6c3e4d2ca"),
+    ("scan --family recursive_plurality --q 3 --arity 3 --depth 3 --method mc --grid 9 "
+     "--samples 400 --seed 2",
+     "4500f510388c2c5fa5b7e27ea3fd6adb6f8242eca46a728db18cb62c61dd17d2"),
+    ("scan --family recursive_plurality --q 2 --arity 3 --depth 4 --method mc --grid 11 "
+     "--samples 500 --seed 8 --format json",
+     "c58ce2767483fb079822ce6ce0153039233a6aadc3368b88011a340a2101a886"),
+    ("window --family antisym_majority --n 31 --method mc --grid 21 --samples 800 --seed 13 "
+     "--eps 0.2",
+     "af6abfbae40fa59a9e90b96f2e659f1d37bf7ddc6587a3794e7506a28366f986"),
+    ("window --family plurality --q 3 --n 45 --method mc --grid 11 --samples 500 --seed 14 "
+     "--eps 0.25 --anchor 1",
+     "feff101c30719b1302402ebfa58ba878e5f05d983e94b06684e8fd9a3af31da9"),
+    ("jury --family plurality --q 4 --n 40 --atoms 0.4,0.3,0.3,0.0 --samples 1000 --seed 22",
+     "aa64f6c2bd75a80abf49c0f045c684a57febd9ca774c298a66ba0c8dad64c254"),
+    ("jury --family recursive_plurality --q 3 --arity 3 --depth 3 --atoms 0.4,0.35,0.25 "
+     "--samples 1000 --seed 23",
+     "5baae0dcf6a7df73e3eefc14c8969c7dd508181c78104477e768da8a87de12c1"),
+    ("sweep --family recursive_plurality --q 3 --arity 3 --depth 2 --samples 20 "
+     "--inner-samples 300 --seed 4",
+     "05cb0112b03b428e0fbe89726dc5417d0992d6118a34a123fb4941b1b134844e"),
+    ("sweep --family antisym_majority --n 10 --samples 15 --inner-samples 400 --seed 6",
+     "0d619d4405e18fc1fbd48eb0593dd8789a472b5627e7e3b194739d67a7487e91"),
+    ("indeterminacy --choice {choice} --voters 200 --samples 50 --seed 2",
+     "2d6fc7a7c348958a5d80a696d8b2cc594aae19bcde94a7e51907e59cf6796ef1"),
+    # printed when each level made its own subset-norm pass
+    ("verify --suite level --trials 20 --nmax 12 --qmax 2 --seed 7",
+     "b1996fb6444fb1eab827f69bee5c1288d70001a80d3aff07acbe9897d45308e7"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT, ids=[a for a, _ in PINNED_STDOUT])
+def test_stdout_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    choice = ChoiceFunction(
+        3, {0b001: 0, 0b010: 1, 0b100: 2, 0b011: 0, 0b110: 1, 0b101: 2, 0b111: 0}
+    )
+    path = str(tmp_path / "c.json")
+    fileio.save_choice_function(choice, path)
+    rc, out, _ = run(capsys, *argv.format(choice=path).split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
 class TestSocialChoiceCommands:

@@ -25,6 +25,7 @@ from threshold_lab import (
     talagrand_report,
     verify_hypercontractivity,
     verify_level_bound,
+    verify_level_bounds,
 )
 
 from oracles import (
@@ -350,6 +351,18 @@ class TestVerifyLevelBound:
             g = QaryFunction.from_table(f.q, f.n, f.table - mean, codomain="real")
             for k in range(1, f.n + 1):
                 assert verify_level_bound(g, mu, k).ok
+
+    def test_all_levels_are_each_level_bitwise(self, small_corpus):
+        from threshold_lab.core import product_weights
+
+        for f, _, mu in small_corpus[:40]:
+            mean = float(product_weights(mu, f.n) @ f.table)
+            g = QaryFunction.from_table(f.q, f.n, f.table - mean, codomain="real")
+            each = [verify_level_bound(g, mu, k) for k in range(1, f.n + 1)]
+            assert verify_level_bounds(g, mu) == each
+        g = QaryFunction.from_table(2, 1, [0.0, 1.0], codomain="real")
+        with pytest.raises(InvalidFunctionError):
+            verify_level_bounds(g, UNIFORM2)
 
 
 class TestTalagrandReport:

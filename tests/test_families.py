@@ -25,7 +25,13 @@ from threshold_lab import (
 )
 from threshold_lab.families import TIE_BREAKS, _compositions, edge_list, plurality_winners
 
-from oracles import enum_compositions, enum_prob, random_positive_measure
+from oracles import (
+    enum_compositions,
+    enum_prob,
+    int64_plurality_winners,
+    random_positive_measure,
+    reshape_recursive_plurality,
+)
 
 
 class TestPlurality:
@@ -302,3 +308,67 @@ def test_plurality_winners_matches_scalar_rule(rng):
         tied = [v for v in range(3) if counts[v] == best]
         first = min(tied, key=lambda v: list(row).index(v))
         assert w == first
+
+
+def _symbol_rows(rng, q, n, rows=300):
+    """Random points in one-byte symbols, plus every constant row, whose count
+    is n: past 255 it overflows a one-byte counter."""
+    X = rng.integers(0, q, size=(rows, n)).astype(np.uint8)
+    constant = np.repeat(np.arange(q, dtype=np.uint8)[:, None], n, axis=1)
+    return np.concatenate([X, constant])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+def test_plurality_winners_match_the_int64_kernel(rng, q, tie_break):
+    for n in (1, 2, 3, 4, 7, 10, 300):
+        X = _symbol_rows(rng, q, n)
+        want = int64_plurality_winners(X, q, tie_break)
+        got = plurality_winners(X, q, tie_break)
+        assert got.dtype == want.dtype
+        assert (got == want).all()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("arity,depth", [(2, 4), (3, 3), (4, 2), (5, 2), (256, 1), (300, 1)])
+def test_recursive_plurality_matches_the_reshape_kernel(rng, q, tie_break, arity, depth):
+    f = recursive_plurality(q, arity, depth, tie_break)
+    X = _symbol_rows(rng, q, f.n)
+    want = reshape_recursive_plurality(X, q, arity, tie_break)
+    got = f.batch(X)
+    assert got.dtype == want.dtype
+    assert (got == want).all()
+
+
+FAMILIES = [
+    plurality(3, 7),
+    plurality(3, 6, "smallest_index"),
+    plurality(2, 9),
+    recursive_plurality(2, 3, 2),
+    recursive_plurality(3, 2, 3),
+    recursive_plurality(4, 3, 2, "smallest_index"),
+    graph_property(4, 3, "most_popular_color"),
+    graph_property(4, 2, "max_clique_color"),
+    graph_property(4, 3, "min_independent_set_color"),
+    antisym_majority(5),
+    dictator(5, 4, coord=2),
+    plurality(3, 5).tabulate(),
+]
+
+
+@pytest.mark.parametrize(
+    "f", FAMILIES, ids=lambda f: f"{f.oracle.name}-{f.oracle.params}" if f.oracle else "table"
+)
+def test_batch_is_the_same_on_every_integer_dtype(rng, f):
+    X = rng.integers(0, f.q, size=(500, f.n))
+    want = f.batch(X)
+    assert want.dtype == np.int64
+    for dtype in (np.uint8, np.uint16, np.int32, np.int64, np.uint64):
+        points = X.astype(dtype)
+        points.setflags(write=False)
+        got = f.batch(points)
+        assert got.dtype == np.int64
+        assert (got == want).all()
+    # a non-integer array is cast, as before
+    assert (f.batch(X.astype(float)) == want).all()

@@ -1,13 +1,17 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshold_lab import (
     DimensionMismatchError,
     InvalidFunctionError,
     MeasurePath,
+    Oracle,
     ProductMeasure,
     QaryFunction,
     SimplexSampler,
@@ -23,6 +27,7 @@ from threshold_lab import (
     simplex_sweep,
     threshold_window,
 )
+from threshold_lab import threshold
 from threshold_lab.threshold import NoStrictLeaderError, critical_bound_shape
 
 from oracles import zero_monotone_closure
@@ -363,3 +368,71 @@ class TestCounterexampleFamily:
             rho = p * p + (1 - p) ** 2
             bound = rho**n / 2 + 3 * est.half_width
             assert abs(est.p_hat - 0.5) <= bound
+
+
+def _recorded_draws(measure, n, samples, seed, chunk_entries):
+    """The point chunks ``mc_estimate`` hands to ``batch``, with chunks of
+    ``chunk_entries`` coordinates."""
+    drawn = []
+
+    def record(X):
+        drawn.append(X.copy())
+        return np.zeros(X.shape[0], dtype=np.int64)
+
+    f = QaryFunction.from_oracle(measure.q, n, Oracle(name="record", params={}, batch=record))
+    with mock.patch.object(threshold, "_MC_CHUNK_ENTRIES", chunk_entries):
+        mc_estimate(f, measure, 0, samples, seed)
+    return drawn
+
+
+def _choice_draws(measure, n, samples, seed, chunk_entries):
+    rng = np.random.default_rng(seed)
+    rows = max(1, chunk_entries // n)
+    return [
+        rng.choice(measure.q, size=(min(rows, samples - start), n), p=measure.atoms)
+        for start in range(0, samples, rows)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    weights=st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=2, max_size=6
+    ).filter(lambda w: sum(w) > 0),
+    n=st.integers(1, 6),
+    samples=st.integers(1, 40),
+    chunk_entries=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mc_draws_are_rng_choice_bitwise(weights, n, samples, chunk_entries, seed):
+    # zero atoms repeat a cdf entry; small chunks make several draws per estimate
+    atoms = np.array(weights) / sum(weights)
+    measure = ProductMeasure(len(atoms), atoms)
+    drawn = _recorded_draws(measure, n, samples, seed, chunk_entries)
+    want = _choice_draws(measure, n, samples, seed, chunk_entries)
+    assert len(drawn) == len(want)
+    for got, expected in zip(drawn, want):
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, expected)
+
+
+def test_mc_draws_past_one_byte_alphabets():
+    q = 300
+    atoms = np.linspace(0.0, 1.0, q)
+    measure = ProductMeasure(q, atoms / atoms.sum())
+    drawn = _recorded_draws(measure, 7, 500, 3, 1000)
+    want = _choice_draws(measure, 7, 500, 3, 1000)
+    assert [X.dtype for X in drawn] == [np.dtype(np.uint16)] * len(want)
+    assert all(np.array_equal(got, expected) for got, expected in zip(drawn, want))
+
+
+def test_mc_draws_match_rng_choice_on_cdf_entries():
+    # a uniform equal to a cdf entry is where ">=" and ">" part; with atoms
+    # summing to 1 - 5e-13, within the measure's tolerance, dividing the cdf
+    # by its last entry moves the entry past that uniform
+    for seed in range(40):
+        u = np.random.default_rng(seed).random()
+        for atoms in ([u, 1.0 - u], [u, 1.0 - u - 5e-13]):
+            measure = ProductMeasure(len(atoms), atoms)
+            drawn = _recorded_draws(measure, 1, 1, seed, 1)
+            assert np.array_equal(drawn[0], _choice_draws(measure, 1, 1, seed, 1)[0])
