@@ -15,6 +15,7 @@ from .core import (
     DimensionMismatchError,
     InvalidFunctionError,
     QaryFunction,
+    _axis_view,
     _relabel_index,
     points_of,
 )
@@ -103,10 +104,10 @@ def _cover_violation(table: np.ndarray, q: int, n: int, a: int, binary: bool) ->
     source = table == (1 if binary else a)
     sink = table == 0 if binary else ~source
     for i in range(n):
-        stride = q ** (n - 1 - i)
         # axis 1 is coordinate i, so the slice at a holds every x's cover y
-        bad = source.reshape(-1, q, stride) & sink.reshape(-1, q, stride)[:, a : a + 1, :]
+        bad = _axis_view(source, q, n, i) & _axis_view(sink, q, n, i)[:, a : a + 1, :]
         if bad.any():
+            stride = q ** (n - 1 - i)
             x_idx = int(bad.argmax())
             y_idx = x_idx + (a - x_idx // stride % q) * stride
             pts = points_of(np.array([x_idx, y_idx]), q, n)
@@ -135,11 +136,7 @@ def check_monotone(f: QaryFunction) -> CheckResult:
 
 def check_zero_monotone(f: QaryFunction) -> CheckResult:
     """Pass iff the {0,1}-valued ``f`` is nondecreasing along ``<=_0``."""
-    f = f.tabulate()
-    if not f.is_binary():
-        raise InvalidFunctionError("zero-monotonicity is defined for {0,1} values")
-    table = f.table.astype(np.int64)
-    witness = _cover_violation(table, f.q, f.n, 0, binary=True)
+    witness = anchored_monotone_violation(f, 0)
     return CheckResult(witness is None, witness)
 
 

@@ -20,9 +20,10 @@ from .core import (
     QaryFunction,
     SimplexSampler,
     ThresholdLabError,
-    product_weights,
+    expectation,
 )
 from .decomposition import (
+    _talagrand,
     efron_stein,
     influence_report,
     talagrand_report,
@@ -147,8 +148,10 @@ def _cmd_decompose(args) -> None:
 def _cmd_influences(args) -> None:
     f = _load_function(args).tabulate().as_real()
     measure = _load_measure(args, f.q)
-    doc = influence_report(f, measure).as_dict()
-    doc["talagrand"] = talagrand_report(f, measure).as_dict()
+    report = influence_report(f, measure)
+    doc = report.as_dict()
+    # the Talagrand terms are the L1 and L2 difference norms the report holds
+    doc["talagrand"] = _talagrand(f, measure, zip(report.delta_l1, report.delta_l2)).as_dict()
     _emit_json(args, doc)
 
 
@@ -164,7 +167,7 @@ def _verify_one(suite: str, q: int, n: int, seed: int) -> dict:
         rep = verify_hypercontractivity(g, measure)
         return {"ok": rep.ok, "margin": rep.rhs - rep.lhs}
     if suite == "level":
-        mean = float(product_weights(measure, n) @ table)
+        mean = expectation(g, measure)
         centered = QaryFunction.from_table(q, n, table - mean, codomain="real")
         reps = verify_level_bounds(centered, measure)
         return {"ok": all(r.ok for r in reps), "margin": min(r.rhs - r.lhs for r in reps)}

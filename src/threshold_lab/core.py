@@ -418,13 +418,15 @@ def prob_value(f: QaryFunction, measure: ProductMeasure, a: int) -> float:
     )
 
 
-def average_over_axis(table: np.ndarray, atoms: np.ndarray, i: int, q: int, n: int) -> np.ndarray:
-    """Integrate coordinate ``i`` out against ``atoms``, keeping the table shape."""
-    tensor = table.reshape((q,) * n)
-    shape = [1] * n
-    shape[i] = q
-    reduced = (tensor * atoms.reshape(shape)).sum(axis=i, keepdims=True)
-    return np.ravel(np.broadcast_to(reduced, (q,) * n))
+def _axis_view(table: np.ndarray, q: int, n: int, i: int) -> np.ndarray:
+    """``table`` as ``(q**i, q, q**(n-1-i))``, coordinate ``i`` in the middle."""
+    return table.reshape(q**i, q, q ** (n - 1 - i))
+
+
+def _axis_mean(view: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """``E_i`` on an :func:`_axis_view`: the middle axis integrated out against
+    ``atoms``, kept with length 1 so it broadcasts back over the view."""
+    return np.einsum("aqb,q->ab", view, atoms)[:, None, :]
 
 
 def conditional_expectation(
@@ -437,11 +439,11 @@ def conditional_expectation(
     subset = set(int(i) for i in coords)
     if not subset <= set(range(f.n)):
         raise DimensionMismatchError(f"coordinates {sorted(subset)} not within [0, {f.n})")
-    tab = f.tabulate()
-    table = tab.table
+    table = np.array(f.tabulate().table)
     for i in range(f.n):
         if i not in subset:
-            table = average_over_axis(table, measure.atoms, i, f.q, f.n)
+            view = _axis_view(table, f.q, f.n, i)
+            view[...] = _axis_mean(view, measure.atoms)
     return QaryFunction(q=f.q, n=f.n, codomain="real", out_q=None, table=table)
 
 

@@ -9,13 +9,17 @@ to zero against any conditioning that does not contain the subset.  Write
 coordinate difference is ``delta_i f = f - E_i f`` and the influence of ``i``
 is its squared L2 norm, the expected variance of ``f`` along coordinate ``i``.
 
+``E_i`` has one kernel, ``core._axis_mean`` on the ``(q**i, q, q**(n-1-i))``
+view ``core._axis_view``, shared by :func:`efron_stein`, ``_noise``,
+:func:`delta_i`, ``conditional_expectation`` and the Russo restriction sums.
+
 Only :func:`efron_stein` (and the CLI's ``decompose`` built on it) stores the
 components, ``2**n`` tables of ``q**n`` entries.  The reports and verifiers
-hold ``q**n`` entries at a time and make one pass per coordinate over the
-``(q**i, q, q**(n-1-i))`` view of the table:
+hold ``q**n`` entries at a time and make one pass per coordinate:
 
-* :func:`influence` and the reports' influences and difference norms use the
-  :func:`delta_i` table of each coordinate;
+* ``_difference_norms``, the one difference pass (a ``delta_i`` table per
+  coordinate against one weight table), gives :func:`influence_report`,
+  :func:`talagrand_report` and the Russo influence sums their L_p norms;
 * :func:`verify_hypercontractivity` uses ``_noise``,
   ``T_theta = prod_i (theta I + (1 - theta) E_i)``;
 * :func:`verify_level_bound`, :func:`verify_level_bounds` (every level from
@@ -42,8 +46,9 @@ from .core import (
     ProductMeasure,
     QaryFunction,
     TableSizeError,
+    _axis_mean,
+    _axis_view,
     _check_compatible,
-    average_over_axis,
     expectation,
     product_weights,
 )
@@ -69,11 +74,6 @@ def _subset_sizes(n: int) -> np.ndarray:
     return sizes
 
 
-def _axis_view(table: np.ndarray, q: int, n: int, i: int) -> np.ndarray:
-    """``table`` as ``(q**i, q, q**(n-1-i))``, coordinate ``i`` in the middle."""
-    return table.reshape(q**i, q, q ** (n - 1 - i))
-
-
 def _noise(f: QaryFunction, measure: ProductMeasure, theta: float) -> np.ndarray:
     """``T_theta f = prod_i (theta I + (1 - theta) E_i) f``, one pass per axis.
 
@@ -83,7 +83,7 @@ def _noise(f: QaryFunction, measure: ProductMeasure, theta: float) -> np.ndarray
     out = np.array(f.table, dtype=float)
     for i in range(f.n):
         view = _axis_view(out, f.q, f.n, i)
-        mean = np.einsum("aqb,q->ab", view, measure.atoms)[:, None, :]
+        mean = _axis_mean(view, measure.atoms)
         view *= theta
         view += (1.0 - theta) * mean
     return out
@@ -181,7 +181,7 @@ def efron_stein(f: QaryFunction, measure: ProductMeasure) -> EfronSteinDecomposi
     for i in range(f.n):
         for mask in range(1 << i):
             row = _axis_view(tables[mask], f.q, f.n, i)
-            mean = np.einsum("aqb,q->ab", row, measure.atoms)[:, None, :]
+            mean = _axis_mean(row, measure.atoms)
             np.subtract(row, mean, out=_axis_view(tables[mask | 1 << i], f.q, f.n, i))
             row[...] = mean
     return EfronSteinDecomposition(q=f.q, n=f.n, measure=measure, components=tables)
@@ -192,8 +192,24 @@ def delta_i(f: QaryFunction, measure: ProductMeasure, i: int) -> QaryFunction:
     f = _as_real_table(f, measure)
     if not 0 <= i < f.n:
         raise DimensionMismatchError(f"coordinate {i} outside [0, {f.n})")
-    centered = f.table - average_over_axis(f.table, measure.atoms, i, f.q, f.n)
-    return QaryFunction(q=f.q, n=f.n, codomain="real", out_q=None, table=centered)
+    return QaryFunction(q=f.q, n=f.n, codomain="real", out_q=None, table=_delta(f, measure, i))
+
+
+def _delta(f: QaryFunction, measure: ProductMeasure, i: int) -> np.ndarray:
+    """The table of ``delta_i f = f - E_i f``, made from one copy of ``f``'s table."""
+    out = np.array(f.table)
+    view = _axis_view(out, f.q, f.n, i)
+    view -= _axis_mean(view, measure.atoms)
+    return out
+
+
+def _difference_norms(f: QaryFunction, measure: ProductMeasure, ps):
+    """Yield ``(||delta_i f||_p for p in ps)`` for ``i = 0..n-1``: one difference
+    table per coordinate, one at a time, against one weight table."""
+    w = product_weights(measure, f.n)
+    for i in range(f.n):
+        d = _delta(f, measure, i)
+        yield tuple(_weighted_norm(d, w, p) for p in ps)
 
 
 def influence(f: QaryFunction, measure: ProductMeasure, i: int) -> float:
@@ -203,10 +219,9 @@ def influence(f: QaryFunction, measure: ProductMeasure, i: int) -> float:
 
 
 def _influences(f: QaryFunction, measure: ProductMeasure) -> list[float]:
-    """Every coordinate's :func:`influence`, from one weight table."""
+    """Every coordinate's :func:`influence`, from one difference pass."""
     f = _as_real_table(f, measure)
-    w = product_weights(measure, f.n)
-    return [_weighted_norm(delta_i(f, measure, i).table, w, 2.0) ** 2 for i in range(f.n)]
+    return [l2**2 for (l2,) in _difference_norms(f, measure, (2.0,))]
 
 
 def lp_norm(g: QaryFunction, measure: ProductMeasure, p: float) -> float:
@@ -244,20 +259,14 @@ class InfluenceReport:
 
 def influence_report(f: QaryFunction, measure: ProductMeasure) -> InfluenceReport:
     f = _as_real_table(f, measure)
-    w = product_weights(measure, f.n)
-    influences, l1s, l32s, l2s = [], [], [], []
-    for i in range(f.n):
-        d = delta_i(f, measure, i).table
-        l1s.append(_weighted_norm(d, w, 1.0))
-        l32s.append(_weighted_norm(d, w, 1.5))
-        l2s.append(_weighted_norm(d, w, 2.0))
-        influences.append(l2s[-1] ** 2)
+    l1s, l32s, l2s = zip(*_difference_norms(f, measure, (1.0, 1.5, 2.0)))
+    influences = tuple(l2**2 for l2 in l2s)
     return InfluenceReport(
-        influences=tuple(influences),
+        influences=influences,
         total=float(sum(influences)),
-        delta_l1=tuple(l1s),
-        delta_l32=tuple(l32s),
-        delta_l2=tuple(l2s),
+        delta_l1=l1s,
+        delta_l32=l32s,
+        delta_l2=l2s,
     )
 
 
@@ -417,25 +426,20 @@ class TalagrandReport:
 def talagrand_report(f: QaryFunction, measure: ProductMeasure) -> TalagrandReport:
     """Report the variance bound ingredients for a tabulated real function."""
     f = _as_real_table(f, measure)
+    return _talagrand(f, measure, _difference_norms(f, measure, (1.0, 2.0)))
+
+
+def _talagrand(f: QaryFunction, measure: ProductMeasure, norms) -> TalagrandReport:
+    """:func:`talagrand_report` for the tabulated real ``f`` from its per-coordinate
+    ``(||delta_i f||_1, ||delta_i f||_2)``; a lazy ``norms`` is read after the
+    measure check and before the variance's weight table is built."""
     measure.require_positive("influence-sum report")
-    mean = expectation(f, measure)
-    w = product_weights(measure, f.n)
-    variance = _weighted_norm(f.table - mean, w, 2.0) ** 2
-    alpha = measure.min_atom()
-    log_inv = math.log(1.0 / alpha)
-    # sum_i sum_{S containing i} ||f_S||^2 / |S| counts each non-empty S once;
-    # from the subset norms it checks the variance computed on the table
-    m2_sum = float(_subset_norms(f, measure)[1:].sum())
     terms = []
-    for i in range(f.n):
-        g = delta_i(f, measure, i).table
-        l2 = _weighted_norm(g, w, 2.0)
+    for i, (l1, l2) in enumerate(norms):
         if l2 <= 1e-15:
             continue  # coordinate does not appear in f
-        l1 = _weighted_norm(g, w, 1.0)
         log_ratio = math.log(l2 / l1)
         degenerate = log_ratio <= 1e-12
-        term = None if degenerate else l2 * l2 / log_ratio
         terms.append(
             CoordinateTerm(
                 coord=i,
@@ -443,34 +447,26 @@ def talagrand_report(f: QaryFunction, measure: ProductMeasure) -> TalagrandRepor
                 l1=l1,
                 l2=l2,
                 log_ratio=log_ratio,
-                term=term,
+                term=None if degenerate else l2 * l2 / log_ratio,
                 degenerate=degenerate,
             )
         )
-    if variance <= 1e-15:
-        return TalagrandReport(
-            variance=variance,
-            terms=tuple(terms),
-            sum_terms=0.0,
-            log_inv_min_atom=log_inv,
-            rhs_no_constant=None,
-            empirical_c=None,
-            m2_sum=m2_sum,
-            constant_function=True,
-        )
-    usable = [t.term for t in terms if t.term is not None]
+    w = product_weights(measure, f.n)
+    variance = _weighted_norm(f.table - float(w @ f.table), w, 2.0) ** 2
+    log_inv = math.log(1.0 / measure.min_atom())
+    constant = variance <= 1e-15
+    usable = [] if constant else [t.term for t in terms if t.term is not None]
     sum_terms = float(sum(usable))
     rhs = log_inv * sum_terms if usable else None
-    empirical_c = (variance / rhs) if rhs else None
     return TalagrandReport(
         variance=variance,
         terms=tuple(terms),
         sum_terms=sum_terms,
         log_inv_min_atom=log_inv,
         rhs_no_constant=rhs,
-        empirical_c=empirical_c,
-        m2_sum=m2_sum,
-        constant_function=False,
+        empirical_c=variance / rhs if rhs else None,
+        # sum_i sum_{S containing i} ||f_S||^2 / |S| counts each non-empty S
+        # once; from the subset norms it checks the variance computed on the table
+        m2_sum=float(_subset_norms(f, measure)[1:].sum()),
+        constant_function=constant,
     )
-
-

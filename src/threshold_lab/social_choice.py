@@ -220,19 +220,10 @@ def plurality_choice(
     mask = subset if isinstance(subset, int) else subset_mask(subset)
     if mask == 0:
         raise DimensionMismatchError("subset must be nonempty")
-    tops = _top_sequence(profile, mask)
-    counts = np.zeros(profile.m, dtype=np.int64)
-    first = np.full(profile.m, len(tops) + 1, dtype=np.int64)
-    for pos, (top, weight) in enumerate(tops):
-        counts[top] += weight
-        first[top] = min(first[top], pos)
-    best = counts.max()
-    tied = np.flatnonzero(counts == best)
-    if tie_break == "smallest_index":
-        return int(tied[0])
-    if tie_break != "first_occurrence":
-        raise DimensionMismatchError(f"unknown tie break {tie_break!r}")
-    return int(tied[np.argmin(first[tied])])
+    tops, weights = zip(*_top_sequence(profile, mask))
+    # the voter sequence: each listed voter's top repeated by its weight
+    voters = np.repeat(tops, weights)[None, :]
+    return int(plurality_winners(voters, profile.m, tie_break)[0])
 
 
 def plurality_margins(profile: VoterProfile, mask: int, target: int) -> dict:

@@ -22,6 +22,8 @@ from .core import (
     SimplexSampler,
     TableSizeError,
     ThresholdLabError,
+    _axis_mean,
+    _axis_view,
     prob_value,
     product_weights,
 )
@@ -57,13 +59,14 @@ def _restriction_sums(f: QaryFunction, path: MeasurePath, t: float) -> tuple[flo
             f"function is not monotone along anchor {path.anchor}: {witness}"
         )
     mu_t = path.measure_at(t)
-    tensor = f.table.astype(float).reshape((f.q,) * f.n)
+    table = f.table.astype(float)
+    # the view's outer axes keep the other coordinates in rest_weights' order
     rest_weights = product_weights(mu_t, f.n - 1)
     derivative = mixed = 0.0
     for i in range(f.n):
-        restricted = np.moveaxis(tensor, i, -1).reshape(-1, f.q)
-        first = restricted @ path.base.atoms
-        not_const = restricted.max(axis=1) != restricted.min(axis=1)
+        view = _axis_view(table, f.q, f.n, i)
+        first = _axis_mean(view, path.base.atoms).ravel()
+        not_const = (view.max(axis=1) != view.min(axis=1)).ravel()
         derivative += float(rest_weights @ (not_const * (1.0 - first)))
         # f is {0,1}-valued, so each restriction's second moment is ``first``
         mixed += float(rest_weights @ (first - first**2))

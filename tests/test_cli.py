@@ -9,8 +9,9 @@ import pytest
 
 import threshold_lab
 from threshold_lab import ChoiceFunction, ProductMeasure, QaryFunction, Tournament, dictator
-from threshold_lab import fileio
-from threshold_lab.cli import build_parser, main
+from threshold_lab import decomposition, fileio
+from threshold_lab.cli import REPORT_SCHEMA, build_parser, main
+from threshold_lab.decomposition import influence_report, talagrand_report
 
 
 def run(capsys, *argv):
@@ -221,6 +222,15 @@ PINNED_STDOUT = [
     # printed when each level made its own subset-norm pass
     ("verify --suite level --trials 20 --nmax 12 --qmax 2 --seed 7",
      "b1996fb6444fb1eab827f69bee5c1288d70001a80d3aff07acbe9897d45308e7"),
+    # printed when the coordinate average had three implementations: a
+    # broadcast over the (q,)*n tensor, an einsum on the axis view, and a
+    # product with the table's axis moved last
+    ("decompose --family plurality --q 3 --n 4 --atoms 0.2,0.3,0.5",
+     "fc0da0aca69fb3cfccb72ad999b3cd751d2a2d150c435a747a1ed90f6adc42d7"),
+    ("verify --suite hyper --trials 50 --nmax 6 --qmax 4 --seed 3",
+     "22873ea4781ec34870460f659a9bfb0c3fe5e48e0bab6d9a76d87efc03b48418"),
+    ("check --family plurality --q 2 --n 7 --group cyclic",
+     "f9d10d5bcd3c7c36b24bde0a5227dc5a47f3cd0061ebc6bef9452ce0a8300a55"),
 ]
 
 
@@ -411,6 +421,46 @@ class TestInfluencesAndDecompose:
         assert len(doc["influences"]) == n
         tal = doc["talagrand"]
         assert tal["m2_sum"] == pytest.approx(tal["variance"], rel=0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("q,n,seed", [(2, 6, 1), (2, 9, 2), (3, 4, 3), (3, 5, 4), (4, 3, 5)])
+    def test_influences_prints_the_two_reports(self, tmp_path, capsys, q, n, seed):
+        # the Talagrand terms come from the influence report's norms, so the
+        # output must be exactly what the two library reports print
+        rng = np.random.default_rng(seed)
+        f = QaryFunction.from_table(q, n, rng.standard_normal(q**n), codomain="real")
+        atoms = rng.dirichlet(np.ones(q))
+        mu = ProductMeasure(q, atoms)
+        path = str(tmp_path / "f.json")
+        fileio.save_function(f, path)
+        rc, out, err = run(
+            capsys, "influences", "--function", path, "--atoms", ",".join(repr(float(a)) for a in atoms)
+        )
+        assert (rc, err) == (0, "")
+        doc = influence_report(f, mu).as_dict()
+        doc["talagrand"] = talagrand_report(f, mu).as_dict()
+        doc["schema"] = REPORT_SCHEMA
+        assert out == fileio.dumps(doc)
+
+    def test_influences_builds_one_difference_table_per_coordinate(self, capsys, monkeypatch):
+        built = []
+        delta = decomposition._delta
+
+        def counting(f, measure, i):
+            built.append(i)
+            return delta(f, measure, i)
+
+        monkeypatch.setattr(decomposition, "_delta", counting)
+        rc, _, _ = run(capsys, "influences", "--family", "plurality", "--q", "3", "--n", "5")
+        assert rc == 0
+        assert built == [0, 1, 2, 3, 4]
+
+    def test_influences_refuses_a_zero_atom(self, capsys):
+        rc, out, err = run(
+            capsys, "influences", "--family", "plurality", "--q", "3", "--n", "3",
+            "--atoms", "0.5,0.5,0.0",
+        )
+        assert (rc, out) == (1, "")
+        assert json.loads(err)["error"] == "DegenerateMeasureError"
 
     def test_decompose_json(self, capsys):
         rc, out, _ = run(

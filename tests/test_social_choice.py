@@ -6,6 +6,7 @@ import pytest
 from threshold_lab import (
     ChoiceFunction,
     DimensionMismatchError,
+    InvalidFunctionError,
     LinearOrder,
     Tournament,
     VoterProfile,
@@ -98,6 +99,27 @@ class TestPluralityChoice:
     def test_condorcet_cycle_tie_goes_to_first_listed(self):
         profile = VoterProfile.from_rankings(3, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
         assert plurality_choice(profile, (0, 1, 2)) == 0
+
+    def test_unknown_tie_break_is_invalid_function(self):
+        # the same error plurality() raises for the same name
+        profile = VoterProfile.from_rankings(3, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+        with pytest.raises(InvalidFunctionError, match="unknown tie break"):
+            plurality_choice(profile, 0b111, "bogus")
+
+    def test_weights_act_as_repeated_voters(self, rng):
+        for _ in range(40):
+            m = 4
+            rankings = [tuple(rng.permutation(m)) for _ in range(4)]
+            weights = rng.integers(1, 4, size=4).tolist()
+            weighted = VoterProfile.from_rankings(m, rankings, weights)
+            expanded = VoterProfile.from_rankings(
+                m, [r for r, w in zip(rankings, weights) for _ in range(w)]
+            )
+            mask = int(rng.integers(1, 1 << m))
+            for tie_break in ("first_occurrence", "smallest_index"):
+                assert plurality_choice(weighted, mask, tie_break) == plurality_choice(
+                    expanded, mask, tie_break
+                )
 
     def test_independence_of_rejected_alternatives(self, rng):
         # mutating rankings below the subset tops never changes the outcome

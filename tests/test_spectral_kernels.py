@@ -3,7 +3,8 @@
 ``_subset_norms`` and ``_noise`` replace the ``2**n * q**n`` component store
 in the reports and verifiers, so each is checked here against plain
 enumeration: squared component norms and the noise operator as
-``sum_S theta**|S| f_S``.
+``sum_S theta**|S| f_S``.  The same property checks the coordinate average
+they share with ``conditional_expectation`` and ``delta_i``.
 """
 
 import itertools
@@ -12,10 +13,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threshold_lab import ProductMeasure, QaryFunction, dictator
+from threshold_lab import ProductMeasure, QaryFunction, conditional_expectation, delta_i, dictator
 from threshold_lab.decomposition import _noise, _subset_norms, _subset_sizes
 
-from oracles import enum_component, point_prob, points
+from oracles import enum_component, enum_conditional, enum_delta, point_prob, points
 
 TOL = 1e-9
 
@@ -57,6 +58,14 @@ def test_subset_norms_and_noise_match_enumerated_components(case, theta):
     assert np.allclose(_subset_norms(f, mu), comps**2 @ w, rtol=0.0, atol=TOL)
     expected = (theta ** _subset_sizes(f.n)) @ comps
     assert np.allclose(_noise(f, mu, theta), expected, rtol=0.0, atol=TOL)
+    pts = list(points(f.q, f.n))
+    for mask in range(1 << f.n):
+        coords = [i for i in range(f.n) if mask >> i & 1]
+        expected = [enum_conditional(f, mu, coords, x) for x in pts]
+        assert np.allclose(conditional_expectation(f, mu, coords).table, expected, rtol=0.0, atol=TOL)
+    for i in range(f.n):
+        expected = [enum_delta(f, mu, i, x) for x in pts]
+        assert np.allclose(delta_i(f, mu, i).table, expected, rtol=0.0, atol=TOL)
 
 
 def test_subset_norms_are_in_mask_order():
