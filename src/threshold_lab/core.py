@@ -195,7 +195,7 @@ class Oracle:
     :meth:`QaryFunction.tabulate` passes int64, so ``batch`` must not assume
     int64 (``x.sum(axis=1) - y.sum(axis=1)`` on ``uint8`` rows, for one, wraps
     around zero).  An optional ``exact_prob(measure, a)`` computes
-    ``P[f = a]`` exactly from structure (e.g. a count dynamic program),
+    ``P[f = a]`` exactly from structure (e.g. plurality's Poissonized counts),
     enabling exact threshold scans at sizes far beyond the table cap.
     """
 

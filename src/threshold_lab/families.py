@@ -2,16 +2,14 @@
 antisymmetric majority, dictators.
 
 Families are pure oracles with vectorized evaluators; small instances
-tabulate on demand.  Plurality carries an exact probability evaluator (a
-multinomial dynamic program over count vectors) that works far beyond the
-table cap.
+tabulate on demand.  Plurality carries an exact probability evaluator, by
+Poissonized counts, that works at every (q, n), far beyond the table cap.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-from math import comb
+import math
 
 import numpy as np
 
@@ -59,90 +57,92 @@ def plurality_winners(X: np.ndarray, q: int, tie_break: str = "first_occurrence"
     return winners
 
 
-def _compositions(n: int, q: int) -> np.ndarray:
-    """All count vectors of ``n`` items over ``q`` symbols, as an (M, q) int64
-    array in lexicographic order."""
-    # built one symbol at a time: a prefix leaving ``r`` items has ``r + 1``
-    # children, whose next counts run 0..r in order
-    counts = np.zeros((1, 0), dtype=np.int64)
-    left = np.array([n], dtype=np.int64)
-    for _ in range(q - 1):
-        children = left + 1
-        parent = np.repeat(np.arange(left.size), children)
-        start = np.cumsum(children) - children
-        step = np.arange(parent.size) - np.repeat(start, children)
-        counts = np.column_stack([counts[parent], step])
-        left = left[parent] - step
-    return np.column_stack([counts, left])
-
-
 class _PluralityExact:
-    """Exact ``P[plurality = a]`` via the count-vector dynamic program.
+    """Exact ``P[plurality = a]`` at any (q, n) by Poissonization (B. Levin,
+    *Ann. Statist.* 9, 1981): independent ``N_b ~ Poisson(n mu_b)``
+    conditioned on ``sum N_b = n`` are multinomial(n, mu), so with ``pi_b``
+    the pmf of ``N_b``::
 
-    Conditioned on the count vector, arrangements are exchangeable, so under
-    ``first_occurrence`` every tied symbol wins with equal probability (the
-    ``(M, q)`` float matrix ``_share``); under ``smallest_index`` the smallest
-    tied symbol wins outright (one integer ``_winner`` per composition).
+        P[plur = a] = sum_k pi_a(k) [x^(n-k)] int_0^1 prod_{b != a}
+                      (sum_{j<k} pi_b(j) x^j + y_b pi_b(k) x^k) dy / P[sum N = n]
 
-    The arrays are built on the first call, not with the function: a Monte
-    Carlo job such as ``jury`` on ``plurality(3, 501)`` never calls the
-    evaluator, and would otherwise build 126,253 compositions for nothing.
+    Under ``first_occurrence`` every ``y_b`` is ``y``: arrangements are
+    exchangeable, so ``a`` wins a tie with ``t`` others with probability
+    ``1/(t+1) = int y^t dy``, and ``ceil(q/2)`` Gauss-Legendre nodes integrate
+    the degree ``q - 1`` integrand exactly.  Under ``smallest_index`` ``y_b``
+    is 0 for ``b < a`` and 1 for ``b > a``.  Only pmf entries above 1e-18
+    count, every term lies in [0, 1], and a zero atom is a point mass at 0.
     """
 
     def __init__(self, q: int, n: int, tie_break: str):
         self.q, self.n, self.tie_break = q, n, tie_break
-
-    @functools.cached_property
-    def _arrays(self) -> tuple:
-        # two threads making the first call may both build (cached_property
-        # takes no lock from Python 3.12 on); they build equal arrays and one
-        # set is kept, so the race costs time and never changes a value
-        from scipy.special import gammaln  # deferred: scipy is slow to import
-
-        q, n = self.q, self.n
-        counts = _compositions(n, q)
-        log_gamma = gammaln(np.arange(n + 2))
-        log_coeff = log_gamma[n + 1] - log_gamma[counts + 1].sum(axis=1)
-        tied = counts == counts.max(axis=1, keepdims=True)
-        if self.tie_break == "smallest_index":
-            winner = tied.argmax(axis=1).astype(np.min_scalar_type(q - 1))
-            share = None
-        else:
-            winner = None
-            share = tied / tied.sum(axis=1, keepdims=True)
-        # float once here: an int64 matrix would be converted on every call
-        return counts.astype(np.float64), log_coeff, winner, share
-
-    _counts = property(lambda self: self._arrays[0])
-    _log_coeff = property(lambda self: self._arrays[1])
-    _winner = property(lambda self: self._arrays[2])
-    _share = property(lambda self: self._arrays[3])
+        self._counts = np.arange(n + 1.0)
+        # an accurate log-gamma: a cumulative sum of logs drifts by 4e-11 at n = 3051
+        self._log_factorials = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
+        nodes, weights = np.polynomial.legendre.leggauss((q + 1) // 2)
+        self._nodes, self._weights = (nodes + 1) / 2, weights / 2
 
     def __call__(self, measure: ProductMeasure, a: int) -> float:
         if measure.q != self.q:
             raise DimensionMismatchError("measure alphabet mismatch")
         if not 0 <= a < self.q:
             raise DimensionMismatchError(f"symbol {a} outside [0, {self.q})")
-        positive = measure.atoms > 0
-        safe_log = np.log(np.where(positive, measure.atoms, 1.0))
-        exponent = self._log_coeff + self._counts @ safe_log
-        if positive.all():
-            p = np.exp(exponent, out=exponent)
+        q, n = self.q, self.n
+        rates = n * measure.atoms
+        # a zero rate's log, clamped to the least normal float, leaves a point
+        # mass at 0 once the cut applies
+        pmf = np.multiply.outer(np.log(np.maximum(rates, np.finfo(float).tiny)), self._counts)
+        pmf -= self._log_factorials
+        pmf -= rates[:, None]
+        np.exp(pmf, out=pmf)
+        kept = pmf > 1e-18
+        pmf *= kept
+        lo, hi = kept.argmax(axis=1), n - kept[:, ::-1].argmax(axis=1)
+        # a's count k is at least n/q and at least every other symbol's least count
+        ks = np.arange(max(lo.max(), -(-n // q)), hi[a] + 1)
+        if ks.size == 0:
+            return 0.0
+        others = np.arange(q - 1)
+        others[a:] += 1
+        if self.tie_break == "first_occurrence":
+            y, weights = np.repeat(self._nodes[:, None], q - 1, axis=1), self._weights
         else:
-            # a composition with a count on a zero atom has probability 0, and
-            # its multinomial coefficient alone can overflow exp, so exp skips
-            # it (a -inf exponent, or where= on every call, costs more)
-            possible = ~(self._counts[:, ~positive] > 0).any(axis=1)
-            p = np.exp(exponent, out=np.zeros_like(exponent), where=possible)
-        if self._winner is None:
-            return float(p @ self._share[:, a])
-        # the 0/1 column is every other entry of a scratch buffer, so BLAS
-        # reads it through a stride, as it read a column of the one-hot (M, q)
-        # matrix, and sums in the same order; a contiguous column or
-        # p[mask].sum() sums in another order and moves values in the last bit
-        column = np.empty((p.shape[0], 2))[:, 0]
-        np.equal(self._winner, a, out=column)
-        return float(p @ column)
+            y, weights = (others > a)[None, :].astype(float), np.ones(1)
+        *inner, last = others
+        # rows[node, k, m]: the product of the factors but the last at count
+        # offset + m; two or more are multiplied by one stacked real FFT
+        rows, offset, factors = np.ones((1, ks.size, 1)), 0, []
+        for i, b in enumerate(inner):
+            top = min(hi[b], ks[-1])
+            below = (np.arange(lo[b], top + 1) < ks[:, None]) * pmf[b, lo[b] : top + 1]
+            factor = np.repeat(below[None], y.shape[0], axis=0)
+            tied = np.flatnonzero(ks <= top)
+            factor[:, tied, ks[tied] - lo[b]] = y[:, i, None] * pmf[b, ks[tied]]
+            factors.append(factor)
+        if len(factors) == 1:
+            rows, offset = factors[0], lo[inner[0]]
+        elif factors:
+            size = sum(factor.shape[-1] for factor in factors) - len(factors) + 1
+            length = 1 << (size - 1).bit_length()  # or 3/4 of it: both are fast sizes
+            length = 3 * length // 4 if 3 * length >= 4 * size else length
+            spectrum = np.fft.rfft(factors[0], length)
+            for factor in factors[1:]:
+                spectrum *= np.fft.rfft(factor, length)
+            rows, offset = np.fft.irfft(spectrum, length)[..., :size], lo[inner].sum()
+        # the last factor at count n - k - offset - m is a Hankel view of one
+        # vector; it stays below k where m > n - 2k - offset, and its tie at k
+        # is one lookup per k
+        width = rows.shape[-1]
+        counts = n - ks[0] - offset - np.arange(ks.size + width - 1)
+        band = pmf[last].take(counts, mode="clip") * (counts >= 0)
+        last_rows = np.ndarray((ks.size, width), buffer=band, strides=band.strides * 2)
+        tie = n - 2 * ks - offset
+        by_k = np.einsum("nkm,km->nk", rows, last_rows * (np.arange(width) > tie[:, None]))
+        hit = np.flatnonzero((tie >= 0) & (tie < width))
+        by_k[:, hit] += y[:, -1, None] * pmf[last, ks[hit]] * rows[:, hit, tie[hit]]
+        total = rates.sum()
+        norm = np.exp(n * np.log(total) - total - self._log_factorials[n])
+        return float(weights @ by_k @ pmf[a, ks] / norm)
 
 
 def plurality(q: int, n: int, tie_break: str = "first_occurrence") -> QaryFunction:
@@ -150,18 +150,13 @@ def plurality(q: int, n: int, tie_break: str = "first_occurrence") -> QaryFuncti
     _check_tie_break(tie_break)
     if q < 2 or n < 1:
         raise DimensionMismatchError("need q >= 2 and n >= 1")
-    exact = _PluralityExact(q, n, tie_break) if _composition_count(n, q) <= 2_000_000 else None
     oracle = Oracle(
         name="plurality",
         params={"q": q, "n": n, "tie_break": tie_break},
         batch=lambda X: plurality_winners(X, q, tie_break),
-        exact_prob=exact,
+        exact_prob=_PluralityExact(q, n, tie_break),
     )
     return QaryFunction.from_oracle(q, n, oracle)
-
-
-def _composition_count(n: int, q: int) -> int:
-    return comb(n + q - 1, q - 1)
 
 
 def recursive_plurality(
@@ -284,12 +279,10 @@ def graph_property(vertices: int, q: int, property_kind: str) -> QaryFunction:
             subsets_by_size.append((size, idxs))
 
     def batch(X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.int64)
-        N = X.shape[0]
         if property_kind == "most_popular_color":
-            counts = np.stack([(X == c).sum(axis=1) for c in range(q)], axis=1)
-            return counts.argmax(axis=1)
-        score = np.ones((N, q), dtype=np.int64)  # singletons: clique and independent
+            return plurality_winners(X, q, "smallest_index")
+        X = np.asarray(X)
+        score = np.ones((X.shape[0], q), dtype=np.int64)  # singletons: clique and independent
         for size, idxs in subsets_by_size:
             sub = X[:, idxs]
             for c in range(q):

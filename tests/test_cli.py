@@ -9,7 +9,7 @@ import pytest
 
 import threshold_lab
 from threshold_lab import ChoiceFunction, ProductMeasure, QaryFunction, Tournament, dictator
-from threshold_lab import decomposition, fileio
+from threshold_lab import decomposition, fileio, plurality, threshold
 from threshold_lab.cli import REPORT_SCHEMA, build_parser, main
 from threshold_lab.decomposition import influence_report, talagrand_report
 
@@ -159,6 +159,37 @@ class TestScanCommand:
         assert 0 < doc["width"] < 1
 
 
+class TestPastTheEnumeration:
+    """plurality(5, 83) has 2,225,895 count vectors, past what was enumerated."""
+
+    def test_window_brackets_the_crossings(self, capsys):
+        rc, out, _ = run(
+            capsys, "window", "--family", "plurality", "--q", "5", "--n", "83", "--eps", "0.1",
+        )
+        assert rc == 0
+        doc = json.loads(out)
+        f = plurality(5, 83)
+
+        def G(t):
+            atoms = np.full(5, (1.0 - t) / 4)
+            atoms[0] = t
+            return f.oracle.exact_prob(ProductMeasure(5, atoms), 0)
+
+        for t, level in ((doc["t_lo"], 0.1), (doc["t_hi"], 0.9)):
+            assert G(t - 1e-5) <= level <= G(t + 1e-5)
+
+    def test_sweep_is_exact(self, capsys, monkeypatch):
+        def nested_mc(*args, **kwargs):
+            raise AssertionError("sweep sampled a measure by Monte Carlo")
+
+        monkeypatch.setattr(threshold, "mc_estimate", nested_mc)
+        rc, out, _ = run(
+            capsys, "sweep", "--family", "plurality", "--q", "5", "--n", "83", "--samples", "5",
+        )
+        assert rc == 0
+        assert json.loads(out)["samples"] == 5
+
+
 class TestDeterminism:
     def test_sweep_twice_same_seed_byte_identical(self, tmp_path, capsys):
         out1 = str(tmp_path / "a.json")
@@ -231,6 +262,14 @@ PINNED_STDOUT = [
      "22873ea4781ec34870460f659a9bfb0c3fe5e48e0bab6d9a76d87efc03b48418"),
     ("check --family plurality --q 2 --n 7 --group cyclic",
      "f9d10d5bcd3c7c36b24bde0a5227dc5a47f3cd0061ebc6bef9452ce0a8300a55"),
+    # printed when graph_property widened its points to int64 and counted
+    # colours itself for most_popular_color
+    ("sweep --family graph_property --vertices 5 --q 3 --property max_clique_color "
+     "--samples 20 --inner-samples 300 --seed 9",
+     "9c09708a363de2f69b1ef9b2c48d0b7cc6cab85fca92512d03a9648d33112eed"),
+    ("scan --family graph_property --vertices 6 --q 3 --property most_popular_color "
+     "--method mc --grid 9 --samples 400 --seed 10",
+     "d01a8ea05076ec7e83d4c042eb1d9c3702d27460811f796e103761e21dede1ba"),
 ]
 
 

@@ -17,13 +17,14 @@ from threshold_lab import (
     expectation,
     graph_property,
     influence,
+    mc_estimate,
     plurality,
     prob_value,
     recursive_plurality,
     resolve_oracle,
     scan_path,
 )
-from threshold_lab.families import TIE_BREAKS, _compositions, edge_list, plurality_winners
+from threshold_lab.families import TIE_BREAKS, edge_list, plurality_winners
 
 from oracles import (
     enum_compositions,
@@ -81,8 +82,6 @@ class TestPlurality:
         assert curve.values[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_evaluator_agrees_with_mc_at_large_n(self):
-        from threshold_lab import mc_estimate
-
         f = plurality(3, 501)
         mu = ProductMeasure(3, [0.4, 0.35, 0.25])
         exact = f.oracle.exact_prob(mu, 0)
@@ -90,20 +89,10 @@ class TestPlurality:
         assert abs(est.p_hat - exact) <= 3 * est.half_width + 1e-9
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 6), st.integers(1, 15))
-def test_compositions_match_enumeration(q, n):
-    got = _compositions(n, q)
-    want = enum_compositions(n, q)
-    assert got.dtype == want.dtype == np.int64
-    assert got.shape == want.shape
-    assert (got == want).all()  # same rows in the same order
-
-
 def _enumerated_exact_prob(q, n, tie_break, measure, a):
-    """``P[plurality = a]`` from enumerated compositions: int64 counts times log
-    atoms and ``gammaln(counts + 1)``, the same float operations in the same
-    order as the evaluator."""
+    """``P[plurality = a]`` summed over enumerated compositions: multinomial
+    coefficients from ``gammaln``, times the atoms' powers, times the share of
+    ``a`` among the tied maxima."""
     from scipy.special import gammaln
 
     counts = enum_compositions(n, q)
@@ -124,6 +113,37 @@ def _enumerated_exact_prob(q, n, tie_break, measure, a):
     return float(p @ share[:, a])
 
 
+def _law(f, measure):
+    return np.array([f.oracle.exact_prob(measure, a) for a in range(f.q)])
+
+
+@st.composite
+def _small_plurality_cases(draw):
+    """q 2-6, n 1-15, either tie break; atoms random, with zeros, or a point mass."""
+    q, n = draw(st.integers(2, 6)), draw(st.integers(1, 15))
+    tie_break = draw(st.sampled_from(TIE_BREAKS))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=q, max_size=q)))
+    zeroed = draw(st.lists(st.booleans(), min_size=q, max_size=q))
+    weights[np.array(zeroed)] = 0.0
+    if draw(st.integers(0, 3)) == 0 or not weights.any():
+        weights = np.eye(q)[draw(st.integers(0, q - 1))]
+    return q, n, tie_break, ProductMeasure(q, weights / weights.sum())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_plurality_cases())
+def test_exact_prob_matches_the_enumerated_formula(case):
+    q, n, tie_break, mu = case
+    f = plurality(q, n, tie_break)
+    law = _law(f, mu)
+    want = [_enumerated_exact_prob(q, n, tie_break, mu, a) for a in range(q)]
+    assert law == pytest.approx(want, abs=1e-12)
+    assert law.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+# these pinned every bit while the evaluator summed enumerated compositions in
+# the reference's float order; the Poissonized evaluator sums in another
+# order, so they compare at 1e-12
 @pytest.mark.parametrize("q,n", [(3, 61), (4, 21), (5, 13)])
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
 def test_exact_prob_is_bitwise_the_enumerated_formula(q, n, tie_break):
@@ -133,28 +153,64 @@ def test_exact_prob_is_bitwise_the_enumerated_formula(q, n, tie_break):
     zeroed[1] = 0.0
     for mu in (ProductMeasure(q, atoms / atoms.sum()), ProductMeasure(q, zeroed / zeroed.sum())):
         for a in range(q):
-            assert f.oracle.exact_prob(mu, a) == _enumerated_exact_prob(q, n, tie_break, mu, a)
+            want = _enumerated_exact_prob(q, n, tie_break, mu, a)
+            assert f.oracle.exact_prob(mu, a) == pytest.approx(want, abs=1e-12)
 
 
 def test_smallest_index_keeps_one_winner_per_composition(rng):
-    # the one-hot share matrix became an integer winner per composition; the
-    # values must keep every bit of the matrix-column formula.  Both sides are
-    # a BLAS ddot over a strided column, so this pins that the evaluator still
-    # reads its column through a stride.  It relies on the BLAS summing two
-    # strided dots of one length in one order, whatever the stride (OpenBLAS
-    # does); under a BLAS that does not, it can fail by a last bit although
-    # the evaluator is right
+    # the smallest tied symbol wins outright, composition by composition
     q, n = 3, 61
-    f = plurality(q, n, "smallest_index")
-    evaluator = f.oracle.exact_prob
-    assert evaluator._share is None
-    assert evaluator._winner.shape == (math.comb(n + q - 1, q - 1),)
-    assert evaluator._winner.itemsize == 1
+    evaluator = plurality(q, n, "smallest_index").oracle.exact_prob
     measures = [ProductMeasure.uniform(q), ProductMeasure(q, [0.5, 0.0, 0.5])]
     measures += [ProductMeasure(q, rng.dirichlet(np.ones(q))) for _ in range(6)]
     for mu in measures:
         for a in range(q):
-            assert evaluator(mu, a) == _enumerated_exact_prob(q, n, "smallest_index", mu, a)
+            want = _enumerated_exact_prob(q, n, "smallest_index", mu, a)
+            assert evaluator(mu, a) == pytest.approx(want, abs=1e-12)
+
+
+# each more than 2,000,000 compositions, where no enumeration is cheap
+PAST_THE_ENUMERATION = [(5, 83), (6, 45), (4, 227), (3, 1999)]
+
+
+@pytest.mark.parametrize("q,n", PAST_THE_ENUMERATION)
+def test_exact_prob_past_the_enumeration(rng, q, n):
+    assert math.comb(n + q - 1, q - 1) > 2_000_000
+    f = plurality(q, n)
+    assert _law(f, ProductMeasure.uniform(q)) == pytest.approx(np.full(q, 1 / q), abs=1e-12)
+    perm = rng.permutation(q)
+    for concentration in (50.0, 1.0):
+        mu = ProductMeasure(q, rng.dirichlet(np.full(q, concentration)))
+        law = _law(f, mu)
+        assert law.sum() == pytest.approx(1.0, abs=1e-11)
+        for tie_break in TIE_BREAKS:
+            assert _law(plurality(q, n, tie_break), mu).sum() == pytest.approx(1.0, abs=1e-11)
+        # first occurrence is fair: relabelling the atoms relabels the law
+        moved = np.empty(q)
+        moved[perm] = mu.atoms
+        assert _law(f, ProductMeasure(q, moved))[perm] == pytest.approx(law, abs=1e-12)
+        a = int(law.argmax())
+        est = mc_estimate(f, mu, a, 2000, seed=q * n)
+        assert abs(est.p_hat - law[a]) <= 5 * est.half_width / 1.96 + 1 / 2000
+
+
+@pytest.mark.parametrize("q,n", [(2, 3051), (3, 729)])
+def test_laws_sum_to_one_at_large_n(rng, q, n):
+    # log-factorials from a cumulative sum of logs miss this by 4e-11 at (2, 3051)
+    for mu in [ProductMeasure.uniform(q)] + [
+        ProductMeasure(q, rng.dirichlet(np.full(q, 30.0))) for _ in range(3)
+    ]:
+        for tie_break in TIE_BREAKS:
+            assert _law(plurality(q, n, tie_break), mu).sum() == pytest.approx(1.0, abs=1e-11)
+
+
+def test_atoms_short_of_one_still_give_a_law():
+    # conditioning on the total count normalises the atoms; summing the
+    # unnormalised multinomial instead misses 1 by 3.6e-10 here
+    atoms = np.array([0.3, 0.3, 0.4 - 5e-13])
+    mu = ProductMeasure(3, atoms)
+    assert 1.0 - mu.atoms.sum() == pytest.approx(5e-13, rel=0.01)
+    assert _law(plurality(3, 729), mu).sum() == pytest.approx(1.0, abs=1e-11)
 
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
