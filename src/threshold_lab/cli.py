@@ -16,6 +16,7 @@ import numpy as np
 from . import fileio
 from .checks import SymmetryGroup, check_fair, check_monotone, check_symmetric, check_zero_monotone
 from .core import (
+    DimensionMismatchError,
     ProductMeasure,
     QaryFunction,
     SimplexSampler,
@@ -176,6 +177,8 @@ def _verify_one(suite: str, q: int, n: int, seed: int) -> dict:
 
 
 def _cmd_verify(args) -> None:
+    if args.trials < 1 or args.qmax < 2 or args.nmax < 1:
+        raise UsageError("verify needs --trials >= 1, --qmax >= 2 and --nmax >= 1")
     rng = np.random.default_rng(args.seed)
     results = []
     for _ in range(args.trials):
@@ -201,6 +204,8 @@ def _curve(args) -> ThresholdCurve:
     f = _load_function(args)
     if args.base:
         base = fileio.load_measure(args.base)
+    elif not 0 <= args.anchor < f.q:  # the default base indexes its atoms by it
+        raise DimensionMismatchError(f"anchor {args.anchor} outside [0, {f.q})")
     else:
         atoms = np.full(f.q, 1.0 / (f.q - 1))
         atoms[args.anchor] = 0.0

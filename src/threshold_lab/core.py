@@ -398,24 +398,40 @@ def expectation(f: QaryFunction, measure: ProductMeasure) -> float:
     return float(product_weights(measure, f.n) @ f.table)
 
 
+def _check_symbol(f: QaryFunction, a: int) -> None:
+    """Refuse ``P[f = a]`` unless ``f`` is alphabet-valued and ``0 <= a < out_q``."""
+    if f.codomain != "alphabet":
+        raise InvalidFunctionError("P[f = a] needs an alphabet codomain")
+    if not 0 <= a < f.out_q:
+        raise DimensionMismatchError(f"symbol {a} outside [0, {f.out_q})")
+
+
+def _exact_prob(f: QaryFunction, a: int) -> Callable[[ProductMeasure], float] | None:
+    """``measure -> P[f = a]`` from the dense table, else the oracle's ``exact_prob``,
+    else ``None`` (Monte Carlo only).  Checks ``a``; the evaluator trusts ``measure.q == f.q``."""
+    _check_symbol(f, a)
+    if f.table is not None:
+        hits = f.table == a
+        return lambda measure: float(product_weights(measure, f.n) @ hits)
+    exact = f.oracle.exact_prob
+    if exact is not None:
+        return lambda measure: float(exact(measure, a))
+    return None
+
+
 def prob_value(f: QaryFunction, measure: ProductMeasure, a: int) -> float:
     """``P[f = a]`` under the product measure, exact.
 
-    Resolution order: dense table, then the oracle's structured exact
-    evaluator.  Functions with neither must go through Monte Carlo.
+    The evaluator is :func:`_exact_prob`'s: a dense table, else the oracle's
+    structured evaluator.  Functions with neither must go through Monte Carlo.
     """
     _check_compatible(f, measure)
-    if f.codomain != "alphabet":
-        raise InvalidFunctionError("prob_value needs an alphabet codomain")
-    if not 0 <= a < f.out_q:
-        raise DimensionMismatchError(f"symbol {a} outside [0, {f.out_q})")
-    if f.table is not None:
-        return float(product_weights(measure, f.n) @ (f.table == a))
-    if f.oracle.exact_prob is not None:
-        return float(f.oracle.exact_prob(measure, a))
-    raise TableSizeError(
-        f"no exact evaluator for oracle {f.oracle.name!r}; use mc_estimate"
-    )
+    point = _exact_prob(f, a)
+    if point is None:
+        raise TableSizeError(
+            f"no exact evaluator for oracle {f.oracle.name!r}; use mc_estimate"
+        )
+    return point(measure)
 
 
 def _axis_view(table: np.ndarray, q: int, n: int, i: int) -> np.ndarray:

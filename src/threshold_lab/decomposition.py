@@ -22,8 +22,8 @@ hold ``q**n`` entries at a time and make one pass per coordinate:
   :func:`talagrand_report` and the Russo influence sums their L_p norms;
 * :func:`verify_hypercontractivity` uses ``_noise``,
   ``T_theta = prod_i (theta I + (1 - theta) E_i)``;
-* :func:`verify_level_bound`, :func:`verify_level_bounds` (every level from
-  one pass) and :func:`talagrand_report` use ``_subset_norms``:
+* :func:`verify_level_bound` and :func:`verify_level_bounds` (every level
+  from one pass) use ``_subset_norms``:
   coefficients in a basis orthonormal under the measure with the constant
   first on every axis, squared and summed per axis into constant and
   non-constant parts, which gives ``||f_S||^2`` for every ``S``.
@@ -248,13 +248,7 @@ class InfluenceReport:
     delta_l2: tuple
 
     def as_dict(self) -> dict:
-        return {
-            "influences": list(self.influences),
-            "total": self.total,
-            "delta_l1": list(self.delta_l1),
-            "delta_l32": list(self.delta_l32),
-            "delta_l2": list(self.delta_l2),
-        }
+        return dataclasses.asdict(self)
 
 
 def influence_report(f: QaryFunction, measure: ProductMeasure) -> InfluenceReport:
@@ -407,20 +401,10 @@ class TalagrandReport:
     log_inv_min_atom: float
     rhs_no_constant: float | None
     empirical_c: float | None
-    m2_sum: float
     constant_function: bool
 
     def as_dict(self) -> dict:
-        return {
-            "variance": self.variance,
-            "terms": [t.as_dict() for t in self.terms],
-            "sum_terms": self.sum_terms,
-            "log_inv_min_atom": self.log_inv_min_atom,
-            "rhs_no_constant": self.rhs_no_constant,
-            "empirical_c": self.empirical_c,
-            "m2_sum": self.m2_sum,
-            "constant_function": self.constant_function,
-        }
+        return dataclasses.asdict(self)
 
 
 def talagrand_report(f: QaryFunction, measure: ProductMeasure) -> TalagrandReport:
@@ -465,8 +449,5 @@ def _talagrand(f: QaryFunction, measure: ProductMeasure, norms) -> TalagrandRepo
         log_inv_min_atom=log_inv,
         rhs_no_constant=rhs,
         empirical_c=variance / rhs if rhs else None,
-        # sum_i sum_{S containing i} ||f_S||^2 / |S| counts each non-empty S
-        # once; from the subset norms it checks the variance computed on the table
-        m2_sum=float(_subset_norms(f, measure)[1:].sum()),
         constant_function=constant,
     )

@@ -24,12 +24,15 @@ from .core import (
     ThresholdLabError,
     _axis_mean,
     _axis_view,
-    prob_value,
+    _check_compatible,
+    _check_symbol,
+    _exact_prob,
     product_weights,
 )
 from .decomposition import _influences
 
 _MC_CHUNK_ENTRIES = 2_000_000
+_REFINE_TOL = 1e-6  # bisection on an exact curve stops at a bracket this narrow
 
 
 class WindowUndefinedError(ThresholdLabError):
@@ -141,6 +144,7 @@ def mc_estimate(
         raise DimensionMismatchError("need at least one sample")
     if f.q != measure.q:
         raise DimensionMismatchError("function/measure alphabet mismatch")
+    _check_symbol(f, a)
     rng = np.random.default_rng(seed)
     chunk_rows = max(1, _MC_CHUNK_ENTRIES // f.n)
     # the draws of rng.choice(q, size, p=atoms), bit for bit: the same cdf and
@@ -162,12 +166,6 @@ def mc_estimate(
     p_hat = hits / samples
     half_width = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples)
     return MCEstimate(p_hat=p_hat, half_width=half_width, samples=samples)
-
-
-def _exact_evaluator(f: QaryFunction, a: int):
-    if f.table is not None or (f.oracle is not None and f.oracle.exact_prob is not None):
-        return lambda measure: prob_value(f, measure, a)
-    return None
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -202,10 +200,11 @@ def scan_path(
     """
     if grid_size < 2:
         raise DimensionMismatchError("grid needs at least 2 points")
+    _check_compatible(f, base)
     path = MeasurePath(anchor=a, base=base)
     grid = np.linspace(0.0, 1.0, grid_size)
     if method == "exact":
-        point = _exact_evaluator(f, a)
+        point = _exact_prob(f, a)
         if point is None:
             raise TableSizeError(
                 "exact scan needs a table or structured evaluator; use method='mc'"
@@ -245,7 +244,7 @@ class ThresholdWindow:
         return dataclasses.asdict(self)
 
 
-def _locate_crossing(curve: ThresholdCurve, level: float, refine_tol: float) -> float:
+def _locate_crossing(curve: ThresholdCurve, level: float) -> float:
     grid, values = curve.grid, curve.values
     if values[0] > level or values[-1] < level:
         raise WindowUndefinedError(
@@ -256,8 +255,8 @@ def _locate_crossing(curve: ThresholdCurve, level: float, refine_tol: float) -> 
     if i == 0:
         return float(grid[0])
     lo, hi = float(grid[i - 1]), float(grid[i])
-    if curve.method == "exact" and curve.evaluator is not None:
-        while hi - lo > refine_tol:
+    if curve.evaluator is not None:
+        while hi - lo > _REFINE_TOL:
             mid = 0.5 * (lo + hi)
             if curve.evaluator(mid) < level:
                 lo = mid
@@ -270,18 +269,16 @@ def _locate_crossing(curve: ThresholdCurve, level: float, refine_tol: float) -> 
     return lo + (level - v0) * (hi - lo) / (v1 - v0)
 
 
-def threshold_window(
-    curve: ThresholdCurve, eps: float, refine_tol: float = 1e-6
-) -> ThresholdWindow:
+def threshold_window(curve: ThresholdCurve, eps: float) -> ThresholdWindow:
     """Locate where the curve crosses ``eps`` and ``1 - eps``.
 
-    Exact curves are refined by bisection down to ``refine_tol``; Monte Carlo
-    curves interpolate linearly between bracketing grid points.
+    Exact curves are refined by bisection to a bracket of width ``1e-6``;
+    Monte Carlo curves interpolate linearly between bracketing grid points.
     """
     if not 0.0 < eps <= 0.5:
         raise DimensionMismatchError(f"eps must lie in (0, 0.5], got {eps}")
-    t_lo = _locate_crossing(curve, eps, refine_tol)
-    t_hi = _locate_crossing(curve, 1.0 - eps, refine_tol)
+    t_lo = _locate_crossing(curve, eps)
+    t_hi = _locate_crossing(curve, 1.0 - eps)
     return ThresholdWindow(
         eps=eps, t_lo=t_lo, t_hi=t_hi, width=max(0.0, t_hi - t_lo), method=curve.method
     )
@@ -319,14 +316,14 @@ def simplex_sweep(
     eps: float,
     sampler: SimplexSampler,
     samples: int,
-    eta: float | None = None,
     inner_samples: int = 10_000,
 ) -> SweepReport:
     """Monte Carlo over uniform measures of the critical-set indicator.
 
-    ``eta`` is a diagnostic cutoff: the report also carries the fraction of
-    sampled measures whose conditional-off-anchor smallest atom falls below
-    it.  It defaults to ``log((1-eps)/eps) / log n``.
+    ``P[f = a]`` is exact where ``f`` allows, else nested Monte Carlo from
+    ``inner_samples`` draws.  The report also carries the fraction of sampled
+    measures whose conditional-off-anchor smallest atom falls below the
+    diagnostic cutoff ``eta = log((1-eps)/eps) / log n`` (``None`` if n < 2).
     """
     if samples < 1:
         raise DimensionMismatchError("sample budget must be positive")
@@ -334,9 +331,10 @@ def simplex_sweep(
         raise DimensionMismatchError(f"eps must lie in (0, 0.5), got {eps}")
     if sampler.q != f.q:
         raise DimensionMismatchError("sampler/function alphabet mismatch")
-    point = _exact_evaluator(f, a)
-    if eta is None and f.n >= 2:
-        eta = (math.log(1.0 - eps) - math.log(eps)) / math.log(f.n)
+    if not 0 <= a < f.q:
+        raise DimensionMismatchError(f"anchor {a} outside [0, {f.q})")
+    point = _exact_prob(f, a)
+    eta = (math.log(1.0 - eps) - math.log(eps)) / math.log(f.n) if f.n >= 2 else None
     critical = 0
     noninterior = 0
     for idx in range(samples):

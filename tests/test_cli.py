@@ -270,6 +270,20 @@ PINNED_STDOUT = [
     ("scan --family graph_property --vertices 6 --q 3 --property most_popular_color "
      "--method mc --grid 9 --samples 400 --seed 10",
      "d01a8ea05076ec7e83d4c042eb1d9c3702d27460811f796e103761e21dede1ba"),
+    # exact evaluators: printed when threshold chose between the table and the
+    # oracle's exact_prob itself, apart from core.prob_value
+    ("window --family plurality --q 3 --n 45 --tie-break smallest_index --anchor 1",
+     "c227747cf05b21659144947672031a022a8aa368f5fd82eb5747c4e0134956f0"),
+    ("scan --family plurality --q 4 --n 61 --anchor 3 --format json",
+     "7ecbf0d3691d1230b5535d7c212a854d8306c9fc7cc95d3c3adeb3b8dbb8a0df"),
+    ("sweep --family plurality --q 4 --n 63 --samples 30 --seed 5",
+     "128bc85a2704a276f27e9b8895a0eb2e80f14b9400888c1dcd4b5622df168b0e"),
+    ("sweep --family dictator --q 4 --n 5 --samples 2000 --seed 3",
+     "874287e090459418b4ea085aa8188f95784128b299625ab344c346d45a5eff07"),
+    ("scan --function {table} --anchor 2 --grid 21",
+     "b5488e27524e5e72af44a09530bfbcbd94204d14482a1698541333a9d548a7c2"),
+    ("window --function {table} --anchor 1 --eps 0.2",
+     "a45d022b9f887121f3b6f997e5fd18b71cb8258f2af491b1160dfc7e6b8e230e"),
 ]
 
 
@@ -280,7 +294,9 @@ def test_stdout_bytes_are_pinned(tmp_path, capsys, argv, digest):
     )
     path = str(tmp_path / "c.json")
     fileio.save_choice_function(choice, path)
-    rc, out, _ = run(capsys, *argv.format(choice=path).split())
+    table = str(tmp_path / "plurality-3-7.json")
+    assert main(["family", "--family", "plurality", "--q", "3", "--n", "7", "--out", table]) == 0
+    rc, out, _ = run(capsys, *argv.format(choice=path, table=table).split())
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
@@ -373,6 +389,46 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"] == "DimensionMismatchError"
 
+    @pytest.mark.parametrize("command", ["scan", "window", "sweep"])
+    @pytest.mark.parametrize(
+        "function,q",
+        [
+            ("--family plurality --q 3 --n 5", 3),
+            ("--function {table}", 3),  # plurality(3, 7) as a table
+            ("--family antisym_majority --n 3", 2),  # Monte Carlo only
+            ("--family graph_property --vertices 4 --q 2 --property max_clique_color", 2),
+        ],
+    )
+    @pytest.mark.parametrize("past", [False, True])
+    def test_anchor_out_of_range_is_exit_one(
+        self, tmp_path, capsys, command, function, q, past
+    ):
+        table = str(tmp_path / "f.json")
+        fileio.save_function(plurality(3, 7).tabulate(), table)
+        anchor = str(q) if past else "-1"
+        argv = [command, *function.format(table=table).split(), "--anchor", anchor]
+        if command == "sweep":
+            argv += ["--samples", "2", "--inner-samples", "20"]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DimensionMismatchError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "hyper", "--nmax", "0"],
+            ["--suite", "hyper", "--qmax", "1"],
+            ["--suite", "level", "--trials", "0"],
+            ["--suite", "talagrand", "--trials", "0"],
+        ],
+    )
+    def test_verify_empty_corpus_is_usage_error(self, capsys, argv):
+        rc, out, err = run(capsys, "verify", *argv)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: verify needs --trials >= 1, --qmax >= 2 and --nmax >= 1\n"
+
     def test_schema_mismatch_is_exit_one(self, tmp_path, capsys):
         measure = str(tmp_path / "mu.json")
         fileio.save_measure(ProductMeasure(2, [0.5, 0.5]), measure)
@@ -458,8 +514,6 @@ class TestInfluencesAndDecompose:
         assert (rc, err) == (0, "")
         doc = json.loads(out)
         assert len(doc["influences"]) == n
-        tal = doc["talagrand"]
-        assert tal["m2_sum"] == pytest.approx(tal["variance"], rel=0.0, abs=1e-9)
 
     @pytest.mark.parametrize("q,n,seed", [(2, 6, 1), (2, 9, 2), (3, 4, 3), (3, 5, 4), (4, 3, 5)])
     def test_influences_prints_the_two_reports(self, tmp_path, capsys, q, n, seed):

@@ -369,7 +369,6 @@ class TestTalagrandReport:
     def test_dictator_degenerate_term(self):
         rep = talagrand_report(dictator(2, 2, 0).as_real(), UNIFORM2)
         assert rep.variance == pytest.approx(0.25, abs=1e-12)
-        assert rep.m2_sum == pytest.approx(0.25, abs=1e-12)
         # the only active coordinate has equal L1 and L2 norms
         assert len(rep.terms) == 1
         assert rep.terms[0].degenerate
@@ -379,7 +378,6 @@ class TestTalagrandReport:
     def test_majority(self, majority3):
         rep = talagrand_report(majority3.indicator(0), UNIFORM2)
         assert rep.variance == pytest.approx(0.25, abs=1e-12)
-        assert rep.m2_sum == pytest.approx(rep.variance, abs=1e-9)
         assert not rep.constant_function
         assert rep.empirical_c is not None and rep.empirical_c > 0
         # hand computation: each delta is +-1/2 on half the space
@@ -395,11 +393,6 @@ class TestTalagrandReport:
         rep = talagrand_report(f, UNIFORM2)
         assert rep.constant_function
         assert rep.variance == pytest.approx(0.0, abs=1e-15)
-
-    def test_m2_identity_on_corpus(self, small_corpus):
-        for f, _, mu in small_corpus[:30]:
-            rep = talagrand_report(f, mu)
-            assert rep.m2_sum == pytest.approx(rep.variance, abs=1e-9)
 
 
 @st.composite

@@ -15,12 +15,14 @@ from threshold_lab import (
     ProductMeasure,
     QaryFunction,
     SimplexSampler,
+    TableSizeError,
     WindowUndefinedError,
     dictator,
     influence,
     jury_experiment,
     mc_estimate,
     plurality,
+    recursive_plurality,
     russo_derivative,
     russo_report,
     scan_path,
@@ -198,6 +200,10 @@ class TestScanPath:
         with pytest.raises(Exception):
             scan_path(f, 0, ProductMeasure(2, [0.5, 0.5]), grid_size=5)
 
+    def test_exact_needs_a_table_or_structured_evaluator(self):
+        with pytest.raises(TableSizeError):
+            scan_path(recursive_plurality(2, 3, 2), 0, BASE2, grid_size=5)
+
 
 def majority3_indicator_alphabet():
     pts = itertools.product((0, 1), repeat=3)
@@ -284,6 +290,16 @@ class TestMCEstimate:
         with pytest.raises(DimensionMismatchError):
             mc_estimate(f, ProductMeasure.uniform(2), 0, 0, seed=1)
 
+    @pytest.mark.parametrize("a", [-1, 2, 7])
+    def test_rejects_symbol_outside_the_codomain(self, a):
+        with pytest.raises(DimensionMismatchError):
+            mc_estimate(recursive_plurality(2, 3, 2), ProductMeasure.uniform(2), a, 100, 0)
+
+    def test_rejects_real_codomain(self):
+        f = QaryFunction.from_table(2, 2, [0.0, 1.0, 1.0, 0.0], codomain="real")
+        with pytest.raises(InvalidFunctionError):
+            mc_estimate(f, ProductMeasure.uniform(2), 1, 100, 0)
+
 
 class TestSimplexSweep:
     def test_constant_function_never_critical(self):
@@ -320,6 +336,20 @@ class TestSimplexSweep:
             f, 0, 0.1, SimplexSampler(2, seed=2), 50, inner_samples=200
         )
         assert 0.0 <= rep.estimate <= 1.0
+
+    @pytest.mark.parametrize(
+        "f,a",
+        [
+            (recursive_plurality(2, 3, 2), -1),
+            (recursive_plurality(2, 3, 2), 2),
+            # a symbol of the codomain [3] but not of the inputs' alphabet [2]
+            (QaryFunction(q=2, n=2, codomain="alphabet", out_q=3, table=[0, 1, 2, 2]), 2),
+        ],
+    )
+    def test_bad_anchor_fails_before_any_sample(self, f, a):
+        with mock.patch.object(threshold, "mc_estimate", side_effect=AssertionError("sampled")):
+            with pytest.raises(DimensionMismatchError):
+                simplex_sweep(f, a, 0.1, SimplexSampler(2, seed=2), 5, inner_samples=20)
 
 
 class TestJuryExperiment:
