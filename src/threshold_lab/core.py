@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -70,12 +71,8 @@ def index_of(x: Sequence[int], q: int) -> int:
 
 def points_of(indices: np.ndarray, q: int, n: int) -> np.ndarray:
     """Decode table indices into an ``(N, n)`` array of coordinates."""
-    idx = np.asarray(indices, dtype=np.int64).copy()
-    out = np.empty((idx.shape[0], n), dtype=np.int64)
-    for j in range(n - 1, -1, -1):
-        out[:, j] = idx % q
-        idx //= q
-    return out
+    idx = np.asarray(indices, dtype=np.int64)
+    return np.stack(np.unravel_index(idx, (q,) * n), axis=1)
 
 
 def all_points(q: int, n: int) -> np.ndarray:
@@ -298,11 +295,7 @@ class QaryFunction:
         if self.table is not None:
             if points.size and (points.min() < 0 or points.max() >= self.q):
                 raise DimensionMismatchError(f"coordinates must lie in [0, {self.q})")
-            idx = np.zeros(points.shape[0], dtype=np.int64)
-            for j in range(self.n):
-                # int64 + uint64 would promote to float64
-                idx = idx * self.q + points[:, j].astype(np.int64, copy=False)
-            return self.table[idx]
+            return self.table[np.ravel_multi_index(tuple(points.T), (self.q,) * self.n)]
         return self.oracle.batch(points)
 
     def tabulate(self) -> "QaryFunction":
@@ -322,10 +315,10 @@ class QaryFunction:
         block = q**low
         high = n - low
         buf = np.empty((block, n), dtype=np.int64)
-        buf[:, high:] = points_of(np.arange(block), q, low)
+        buf[:, high:] = np.indices((q,) * low).reshape(low, block).T
         points = buf.view()
         points.setflags(write=False)
-        for b, digits in enumerate(points_of(np.arange(q**high), q, high)):
+        for b, digits in enumerate(itertools.product(range(q), repeat=high)):
             buf[:, :high] = digits
             values[b * block : (b + 1) * block] = self.batch(points)
         return QaryFunction(
@@ -378,7 +371,8 @@ def permute_input_symbols(f: QaryFunction, perm: Sequence[int]) -> QaryFunction:
     )
 
 
-def _check_compatible(f: QaryFunction, measure: ProductMeasure) -> None:
+def _check_compatible(f: QaryFunction, measure: ProductMeasure | SimplexSampler) -> None:
+    """Refuse a measure, or a sampler of measures, on another alphabet than ``f``'s."""
     if f.q != measure.q:
         raise DimensionMismatchError(
             f"function alphabet {f.q} != measure alphabet {measure.q}"
@@ -463,12 +457,24 @@ def conditional_expectation(
     return QaryFunction(q=f.q, n=f.n, codomain="real", out_q=None, table=table)
 
 
+def _categorical(rng: np.random.Generator, probs: np.ndarray, shape: tuple) -> np.ndarray:
+    """The draws of ``rng.choice(len(probs), size=shape, p=probs)``, bit for bit: the
+    same cdf and uniforms, inverted by comparisons (``searchsorted(side="right")``
+    counts the cdf entries ``<= u``) into the narrowest unsigned dtype."""
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    U = rng.random(shape)
+    X = np.zeros(shape, dtype=np.min_scalar_type(len(probs) - 1))
+    for edge in cdf[:-1]:
+        X += U >= edge
+    return X
+
+
 class SimplexSampler:
     """Seeded stream of uniform samples from the probability simplex on ``[q]``.
 
     Uniformity comes from normalizing independent unit-exponential draws.
-    Samplers are the only stateful objects in the package: confine one to a
-    thread, or derive independent children with :meth:`split`.
+    Samplers are the only stateful objects in the package.
     """
 
     def __init__(self, q: int, seed: int):
@@ -481,14 +487,6 @@ class SimplexSampler:
     def sample(self) -> ProductMeasure:
         draws = self._rng.exponential(size=self.q)
         return ProductMeasure(self.q, draws / draws.sum())
-
-    def split(self, k: int) -> list["SimplexSampler"]:
-        """Derive ``k`` independent samplers deterministically from the seed."""
-        children = []
-        for i in range(k):
-            child_seed = int(np.random.SeedSequence((self.seed, i)).generate_state(1)[0])
-            children.append(SimplexSampler(self.q, child_seed))
-        return children
 
 
 @dataclasses.dataclass(frozen=True)

@@ -10,23 +10,21 @@ coordinate difference is ``delta_i f = f - E_i f`` and the influence of ``i``
 is its squared L2 norm, the expected variance of ``f`` along coordinate ``i``.
 
 ``E_i`` has one kernel, ``core._axis_mean`` on the ``(q**i, q, q**(n-1-i))``
-view ``core._axis_view``, shared by :func:`efron_stein`, ``_noise``,
+view ``core._axis_view``, shared by the component store, ``_noise``,
 :func:`delta_i`, ``conditional_expectation`` and the Russo restriction sums.
 
-Only :func:`efron_stein` (and the CLI's ``decompose`` built on it) stores the
-components, ``2**n`` tables of ``q**n`` entries.  The reports and verifiers
-hold ``q**n`` entries at a time and make one pass per coordinate:
+Each spectral quantity has one implementation, holding ``q**n`` entries at
+a time and making one pass per coordinate, shared by the decomposition, the
+reports and the verifiers:
 
-* ``_difference_norms``, the one difference pass (a ``delta_i`` table per
-  coordinate against one weight table), gives :func:`influence_report`,
-  :func:`talagrand_report` and the Russo influence sums their L_p norms;
-* :func:`verify_hypercontractivity` uses ``_noise``,
-  ``T_theta = prod_i (theta I + (1 - theta) E_i)``;
-* :func:`verify_level_bound` and :func:`verify_level_bounds` (every level
-  from one pass) use ``_subset_norms``:
-  coefficients in a basis orthonormal under the measure with the constant
-  first on every axis, squared and summed per axis into constant and
-  non-constant parts, which gives ``||f_S||^2`` for every ``S``.
+* ``_delta``, and ``_difference_norms`` (a ``delta_i`` table per coordinate
+  against one weight table) for the L_p norms of the influence, Talagrand
+  and Russo reports;
+* ``_noise``, ``T_theta = prod_i (theta I + (1 - theta) E_i)``;
+* ``_subset_norms``, ``||f_S||^2`` for every ``S`` at once.
+
+Only the ``2**n`` component tables of ``q**n`` entries are stored, and only
+when read: by ``component``, ``reconstruction`` and the ``decompose`` export.
 
 All values are exact over dense tables.
 """
@@ -34,6 +32,7 @@ All values are exact over dense tables.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -78,7 +77,7 @@ def _noise(f: QaryFunction, measure: ProductMeasure, theta: float) -> np.ndarray
     """``T_theta f = prod_i (theta I + (1 - theta) E_i) f``, one pass per axis.
 
     Expanding the product gives ``sum_S theta**|S| f_S``, the attenuation of
-    :func:`noise_operator`, without the components.
+    :func:`noise_operator`, without building the components.
     """
     out = np.array(f.table, dtype=float)
     for i in range(f.n):
@@ -121,17 +120,45 @@ def _subset_norms(f: QaryFunction, measure: ProductMeasure) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class EfronSteinDecomposition:
-    """All ``2**n`` orthogonal components of ``f`` under a product measure.
+    """The orthogonal decomposition of the real table ``f`` under a product measure.
 
     ``components[mask]`` is the dense table of the component for the subset
-    whose bitmask is ``mask`` (bit i <-> coordinate i).  Components sum to
-    ``f`` pointwise and are pairwise orthogonal in L2 of the measure.
+    whose bitmask is ``mask`` (bit i <-> coordinate i), built on first read.
+    Components sum to ``f`` pointwise and are pairwise orthogonal in L2 of
+    the measure.
     """
 
-    q: int
-    n: int
+    f: QaryFunction
     measure: ProductMeasure
-    components: np.ndarray  # shape (2**n, q**n)
+
+    @property
+    def q(self) -> int:
+        return self.f.q
+
+    @property
+    def n(self) -> int:
+        return self.f.n
+
+    @functools.cached_property
+    def components(self) -> np.ndarray:
+        """Every component table, shape ``(2**n, q**n)``, capped at ``2**24`` entries."""
+        q, n = self.q, self.n
+        size = self.f.table.shape[0]
+        if (1 << n) * size > MAX_TABLE_SIZE:
+            raise TableSizeError(f"decomposition storage 2**{n} * {q}**{n} exceeds the cap")
+        # row ``mask`` holds f with (I - E_j) applied for each j in mask and E_j for
+        # each coordinate j < i outside it; step i splits every row with mask < 2**i
+        # into E_i (kept in place) and I - E_i (written to row mask | 2**i), one row
+        # at a time so no temporary grows to the size of the store
+        tables = np.empty((1 << n, size))
+        tables[0] = self.f.table
+        for i in range(n):
+            for mask in range(1 << i):
+                row = _axis_view(tables[mask], q, n, i)
+                mean = _axis_mean(row, self.measure.atoms)
+                np.subtract(row, mean, out=_axis_view(tables[mask | 1 << i], q, n, i))
+                row[...] = mean
+        return tables
 
     def component(self, subset) -> np.ndarray:
         """The component table for ``subset`` (bitmask or coordinate iterable)."""
@@ -141,7 +168,7 @@ class EfronSteinDecomposition:
             mask = 0
             for i in subset:
                 mask |= 1 << int(i)
-        if not 0 <= mask < self.components.shape[0]:
+        if not 0 <= mask < 1 << self.n:
             raise DimensionMismatchError(f"subset mask {mask} out of range")
         return self.components[mask]
 
@@ -149,54 +176,31 @@ class EfronSteinDecomposition:
         return self.components.sum(axis=0)
 
     def delta(self, i: int) -> np.ndarray:
-        """Sum of the components whose subset contains coordinate ``i``."""
-        return (np.arange(self.components.shape[0]) >> i & 1) @ self.components
+        """``delta_i f``: the sum of the components whose subset contains ``i``."""
+        return _delta(self.f, self.measure, i)
 
     def squared_norms(self) -> np.ndarray:
-        """Per-subset squared L2 norms under the measure."""
-        w = product_weights(self.measure, self.n)
-        return np.einsum("sx,sx,x->s", self.components, self.components, w)
-
-    def level_mass(self, k: int) -> float:
-        """Total squared norm at subsets of size exactly ``k``."""
-        return float(self.squared_norms()[_subset_sizes(self.n) == k].sum())
+        """Per-subset squared L2 norms under the measure, in mask order."""
+        return _subset_norms(self.f, self.measure)
 
 
 def efron_stein(f: QaryFunction, measure: ProductMeasure) -> EfronSteinDecomposition:
-    """Compute the full orthogonal decomposition of a tabulated real function."""
+    """The orthogonal decomposition of a tabulated real function, components unbuilt."""
     f = _as_real_table(f, measure)
     measure.require_positive("orthogonal decomposition")
-    size = f.table.shape[0]
-    n_masks = 1 << f.n
-    if n_masks * size > MAX_TABLE_SIZE:
-        raise TableSizeError(
-            f"decomposition storage 2**{f.n} * {f.q}**{f.n} exceeds the cap"
-        )
-    # row ``mask`` holds f with (I - E_j) applied for each j in mask and E_j for
-    # each coordinate j < i outside it; step i splits every row with mask < 2**i
-    # into E_i (kept in place) and I - E_i (written to row mask | 2**i), one row
-    # at a time so no temporary grows to the size of the store
-    tables = np.empty((n_masks, size))
-    tables[0] = f.table
-    for i in range(f.n):
-        for mask in range(1 << i):
-            row = _axis_view(tables[mask], f.q, f.n, i)
-            mean = _axis_mean(row, measure.atoms)
-            np.subtract(row, mean, out=_axis_view(tables[mask | 1 << i], f.q, f.n, i))
-            row[...] = mean
-    return EfronSteinDecomposition(q=f.q, n=f.n, measure=measure, components=tables)
+    return EfronSteinDecomposition(f=f, measure=measure)
 
 
 def delta_i(f: QaryFunction, measure: ProductMeasure, i: int) -> QaryFunction:
     """``f`` minus its conditional mean given every coordinate except ``i``."""
     f = _as_real_table(f, measure)
-    if not 0 <= i < f.n:
-        raise DimensionMismatchError(f"coordinate {i} outside [0, {f.n})")
     return QaryFunction(q=f.q, n=f.n, codomain="real", out_q=None, table=_delta(f, measure, i))
 
 
 def _delta(f: QaryFunction, measure: ProductMeasure, i: int) -> np.ndarray:
     """The table of ``delta_i f = f - E_i f``, made from one copy of ``f``'s table."""
+    if not 0 <= i < f.n:
+        raise DimensionMismatchError(f"coordinate {i} outside [0, {f.n})")
     out = np.array(f.table)
     view = _axis_view(out, f.q, f.n, i)
     view -= _axis_mean(view, measure.atoms)
@@ -268,7 +272,7 @@ def noise_operator(d: EfronSteinDecomposition, theta: float) -> QaryFunction:
     """Attenuate each component by ``theta`` to the power of its subset size."""
     if not 0.0 <= theta <= 1.0:
         raise DimensionMismatchError(f"noise parameter {theta} outside [0, 1]")
-    table = (theta ** _subset_sizes(d.n)) @ d.components
+    table = _noise(d.f, d.measure, theta)
     return QaryFunction(q=d.q, n=d.n, codomain="real", out_q=None, table=table)
 
 

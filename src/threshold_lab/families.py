@@ -8,6 +8,7 @@ Poissonized counts, that works at every (q, n), far beyond the table cap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -79,8 +80,13 @@ class _PluralityExact:
         self._counts = np.arange(n + 1.0)
         # an accurate log-gamma: a cumulative sum of logs drifts by 4e-11 at n = 3051
         self._log_factorials = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
-        nodes, weights = np.polynomial.legendre.leggauss((q + 1) // 2)
-        self._nodes, self._weights = (nodes + 1) / 2, weights / 2
+
+    @functools.cached_property
+    def _gauss_legendre(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``ceil(q/2)`` nodes and weights on [0, 1], made on first use so that
+        building the oracle leaves ``numpy.polynomial`` unimported."""
+        nodes, weights = np.polynomial.legendre.leggauss((self.q + 1) // 2)
+        return (nodes + 1) / 2, weights / 2
 
     def __call__(self, measure: ProductMeasure, a: int) -> float:
         if measure.q != self.q:
@@ -105,7 +111,8 @@ class _PluralityExact:
         others = np.arange(q - 1)
         others[a:] += 1
         if self.tie_break == "first_occurrence":
-            y, weights = np.repeat(self._nodes[:, None], q - 1, axis=1), self._weights
+            nodes, weights = self._gauss_legendre
+            y = np.repeat(nodes[:, None], q - 1, axis=1)
         else:
             y, weights = (others > a)[None, :].astype(float), np.ones(1)
         *inner, last = others

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .core import DimensionMismatchError, ThresholdLabError
+from .core import DimensionMismatchError, ThresholdLabError, _categorical
 from .families import plurality_winners
 
 
@@ -410,7 +410,7 @@ def indeterminacy_experiment(
             weights=weights_out,
         )
     rng = np.random.default_rng(seed)
-    draws = rng.choice(len(orders), size=(trials, n_voters), p=probs)
+    draws = _categorical(rng, probs, (trials, n_voters))
     per_subset = {}
     joint = np.ones(trials, dtype=bool)
     for row, mask in enumerate(masks):

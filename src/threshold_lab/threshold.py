@@ -24,6 +24,7 @@ from .core import (
     ThresholdLabError,
     _axis_mean,
     _axis_view,
+    _categorical,
     _check_compatible,
     _check_symbol,
     _exact_prob,
@@ -54,8 +55,7 @@ def _restriction_sums(f: QaryFunction, path: MeasurePath, t: float) -> tuple[flo
     """The Russo derivative and the mixed conditional-variance sum, from one
     pass over the restrictions of ``f`` to each coordinate."""
     f = _binary_table(f)
-    if f.q != path.q:
-        raise DimensionMismatchError("function/path alphabet mismatch")
+    _check_compatible(f, path.base)
     witness = anchored_monotone_violation(f, path.anchor)
     if witness is not None:
         raise InvalidFunctionError(
@@ -142,25 +142,15 @@ def mc_estimate(
     """Unbiased Monte Carlo estimate of ``P[f = a]`` with a 95% half-width."""
     if samples < 1:
         raise DimensionMismatchError("need at least one sample")
-    if f.q != measure.q:
-        raise DimensionMismatchError("function/measure alphabet mismatch")
+    _check_compatible(f, measure)
     _check_symbol(f, a)
     rng = np.random.default_rng(seed)
     chunk_rows = max(1, _MC_CHUNK_ENTRIES // f.n)
-    # the draws of rng.choice(q, size, p=atoms), bit for bit: the same cdf and
-    # uniforms, inverted by q - 1 comparisons (searchsorted(side="right")
-    # counts the cdf entries <= u) into the narrowest unsigned dtype
-    cdf = measure.atoms.cumsum()
-    cdf /= cdf[-1]
-    symbol = np.min_scalar_type(f.q - 1)
     hits = 0
     remaining = samples
     while remaining > 0:
         rows = min(chunk_rows, remaining)
-        U = rng.random((rows, f.n))
-        X = np.zeros((rows, f.n), dtype=symbol)
-        for edge in cdf[:-1]:
-            X += U >= edge
+        X = _categorical(rng, measure.atoms, (rows, f.n))
         hits += int((f.batch(X) == a).sum())
         remaining -= rows
     p_hat = hits / samples
@@ -329,8 +319,7 @@ def simplex_sweep(
         raise DimensionMismatchError("sample budget must be positive")
     if not 0.0 < eps < 0.5:
         raise DimensionMismatchError(f"eps must lie in (0, 0.5), got {eps}")
-    if sampler.q != f.q:
-        raise DimensionMismatchError("sampler/function alphabet mismatch")
+    _check_compatible(f, sampler)
     if not 0 <= a < f.q:
         raise DimensionMismatchError(f"anchor {a} outside [0, {f.q})")
     point = _exact_prob(f, a)
@@ -399,8 +388,7 @@ def jury_experiment(
     The function is expected to be fair and monotone (as the built-in
     families are by construction, verified exhaustively at small sizes).
     """
-    if f.q != measure.q:
-        raise DimensionMismatchError("function/measure alphabet mismatch")
+    _check_compatible(f, measure)
     if not 0 <= i < f.q:
         raise DimensionMismatchError(f"leader {i} outside [0, {f.q})")
     atoms = measure.atoms

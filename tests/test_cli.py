@@ -563,3 +563,9 @@ class TestInfluencesAndDecompose:
         assert rc == 0
         doc = json.loads(out)
         assert len(doc["components"]) == 4
+
+    def test_decompose_past_the_store_cap_fails(self, capsys):
+        # 2**13 * 2**13 component entries exceed the 2**24 cap
+        rc, out, err = run(capsys, "decompose", "--family", "plurality", "--q", "2", "--n", "13")
+        assert (rc, out) == (1, "")
+        assert json.loads(err)["error"] == "TableSizeError"

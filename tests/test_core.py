@@ -217,13 +217,6 @@ class TestSimplexSampler:
         for _ in range(5):
             assert np.array_equal(a.sample().atoms, b.sample().atoms)
 
-    def test_split_streams_differ_and_are_deterministic(self):
-        children = SimplexSampler(2, seed=5).split(2)
-        again = SimplexSampler(2, seed=5).split(2)
-        s0, s1 = children[0].sample(), children[1].sample()
-        assert not np.array_equal(s0.atoms, s1.atoms)
-        assert np.array_equal(s0.atoms, again[0].sample().atoms)
-
 
 class TestMeasurePath:
     def test_requires_zero_anchor_mass(self):

@@ -12,6 +12,7 @@ from threshold_lab import (
     InvalidFunctionError,
     ProductMeasure,
     QaryFunction,
+    TableSizeError,
     conditional_expectation,
     delta_i,
     dictator,
@@ -27,6 +28,7 @@ from threshold_lab import (
     verify_level_bound,
     verify_level_bounds,
 )
+from threshold_lab.decomposition import _subset_sizes
 
 from oracles import (
     enum_component,
@@ -100,6 +102,8 @@ class TestEfronStein:
             d = efron_stein(f, mu)
             w = product_weights(mu, f.n)
             norms = d.squared_norms()
+            # the norm kernel against the component store
+            assert np.allclose(norms, d.components**2 @ w, rtol=0.0, atol=1e-9)
             for m1 in masks_of(f.n):
                 for m2 in masks_of(f.n):
                     if m1 < m2:
@@ -113,6 +117,37 @@ class TestEfronStein:
         f = QaryFunction.from_table(2, 1, [0.0, 1.0], codomain="real")
         with pytest.raises(DegenerateMeasureError):
             efron_stein(f, ProductMeasure(2, [0.0, 1.0]))
+
+    def test_norms_and_noise_past_the_store_cap(self):
+        from threshold_lab import plurality
+        from threshold_lab.core import product_weights
+
+        # 2**16 * 2**16 entries would exceed the store cap; the kernels read 2**16
+        f = plurality(2, 16).as_real()
+        mu = ProductMeasure(2, [0.3, 0.7])
+        d = efron_stein(f, mu)
+        w = product_weights(mu, f.n)
+        mean = float(w @ f.table)
+        norms = d.squared_norms()
+        assert norms.shape == (1 << 16,)
+        assert norms.sum() == pytest.approx(float(w @ f.table**2), abs=1e-9)
+        assert norms[1:].sum() == pytest.approx(float(w @ (f.table - mean) ** 2), abs=1e-9)
+        noisy = noise_operator(d, 0.5)
+        assert noisy.table.shape == (1 << 16,)
+        # the noise operator keeps the mean
+        assert float(w @ noisy.table) == pytest.approx(mean, abs=1e-9)
+        assert np.array_equal(d.delta(3), delta_i(f, mu, 3).table)
+        with pytest.raises(TableSizeError):
+            d.components
+        with pytest.raises(TableSizeError):
+            d.component(0)
+
+    def test_components_are_built_on_first_read_and_kept(self):
+        d = efron_stein(dictator(2, 2, 0).as_real(), UNIFORM2)
+        assert "components" not in vars(d)
+        store = d.components
+        assert d.components is store
+        assert d.component(0b01).base is store
 
 
 class TestDeltaAndInfluence:
@@ -135,8 +170,16 @@ class TestDeltaAndInfluence:
         for f, _, mu in small_corpus[:20]:
             d = efron_stein(f, mu)
             for i in range(f.n):
-                direct = delta_i(f, mu, i)
-                assert np.allclose(direct.table, d.delta(i), atol=1e-9)
+                # the difference kernel against the component store
+                store_sum = (np.arange(2**f.n) >> i & 1) @ d.components
+                assert np.allclose(delta_i(f, mu, i).table, store_sum, atol=1e-9)
+                assert np.allclose(d.delta(i), store_sum, atol=1e-9)
+
+    def test_decomposition_delta_rejects_bad_coordinates(self):
+        d = efron_stein(dictator(2, 2, 0).as_real(), UNIFORM2)
+        for i in (-1, 2):
+            with pytest.raises(DimensionMismatchError):
+                d.delta(i)
 
     def test_dictator_influences(self):
         f = dictator(2, 2, 0).as_real()
@@ -246,6 +289,14 @@ class TestNoiseOperator:
         out = noise_operator(d, 0.5)
         expected = 0.5 + 0.5 * (np.array([0.0, 1.0]) - 0.5)
         assert np.allclose(out.table, expected)
+
+    def test_equals_attenuated_component_sum(self, small_corpus):
+        # the noise kernel against the component store
+        for f, _, mu in small_corpus[:30]:
+            d = efron_stein(f, mu)
+            for theta in (0.0, 0.3, 1.0):
+                store_sum = (theta ** _subset_sizes(f.n)) @ d.components
+                assert np.allclose(noise_operator(d, theta).table, store_sum, rtol=0.0, atol=1e-9)
 
     def test_rejects_out_of_range(self, majority3):
         d = efron_stein(majority3.indicator(0), UNIFORM2)

@@ -1,11 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import threshold_lab
 from threshold_lab import (
     DimensionMismatchError,
     ProductMeasure,
@@ -428,3 +432,21 @@ def test_batch_is_the_same_on_every_integer_dtype(rng, f):
         assert (got == want).all()
     # a non-integer array is cast, as before
     assert (f.batch(X.astype(float)) == want).all()
+
+
+def test_building_plurality_leaves_numpy_polynomial_unloaded():
+    # the Gauss-Legendre nodes are made on the first first_occurrence evaluation
+    src = os.path.dirname(os.path.dirname(threshold_lab.__file__))
+    code = (
+        "import sys\n"
+        "from threshold_lab import ProductMeasure, plurality, prob_value\n"
+        "f = plurality(3, 501)\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+        "prob_value(f, ProductMeasure.uniform(3), 0)\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.split() == ["False", "True"]

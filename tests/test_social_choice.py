@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshold_lab import (
     ChoiceFunction,
@@ -19,6 +21,7 @@ from threshold_lab import (
     plurality_choice,
     saari_search,
 )
+from threshold_lab.core import _categorical
 from threshold_lab.social_choice import nonempty_subsets, subset_mask, subset_members
 
 
@@ -358,3 +361,21 @@ class TestBordaChoice:
                         assert winner == a
                     elif beats[b, a]:
                         assert winner == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    weights=st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=24
+    ).filter(lambda w: sum(w) > 0),
+    trials=st.integers(1, 30),
+    voters=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_order_draws_are_rng_choice_bitwise(weights, trials, voters, seed):
+    # indeterminacy_experiment draws its orders from a weight vector of up to m! entries
+    probs = np.array(weights) / sum(weights)
+    got = _categorical(np.random.default_rng(seed), probs, (trials, voters))
+    want = np.random.default_rng(seed).choice(len(probs), size=(trials, voters), p=probs)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
