@@ -113,12 +113,6 @@ class ProductMeasure:
     def uniform(cls, q: int) -> "ProductMeasure":
         return cls(q, np.full(q, 1.0 / q))
 
-    @classmethod
-    def point_mass(cls, q: int, a: int) -> "ProductMeasure":
-        atoms = np.zeros(q)
-        atoms[a] = 1.0
-        return cls(q, atoms)
-
     def min_atom(self) -> float:
         return float(self.atoms.min())
 

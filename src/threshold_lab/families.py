@@ -2,12 +2,15 @@
 antisymmetric majority, dictators.
 
 Families are pure oracles with vectorized evaluators; small instances
-tabulate on demand.  Plurality carries an exact probability evaluator, by
-Poissonized counts, that works at every (q, n), far beyond the table cap.
+tabulate on demand.  One gate routine finds every plurality winner: flat
+plurality, each tree level and the most-popular-colour property.  Plurality
+carries an exact probability evaluator, by Poissonized counts, that works at
+every (q, n), far beyond the table cap.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -20,6 +23,8 @@ from .core import (
     Oracle,
     ProductMeasure,
     QaryFunction,
+    _check_compatible,
+    _check_symbol,
 )
 
 TIE_BREAKS = ("first_occurrence", "smallest_index")
@@ -30,32 +35,60 @@ def _check_tie_break(tie_break: str) -> None:
         raise InvalidFunctionError(f"unknown tie break {tie_break!r}; use one of {TIE_BREAKS}")
 
 
+# gates up to this width count their inputs one column at a time, wider ones
+# each symbol in one reduction: the two cross at 8-9 on tabulate's int64 blocks
+_COLUMN_COUNT_MAX_ARITY = 8
+
+
+def _gate_winners(Y: np.ndarray, q: int, arity: int, tie_break: str) -> np.ndarray:
+    """The int64 winner of each ``arity``-wide gate of each row of ``Y``: gate
+    g of row r reads ``Y[r, g*arity:(g+1)*arity]``.
+
+    Under ``smallest_index`` only a strictly larger count moves the winner, so
+    a tie keeps the smallest symbol.  Under ``first_occurrence`` the first
+    input column holding a tied top symbol wins.
+    """
+    counter = np.min_scalar_type(arity)
+    # the j-th input of every gate is the strided slice Y[:, j::arity]
+    if arity <= _COLUMN_COUNT_MAX_ARITY:
+        counts = np.zeros((q, Y.shape[0], Y.shape[1] // arity), dtype=counter)
+        for v in range(q):
+            for j in range(arity):
+                counts[v] += Y[:, j::arity] == v
+    else:
+        gates = Y.reshape(Y.shape[0], -1, arity)
+        counts = np.stack([np.add.reduce(gates == v, axis=2, dtype=counter) for v in range(q)])
+    top = counts[0]
+    winners = np.zeros(top.shape, dtype=np.int64)
+    for v in range(1, q):
+        np.copyto(winners, v, where=counts[v] > top)
+        top = np.maximum(top, counts[v])
+    if tie_break == "smallest_index":
+        return winners
+    at_top = counts == top
+    unresolved = at_top.sum(axis=0, dtype=counter) > 1
+    for j in range(arity):
+        if not unresolved.any():
+            break
+        column = Y[:, j::arity]
+        first = np.take_along_axis(at_top, column[None], axis=0)[0] & unresolved
+        np.copyto(winners, column, where=first)
+        unresolved &= ~first
+    return winners
+
+
 def plurality_winners(X: np.ndarray, q: int, tie_break: str = "first_occurrence") -> np.ndarray:
     """Row-wise plurality winner of an ``(N, n)`` array of symbols, in any
-    integer dtype.
+    integer dtype: the one-gate case of the tree gates, with their tie rules.
 
-    ``first_occurrence`` resolves ties toward the tied symbol appearing
-    earliest in the row: fair and monotone, but ties make it sensitive to
-    the voter order, so it is not anonymous.  ``smallest_index`` prefers the
-    smaller symbol: anonymous and monotone, but not fair.  With q = 2 and
-    odd n ties never occur and the two rules coincide.
+    ``first_occurrence`` is fair and monotone, but ties make it sensitive to
+    the voter order, so it is not anonymous.  ``smallest_index`` is anonymous
+    and monotone, but not fair.  With q = 2 and odd n ties never occur and the
+    two rules coincide.
     """
     _check_tie_break(tie_break)
     X = np.asarray(X)
-    counts = np.stack([np.count_nonzero(X == v, axis=1) for v in range(q)], axis=1)
-    tied = counts == counts.max(axis=1, keepdims=True)
-    # the first maximum is the smallest tied symbol
-    winners = tied.argmax(axis=1)
-    if tie_break == "smallest_index":
-        return winners
-    rows = np.flatnonzero(np.count_nonzero(tied, axis=1) > 1)
-    X, n = X[rows], X.shape[1]
-    first = np.empty((rows.size, q), dtype=np.int64)
-    for v in range(q):
-        hit = X == v
-        first[:, v] = np.where(hit.any(axis=1), hit.argmax(axis=1), n)
-    winners[rows] = np.where(tied[rows], first, n + 1).argmin(axis=1)
-    return winners
+    return _gate_winners(X, q, X.shape[1], tie_break)[:, 0]
 
 
 class _PluralityExact:
@@ -89,8 +122,7 @@ class _PluralityExact:
         return (nodes + 1) / 2, weights / 2
 
     def __call__(self, measure: ProductMeasure, a: int) -> float:
-        if measure.q != self.q:
-            raise DimensionMismatchError("measure alphabet mismatch")
+        _check_compatible(self, measure)
         if not 0 <= a < self.q:
             raise DimensionMismatchError(f"symbol {a} outside [0, {self.q})")
         q, n = self.q, self.n
@@ -180,41 +212,11 @@ def recursive_plurality(
     if arity < 2 or depth < 1:
         raise DimensionMismatchError("need arity >= 2 and depth >= 1")
     n = arity**depth
-    counter = np.min_scalar_type(arity)
-
-    def gates(Y: np.ndarray) -> np.ndarray:
-        # gate g reads columns g*arity .. g*arity + arity - 1, so its j-th
-        # input, across all gates, is the strided slice Y[:, j::arity]
-        inputs = [Y[:, j::arity] for j in range(arity)]
-        counts = np.zeros((q,) + inputs[0].shape, dtype=counter)
-        for v in range(q):
-            for column in inputs:
-                counts[v] += column == v
-        # only a strictly larger count moves the winner, so ties keep the
-        # smallest symbol
-        top = counts[0]
-        winners = np.zeros(top.shape, dtype=np.int64)
-        for v in range(1, q):
-            np.copyto(winners, v, where=counts[v] > top)
-            top = np.maximum(top, counts[v])
-        if tie_break == "smallest_index":
-            return winners
-        # first occurrence: in a gate with two symbols at its top count (none
-        # at q = 2 with odd arity), the tied symbol at the earliest input wins
-        at_top = counts == top
-        unresolved = at_top.sum(axis=0, dtype=counter) > 1
-        for column in inputs:
-            if not unresolved.any():
-                break
-            first = np.take_along_axis(at_top, column[None], axis=0)[0] & unresolved
-            np.copyto(winners, column, where=first)
-            unresolved &= ~first
-        return winners
 
     def batch(X: np.ndarray) -> np.ndarray:
         Y = np.asarray(X)
-        while Y.shape[1] > 1:
-            Y = gates(Y)
+        for _ in range(depth):
+            Y = _gate_winners(Y, q, arity, tie_break)
         return Y[:, 0]
 
     oracle = Oracle(
@@ -277,6 +279,12 @@ def graph_property(vertices: int, q: int, property_kind: str) -> QaryFunction:
         )
     edges = edge_list(vertices)
     n = len(edges)
+    params = {"vertices": vertices, "q": q, "property_kind": property_kind}
+    if property_kind == "most_popular_color":
+        # plurality over the edge colours, exact law included
+        plur = plurality(q, n, "smallest_index").oracle
+        oracle = dataclasses.replace(plur, name="graph_property", params=params)
+        return QaryFunction.from_oracle(q, n, oracle)
     # vertex subsets grouped by size, with the indices of their internal edges
     subsets_by_size: list[tuple[int, list[int]]] = []
     for size in range(2, vertices + 1):
@@ -286,8 +294,6 @@ def graph_property(vertices: int, q: int, property_kind: str) -> QaryFunction:
             subsets_by_size.append((size, idxs))
 
     def batch(X: np.ndarray) -> np.ndarray:
-        if property_kind == "most_popular_color":
-            return plurality_winners(X, q, "smallest_index")
         X = np.asarray(X)
         score = np.ones((X.shape[0], q), dtype=np.int64)  # singletons: clique and independent
         for size, idxs in subsets_by_size:
@@ -302,11 +308,7 @@ def graph_property(vertices: int, q: int, property_kind: str) -> QaryFunction:
             return score.argmax(axis=1)
         return score.argmin(axis=1)
 
-    oracle = Oracle(
-        name="graph_property",
-        params={"vertices": vertices, "q": q, "property_kind": property_kind},
-        batch=batch,
-    )
+    oracle = Oracle(name="graph_property", params=params, batch=batch)
     return QaryFunction.from_oracle(q, n, oracle)
 
 
@@ -348,8 +350,8 @@ def dictator(q: int, n: int, coord: int = 0) -> QaryFunction:
         raise DimensionMismatchError(f"coordinate {coord} outside [0, {n})")
 
     def exact_prob(measure: ProductMeasure, a: int) -> float:
-        if measure.q != q:
-            raise DimensionMismatchError("measure alphabet mismatch")
+        _check_compatible(f, measure)
+        _check_symbol(f, a)
         return float(measure.atoms[a])
 
     oracle = Oracle(
@@ -358,7 +360,8 @@ def dictator(q: int, n: int, coord: int = 0) -> QaryFunction:
         batch=lambda X: np.asarray(X)[:, coord].astype(np.int64),
         exact_prob=exact_prob,
     )
-    return QaryFunction.from_oracle(q, n, oracle)
+    f = QaryFunction.from_oracle(q, n, oracle)
+    return f
 
 
 #: Registry used by function files of the form {"oracle": name, "params": {...}}.

@@ -158,6 +158,20 @@ class TestScanCommand:
         doc = json.loads(out)
         assert 0 < doc["width"] < 1
 
+    def test_most_popular_color_window_is_exact(self, capsys):
+        # the colour property is plurality over the 15 edges of K6
+        rc, out, _ = run(
+            capsys, "window", "--family", "graph_property", "--vertices", "6", "--q", "3",
+            "--property", "most_popular_color",
+        )
+        assert rc == 0
+        assert json.loads(out)["method"] == "exact"
+        rc, same, _ = run(
+            capsys, "window", "--family", "plurality", "--q", "3", "--n", "15",
+            "--tie-break", "smallest_index",
+        )
+        assert out == same
+
 
 class TestPastTheEnumeration:
     """plurality(5, 83) has 2,225,895 count vectors, past what was enumerated."""

@@ -28,7 +28,12 @@ from threshold_lab import (
     resolve_oracle,
     scan_path,
 )
-from threshold_lab.families import TIE_BREAKS, edge_list, plurality_winners
+from threshold_lab.families import (
+    _COLUMN_COUNT_MAX_ARITY,
+    TIE_BREAKS,
+    edge_list,
+    plurality_winners,
+)
 
 from oracles import (
     enum_compositions,
@@ -275,6 +280,20 @@ class TestGraphProperty:
         f = graph_property(3, 2, kind).tabulate()
         assert check_monotone(f).passed
 
+    @pytest.mark.parametrize("vertices,q", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
+    def test_most_popular_color_is_plurality_with_its_exact_law(self, rng, vertices, q):
+        f = graph_property(vertices, q, "most_popular_color")
+        table = f.tabulate()
+        assert (table.table == plurality(q, f.n, "smallest_index").tabulate().table).all()
+        for k in range(10):
+            atoms = rng.dirichlet(np.ones(q))
+            if k % 2:
+                atoms[rng.integers(q)] = 0.0
+                atoms /= atoms.sum()
+            mu = ProductMeasure(q, atoms)
+            for a in range(q):
+                assert prob_value(f, mu, a) == pytest.approx(prob_value(table, mu, a), abs=1e-12)
+
 
 class TestAntisymMajority:
     def test_all_ones_beats_all_zeros(self):
@@ -345,6 +364,19 @@ class TestDictator:
         for a in range(3):
             assert prob_value(f, mu, a) == pytest.approx(mu.atoms[a])
 
+    def test_exact_prob_rejects_a_symbol_outside_the_alphabet(self):
+        # -1 once read the last atom and 3 raised a bare IndexError
+        evaluator = dictator(3, 2).oracle.exact_prob
+        for a in (-1, 3):
+            with pytest.raises(DimensionMismatchError, match=rf"symbol {a} outside \[0, 3\)"):
+                evaluator(ProductMeasure(3, [0.2, 0.3, 0.5]), a)
+
+
+@pytest.mark.parametrize("f", [plurality(3, 5), dictator(3, 2)], ids=["plurality", "dictator"])
+def test_exact_prob_rejects_another_alphabet(f):
+    with pytest.raises(DimensionMismatchError, match="function alphabet 3 != measure alphabet 2"):
+        f.oracle.exact_prob(ProductMeasure.uniform(2), 0)
+
 
 class TestOracleRegistry:
     def test_round_trip_plurality(self):
@@ -381,7 +413,7 @@ def _symbol_rows(rng, q, n, rows=300):
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
 def test_plurality_winners_match_the_int64_kernel(rng, q, tie_break):
-    for n in (1, 2, 3, 4, 7, 10, 300):
+    for n in (1, 2, 3, 4, 7, _COLUMN_COUNT_MAX_ARITY, _COLUMN_COUNT_MAX_ARITY + 1, 10, 300):
         X = _symbol_rows(rng, q, n)
         want = int64_plurality_winners(X, q, tie_break)
         got = plurality_winners(X, q, tie_break)
@@ -391,7 +423,11 @@ def test_plurality_winners_match_the_int64_kernel(rng, q, tie_break):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
-@pytest.mark.parametrize("arity,depth", [(2, 4), (3, 3), (4, 2), (5, 2), (256, 1), (300, 1)])
+@pytest.mark.parametrize(
+    "arity,depth",
+    [(2, 4), (3, 3), (4, 2), (5, 2), (_COLUMN_COUNT_MAX_ARITY, 2),
+     (_COLUMN_COUNT_MAX_ARITY + 1, 2), (256, 1), (300, 1)],
+)
 def test_recursive_plurality_matches_the_reshape_kernel(rng, q, tie_break, arity, depth):
     f = recursive_plurality(q, arity, depth, tie_break)
     X = _symbol_rows(rng, q, f.n)
@@ -408,6 +444,9 @@ FAMILIES = [
     recursive_plurality(2, 3, 2),
     recursive_plurality(3, 2, 3),
     recursive_plurality(4, 3, 2, "smallest_index"),
+    # wider than _COLUMN_COUNT_MAX_ARITY: counted by one reduction per symbol
+    plurality(3, 2 * _COLUMN_COUNT_MAX_ARITY),
+    recursive_plurality(3, _COLUMN_COUNT_MAX_ARITY + 1, 2),
     graph_property(4, 3, "most_popular_color"),
     graph_property(4, 2, "max_clique_color"),
     graph_property(4, 3, "min_independent_set_color"),
