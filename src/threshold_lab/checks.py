@@ -17,6 +17,7 @@ from .core import (
     QaryFunction,
     _axis_view,
     _relabel_index,
+    _swap_and_cycle,
     points_of,
 )
 
@@ -69,12 +70,7 @@ class SymmetryGroup:
     @classmethod
     def full_symmetric(cls, n: int) -> "SymmetryGroup":
         """Adjacent transposition plus the n-cycle, generating all of S(n)."""
-        if n == 1:
-            return cls(1, (np.array([0]),))
-        swap = list(range(n))
-        swap[0], swap[1] = swap[1], swap[0]
-        cycle = list(range(1, n)) + [0]
-        return cls(n, (swap, cycle))
+        return cls(n, tuple(_swap_and_cycle(n)))
 
     @classmethod
     def cyclic(cls, n: int) -> "SymmetryGroup":
@@ -176,24 +172,12 @@ def check_symmetric(f: QaryFunction, group: SymmetryGroup) -> CheckResult:
     return CheckResult(True, group_transitive=transitive)
 
 
-def _alphabet_generators(q: int) -> list[np.ndarray]:
-    if q == 1:
-        return [np.array([0])]
-    swap = np.arange(q)
-    swap[[0, 1]] = swap[[1, 0]]
-    cycle = np.roll(np.arange(q), -1)
-    gens = [swap]
-    if not np.array_equal(cycle, swap):
-        gens.append(cycle)
-    return gens
-
-
 def check_fair(f: QaryFunction) -> CheckResult:
     """Pass iff ``f(pi o x) = pi(f(x))`` for the generators of the symbol group."""
     f = f.tabulate()
     if f.codomain != "alphabet" or f.out_q != f.q:
         raise InvalidFunctionError("fairness needs codomain = input alphabet")
-    for pi in _alphabet_generators(f.q):
+    for pi in _swap_and_cycle(f.q):
         relabeled_inputs = f.table[_relabel_index(pi, f.n)]
         relabeled_outputs = pi[f.table]
         bad = relabeled_inputs != relabeled_outputs

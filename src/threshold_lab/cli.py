@@ -16,11 +16,11 @@ import numpy as np
 from . import fileio
 from .checks import SymmetryGroup, check_fair, check_monotone, check_symmetric, check_zero_monotone
 from .core import (
-    DimensionMismatchError,
     ProductMeasure,
     QaryFunction,
     SimplexSampler,
     ThresholdLabError,
+    _check_range,
     expectation,
 )
 from .decomposition import (
@@ -204,9 +204,8 @@ def _curve(args) -> ThresholdCurve:
     f = _load_function(args)
     if args.base:
         base = fileio.load_measure(args.base)
-    elif not 0 <= args.anchor < f.q:  # the default base indexes its atoms by it
-        raise DimensionMismatchError(f"anchor {args.anchor} outside [0, {f.q})")
     else:
+        _check_range(args.anchor, f.q, "anchor")  # the default base indexes its atoms by it
         atoms = np.full(f.q, 1.0 / (f.q - 1))
         atoms[args.anchor] = 0.0
         base = ProductMeasure(f.q, atoms)

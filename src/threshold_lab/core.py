@@ -8,12 +8,18 @@ Conventions used throughout the package:
   in the first coordinate: ``index(x) = sum_j x[j] * q**(n-1-j)``, so
   coordinate 0 is the most significant digit.
 * All logarithms are natural unless stated otherwise.
+
+Rules the other modules share live here once: the index bound
+:func:`_check_range`, the subset bitmasks :func:`subset_members` and
+:func:`subset_mask` (bit ``j`` stands for element ``j``), the symmetric-group
+generators :func:`_swap_and_cycle` and the :class:`Report` base of ``as_dict``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -48,6 +54,46 @@ class DegenerateMeasureError(ThresholdLabError):
 
 class InvalidFunctionError(ThresholdLabError):
     pass
+
+
+def _check_range(value, bound: int, name: str) -> None:
+    """Refuse ``value`` unless ``0 <= value < bound``, naming it ``name``."""
+    if not 0 <= value < bound:
+        raise DimensionMismatchError(f"{name} {value} outside [0, {bound})")
+
+
+def subset_members(mask) -> list[int]:
+    """The elements of the subset bitmask ``mask``, ascending."""
+    mask = int(mask)
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def subset_mask(subset):
+    """The bitmask of ``subset``: an int or NumPy integer mask as is, else the
+    bits of the elements of an iterable."""
+    if isinstance(subset, (int, np.integer)):
+        return subset
+    mask = 0
+    for j in subset:
+        mask |= 1 << int(j)
+    return mask
+
+
+def _swap_and_cycle(k: int) -> list[np.ndarray]:
+    """The transposition ``(0 1)`` and the cycle ``j -> j + 1 mod k`` of ``[k]``,
+    which generate the symmetric group; one permutation where they coincide
+    (k <= 2)."""
+    swap = np.arange(k)
+    swap[:2] = swap[:2][::-1]
+    cycle = np.roll(np.arange(k), -1)
+    return [swap] if np.array_equal(swap, cycle) else [swap, cycle]
+
+
+class Report:
+    """Base of the frozen report dataclasses: ``as_dict`` nests reports too."""
+
+    def as_dict(self) -> dict:
+        return dataclasses.asdict(self)
 
 
 def table_size(q: int, n: int) -> int:
@@ -102,9 +148,12 @@ class ProductMeasure:
             )
         if np.any(atoms < 0):
             raise DegenerateMeasureError("atoms must be nonnegative")
-        if abs(atoms.sum() - 1.0) > ATOM_SUM_TOL:
+        total = atoms.sum()
+        if not math.isfinite(total):  # as it is when an atom is NaN or infinite
+            raise DegenerateMeasureError(f"atoms must be finite, got {atoms.tolist()}")
+        if abs(total - 1.0) > ATOM_SUM_TOL:
             raise DegenerateMeasureError(
-                f"atoms must sum to 1 within {ATOM_SUM_TOL}, got {atoms.sum()!r}"
+                f"atoms must sum to 1 within {ATOM_SUM_TOL}, got {total!r}"
             )
         atoms.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
@@ -229,12 +278,18 @@ class QaryFunction:
                     f"table must have length {self.q}**{self.n} = {size}, "
                     f"got shape {table.shape}"
                 )
+            # checked before the cast, which turns NaN into a warning and 0.9 into 0
+            if table.dtype.kind == "f" and not np.isfinite(table).all():
+                raise InvalidFunctionError("table values must be finite")
             if self.codomain == "alphabet":
-                table = table.astype(np.int64)
                 if table.size and (table.min() < 0 or table.max() >= self.out_q):
                     raise InvalidFunctionError(
                         f"alphabet values must lie in [0, {self.out_q})"
                     )
+                cast = table.astype(np.int64)
+                if table.dtype.kind == "f" and not np.array_equal(cast, table):
+                    raise InvalidFunctionError("alphabet values must be integers")
+                table = cast
             else:
                 table = table.astype(float)
             table.setflags(write=False)
@@ -251,7 +306,8 @@ class QaryFunction:
     ) -> "QaryFunction":
         if codomain == "alphabet" and out_q is None:
             out_q = q
-        return cls(q=q, n=n, codomain=codomain, out_q=out_q, table=np.asarray(list(values)))
+        table = values if isinstance(values, np.ndarray) else np.asarray(list(values))
+        return cls(q=q, n=n, codomain=codomain, out_q=out_q, table=table)
 
     @classmethod
     def from_oracle(
@@ -390,8 +446,7 @@ def _check_symbol(f: QaryFunction, a: int) -> None:
     """Refuse ``P[f = a]`` unless ``f`` is alphabet-valued and ``0 <= a < out_q``."""
     if f.codomain != "alphabet":
         raise InvalidFunctionError("P[f = a] needs an alphabet codomain")
-    if not 0 <= a < f.out_q:
-        raise DimensionMismatchError(f"symbol {a} outside [0, {f.out_q})")
+    _check_range(a, f.out_q, "symbol")
 
 
 def _exact_prob(f: QaryFunction, a: int) -> Callable[[ProductMeasure], float] | None:
@@ -496,8 +551,7 @@ class MeasurePath:
     base: ProductMeasure
 
     def __post_init__(self) -> None:
-        if not 0 <= self.anchor < self.base.q:
-            raise DimensionMismatchError(f"anchor {self.anchor} outside [0, {self.base.q})")
+        _check_range(self.anchor, self.base.q, "anchor")
         if self.base.atoms[self.anchor] != 0.0:
             raise DegenerateMeasureError(
                 f"base measure must put zero mass on the anchor symbol {self.anchor}"

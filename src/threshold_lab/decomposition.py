@@ -44,12 +44,15 @@ from .core import (
     InvalidFunctionError,
     ProductMeasure,
     QaryFunction,
+    Report,
     TableSizeError,
     _axis_mean,
     _axis_view,
     _check_compatible,
+    _check_range,
     expectation,
     product_weights,
+    subset_mask,
 )
 
 
@@ -58,10 +61,6 @@ def _as_real_table(f: QaryFunction, measure: ProductMeasure) -> QaryFunction:
         raise InvalidFunctionError("decomposition operations need a real codomain")
     _check_compatible(f, measure)
     return f.tabulate()
-
-
-def subset_bits(mask: int, n: int) -> list[int]:
-    return [i for i in range(n) if mask >> i & 1]
 
 
 def _subset_sizes(n: int) -> np.ndarray:
@@ -162,12 +161,7 @@ class EfronSteinDecomposition:
 
     def component(self, subset) -> np.ndarray:
         """The component table for ``subset`` (bitmask or coordinate iterable)."""
-        if isinstance(subset, (int, np.integer)):
-            mask = int(subset)
-        else:
-            mask = 0
-            for i in subset:
-                mask |= 1 << int(i)
+        mask = subset_mask(subset)
         if not 0 <= mask < 1 << self.n:
             raise DimensionMismatchError(f"subset mask {mask} out of range")
         return self.components[mask]
@@ -199,8 +193,7 @@ def delta_i(f: QaryFunction, measure: ProductMeasure, i: int) -> QaryFunction:
 
 def _delta(f: QaryFunction, measure: ProductMeasure, i: int) -> np.ndarray:
     """The table of ``delta_i f = f - E_i f``, made from one copy of ``f``'s table."""
-    if not 0 <= i < f.n:
-        raise DimensionMismatchError(f"coordinate {i} outside [0, {f.n})")
+    _check_range(i, f.n, "coordinate")
     out = np.array(f.table)
     view = _axis_view(out, f.q, f.n, i)
     view -= _axis_mean(view, measure.atoms)
@@ -242,7 +235,7 @@ def _weighted_norm(table: np.ndarray, w: np.ndarray, p: float) -> float:
 
 
 @dataclasses.dataclass(frozen=True)
-class InfluenceReport:
+class InfluenceReport(Report):
     """Per-coordinate influences and the L1, L_{3/2}, L2 norms of the differences."""
 
     influences: tuple
@@ -250,9 +243,6 @@ class InfluenceReport:
     delta_l1: tuple
     delta_l32: tuple
     delta_l2: tuple
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def influence_report(f: QaryFunction, measure: ProductMeasure) -> InfluenceReport:
@@ -299,14 +289,11 @@ def hypercontractive_sigma(alpha: float, exact: bool = False) -> float:
 
 
 @dataclasses.dataclass(frozen=True)
-class NormInequalityReport:
+class NormInequalityReport(Report):
     sigma: float
     lhs: float
     rhs: float
     ok: bool
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def verify_hypercontractivity(
@@ -323,14 +310,11 @@ def verify_hypercontractivity(
 
 
 @dataclasses.dataclass(frozen=True)
-class LevelBoundReport:
+class LevelBoundReport(Report):
     k: int
     lhs: float
     rhs: float
     ok: bool
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def verify_level_bound(
@@ -375,7 +359,7 @@ def _level_bounds(
 
 
 @dataclasses.dataclass(frozen=True)
-class CoordinateTerm:
+class CoordinateTerm(Report):
     coord: int
     influence_sq: float  # ||delta_i f||_2^2
     l1: float
@@ -384,12 +368,9 @@ class CoordinateTerm:
     term: float | None
     degenerate: bool
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass(frozen=True)
-class TalagrandReport:
+class TalagrandReport(Report):
     """Variance against the influence-sum bound, with the constant left free.
 
     ``empirical_c`` is variance divided by ``log(1/min_atom)`` times the sum
@@ -406,9 +387,6 @@ class TalagrandReport:
     rhs_no_constant: float | None
     empirical_c: float | None
     constant_function: bool
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def talagrand_report(f: QaryFunction, measure: ProductMeasure) -> TalagrandReport:

@@ -24,7 +24,9 @@ from .core import (
     ProductMeasure,
     QaryFunction,
     _check_compatible,
+    _check_range,
     _check_symbol,
+    _swap_and_cycle,
 )
 
 TIE_BREAKS = ("first_occurrence", "smallest_index")
@@ -123,8 +125,7 @@ class _PluralityExact:
 
     def __call__(self, measure: ProductMeasure, a: int) -> float:
         _check_compatible(self, measure)
-        if not 0 <= a < self.q:
-            raise DimensionMismatchError(f"symbol {a} outside [0, {self.q})")
+        _check_range(a, self.q, "symbol")
         q, n = self.q, self.n
         rates = n * measure.atoms
         # a zero rate's log, clamped to the least normal float, leaves a point
@@ -251,16 +252,13 @@ def vertex_to_edge_permutation(vperm: np.ndarray, vertices: int) -> np.ndarray:
 
 def vertex_action_generators(vertices: int) -> list[np.ndarray]:
     """Edge permutations induced by a vertex transposition and a vertex cycle."""
-    swap = np.arange(vertices)
-    swap[[0, 1]] = swap[[1, 0]]
-    cycle = np.roll(np.arange(vertices), -1)
-    return [
-        vertex_to_edge_permutation(swap, vertices),
-        vertex_to_edge_permutation(cycle, vertices),
-    ]
+    return [vertex_to_edge_permutation(g, vertices) for g in _swap_and_cycle(vertices)]
 
 
 GRAPH_PROPERTIES = ("most_popular_color", "max_clique_color", "min_independent_set_color")
+
+# rows x subsets bound on the colour counts a clique or independent-set batch holds at once
+_GRAPH_COUNT_ENTRIES = 1 << 20
 
 
 def graph_property(vertices: int, q: int, property_kind: str) -> QaryFunction:
@@ -285,25 +283,24 @@ def graph_property(vertices: int, q: int, property_kind: str) -> QaryFunction:
         plur = plurality(q, n, "smallest_index").oracle
         oracle = dataclasses.replace(plur, name="graph_property", params=params)
         return QaryFunction.from_oracle(q, n, oracle)
-    # vertex subsets grouped by size, with the indices of their internal edges
-    subsets_by_size: list[tuple[int, list[int]]] = []
-    for size in range(2, vertices + 1):
-        for vs in itertools.combinations(range(vertices), size):
-            inside = set(vs)
-            idxs = [k for k, (u, w) in enumerate(edges) if u in inside and w in inside]
-            subsets_by_size.append((size, idxs))
+    vertex_ids = range(vertices)
+    # column s of ``inside`` marks the edges within subset s of two or more vertices:
+    # a clique of colour c has all of them in colour c, an independent set none
+    subsets = [s for k in range(2, vertices + 1) for s in itertools.combinations(vertex_ids, k)]
+    sizes = np.array([len(s) for s in subsets], dtype=np.min_scalar_type(vertices))
+    inside = np.array([[u in s and w in s for s in subsets] for u, w in edges], dtype=np.float32)
+    wanted = inside.sum(axis=0) if property_kind == "max_clique_color" else 0.0
+    rows = max(1, _GRAPH_COUNT_ENTRIES // len(subsets))
 
     def batch(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X)
-        score = np.ones((X.shape[0], q), dtype=np.int64)  # singletons: clique and independent
-        for size, idxs in subsets_by_size:
-            sub = X[:, idxs]
+        score = np.ones((X.shape[0], q), dtype=sizes.dtype)  # singletons: clique and independent
+        for lo in range(0, X.shape[0], rows):
+            block = X[lo : lo + rows]
             for c in range(q):
-                if property_kind == "max_clique_color":
-                    hit = (sub == c).all(axis=1)
-                else:
-                    hit = (sub != c).all(axis=1)
-                score[hit, c] = size  # sizes ascend, so last write is the max
+                # a subset's edge count in colour c, exact in float32 (at most C(v, 2))
+                hit = (block == c).astype(np.float32) @ inside == wanted
+                np.max(hit * sizes, axis=1, initial=1, out=score[lo : lo + rows, c])
         if property_kind == "max_clique_color":
             return score.argmax(axis=1)
         return score.argmin(axis=1)
@@ -346,8 +343,7 @@ def antisym_majority(n: int) -> QaryFunction:
 
 def dictator(q: int, n: int, coord: int = 0) -> QaryFunction:
     """The function returning coordinate ``coord`` verbatim."""
-    if not 0 <= coord < n:
-        raise DimensionMismatchError(f"coordinate {coord} outside [0, {n})")
+    _check_range(coord, n, "coordinate")
 
     def exact_prob(measure: ProductMeasure, a: int) -> float:
         _check_compatible(f, measure)

@@ -2,11 +2,15 @@
 
 Every document carries a ``schema`` field.  Tables use the package's fixed
 index order (coordinate 0 most significant); subset keys are decimal bitmask
-strings with bit j standing for element j.
+strings with bit j standing for element j, read and written by ``core``'s
+:func:`subset_members`.  Every reader goes through :func:`_reading`, which
+checks the schema and turns a missing or malformed field into a
+:class:`FileFormatError`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -15,8 +19,8 @@ import tempfile
 
 import numpy as np
 
-from .core import ProductMeasure, QaryFunction, ThresholdLabError
-from .decomposition import EfronSteinDecomposition, subset_bits
+from .core import ProductMeasure, QaryFunction, ThresholdLabError, subset_members
+from .decomposition import EfronSteinDecomposition
 from .families import resolve_oracle
 from .social_choice import ChoiceFunction, Tournament, VoterProfile
 from .threshold import ThresholdCurve
@@ -34,10 +38,19 @@ class FileFormatError(ThresholdLabError):
     pass
 
 
-def _require_schema(doc: dict, schema: str) -> None:
+@contextlib.contextmanager
+def _reading(doc: dict, schema: str, kind: str):
+    """Check that ``doc`` is a ``schema`` document, then turn a missing field
+    (``KeyError``) or a malformed one (``TypeError``, ``ValueError``) into a FileFormatError."""
     found = doc.get("schema") if isinstance(doc, dict) else None
     if found != schema:
         raise FileFormatError(f"expected a {schema} document, got schema {found!r}")
+    try:
+        yield
+    except KeyError as exc:
+        raise FileFormatError(f"{kind} document missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{kind} document has a malformed field: {exc}") from None
 
 
 def function_to_dict(f: QaryFunction) -> dict:
@@ -61,8 +74,7 @@ def function_to_dict(f: QaryFunction) -> dict:
 
 
 def function_from_dict(doc: dict) -> QaryFunction:
-    _require_schema(doc, FUNCTION_SCHEMA)
-    try:
+    with _reading(doc, FUNCTION_SCHEMA, "function"):
         if "oracle" in doc:
             f = resolve_oracle(doc["oracle"], doc.get("params", {}))
             for field, built in (("q", f.q), ("n", f.n)):
@@ -79,8 +91,6 @@ def function_from_dict(doc: dict) -> QaryFunction:
             codomain=doc.get("codomain", "alphabet"),
             out_q=doc.get("out_q"),
         )
-    except KeyError as exc:
-        raise FileFormatError(f"function document missing field {exc}") from None
 
 
 def measure_to_dict(measure: ProductMeasure) -> dict:
@@ -88,11 +98,8 @@ def measure_to_dict(measure: ProductMeasure) -> dict:
 
 
 def measure_from_dict(doc: dict) -> ProductMeasure:
-    _require_schema(doc, MEASURE_SCHEMA)
-    try:
+    with _reading(doc, MEASURE_SCHEMA, "measure"):
         return ProductMeasure(int(doc["q"]), np.asarray(doc["atoms"], dtype=float))
-    except KeyError as exc:
-        raise FileFormatError(f"measure document missing field {exc}") from None
 
 
 def profile_to_dict(profile: VoterProfile) -> dict:
@@ -107,15 +114,12 @@ def profile_to_dict(profile: VoterProfile) -> dict:
 
 
 def profile_from_dict(doc: dict) -> VoterProfile:
-    _require_schema(doc, PROFILE_SCHEMA)
-    try:
+    with _reading(doc, PROFILE_SCHEMA, "profile"):
         return VoterProfile.from_rankings(
             int(doc["m"]),
             [entry["ranking"] for entry in doc["orders"]],
             [entry.get("weight", 1) for entry in doc["orders"]],
         )
-    except KeyError as exc:
-        raise FileFormatError(f"profile document missing field {exc}") from None
 
 
 def choice_function_to_dict(c: ChoiceFunction) -> dict:
@@ -127,14 +131,11 @@ def choice_function_to_dict(c: ChoiceFunction) -> dict:
 
 
 def choice_function_from_dict(doc: dict) -> ChoiceFunction:
-    _require_schema(doc, CHOICE_SCHEMA)
-    try:
+    with _reading(doc, CHOICE_SCHEMA, "choice"):
         return ChoiceFunction(
             int(doc["m"]),
             {int(mask): int(alt) for mask, alt in doc["choices"].items()},
         )
-    except KeyError as exc:
-        raise FileFormatError(f"choice document missing field {exc}") from None
 
 
 def tournament_to_dict(t: Tournament) -> dict:
@@ -148,11 +149,8 @@ def tournament_to_dict(t: Tournament) -> dict:
 
 
 def tournament_from_dict(doc: dict) -> Tournament:
-    _require_schema(doc, TOURNAMENT_SCHEMA)
-    try:
+    with _reading(doc, TOURNAMENT_SCHEMA, "tournament"):
         return Tournament.from_pairs(int(doc["m"]), doc["pairs"])
-    except KeyError as exc:
-        raise FileFormatError(f"tournament document missing field {exc}") from None
 
 
 def decomposition_to_dict(d: EfronSteinDecomposition) -> dict:
@@ -162,7 +160,7 @@ def decomposition_to_dict(d: EfronSteinDecomposition) -> dict:
         "n": d.n,
         "atoms": d.measure.atoms.tolist(),
         "components": [
-            {"S": subset_bits(mask, d.n), "table": d.components[mask].tolist()}
+            {"S": subset_members(mask), "table": d.components[mask].tolist()}
             for mask in range(d.components.shape[0])
         ],
     }

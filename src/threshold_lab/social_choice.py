@@ -3,7 +3,9 @@ experiments: McGarvey profiles for arbitrary tournaments, plurality
 realization of arbitrary choice functions, and relation-based rules.
 
 Alternatives are ``0..m-1``.  Subsets of alternatives are bitmasks with bit
-``j`` standing for alternative ``j``.
+``j`` standing for alternative ``j``; :func:`subset_members` and
+:func:`subset_mask`, re-exported here, are defined once in ``core`` and
+shared with the Efron-Stein components.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ import itertools
 
 import numpy as np
 
-from .core import DimensionMismatchError, ThresholdLabError, _categorical
+from .core import (
+    DimensionMismatchError,
+    ThresholdLabError,
+    _categorical,
+    subset_mask,
+    subset_members,
+)
 from .families import plurality_winners
 
 
@@ -23,17 +31,6 @@ class SearchBudgetExceededError(ThresholdLabError):
     def __init__(self, message: str, minimal_size: int):
         super().__init__(message)
         self.minimal_size = minimal_size
-
-
-def subset_members(mask: int) -> list[int]:
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
-
-
-def subset_mask(members) -> int:
-    mask = 0
-    for j in members:
-        mask |= 1 << int(j)
-    return mask
 
 
 def nonempty_subsets(m: int):
@@ -131,8 +128,7 @@ class ChoiceFunction:
         object.__setattr__(self, "choices", cleaned)
 
     def get(self, subset) -> int:
-        mask = subset if isinstance(subset, int) else subset_mask(subset)
-        return self.choices[mask]
+        return self.choices[subset_mask(subset)]
 
     @classmethod
     def from_order(cls, order: LinearOrder) -> "ChoiceFunction":
@@ -217,7 +213,7 @@ def plurality_choice(
     Depends only on the individual tops (independence of rejected
     alternatives) and always returns some voter's top (Pareto).
     """
-    mask = subset if isinstance(subset, int) else subset_mask(subset)
+    mask = subset_mask(subset)
     if mask == 0:
         raise DimensionMismatchError("subset must be nonempty")
     tops, weights = zip(*_top_sequence(profile, mask))
@@ -439,8 +435,7 @@ def outdegree_choice(
     Ties in out-degree are broken by the fixed order, realizing a
     single-valued rule from the pairwise-majority correspondence.
     """
-    mask = subset if isinstance(subset, int) else subset_mask(subset)
-    members = subset_members(mask)
+    members = subset_members(subset_mask(subset))
     if not members:
         raise DimensionMismatchError("subset must be nonempty")
     beats = majority_relation(profile)
@@ -457,7 +452,7 @@ def borda_choice(profile: VoterProfile, subset) -> int:
     member whose first appearance as some voter's top is earliest, then to
     the smaller index.
     """
-    mask = subset if isinstance(subset, int) else subset_mask(subset)
+    mask = subset_mask(subset)
     members = subset_members(mask)
     if not members:
         raise DimensionMismatchError("subset must be nonempty")

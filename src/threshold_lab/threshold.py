@@ -19,6 +19,7 @@ from .core import (
     MeasurePath,
     ProductMeasure,
     QaryFunction,
+    Report,
     SimplexSampler,
     TableSizeError,
     ThresholdLabError,
@@ -26,6 +27,7 @@ from .core import (
     _axis_view,
     _categorical,
     _check_compatible,
+    _check_range,
     _check_symbol,
     _exact_prob,
     product_weights,
@@ -89,7 +91,7 @@ def russo_derivative(f: QaryFunction, path: MeasurePath, t: float) -> float:
 
 
 @dataclasses.dataclass(frozen=True)
-class RussoReport:
+class RussoReport(Report):
     """The derivative next to the influence sums it dominates.
 
     ``influence_sum_path_measure`` sums influences under the path measure at
@@ -105,9 +107,6 @@ class RussoReport:
     influence_sum_path_measure: float
     influence_sum_base_measure: float
     conditional_variance_sum: float
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def russo_report(f: QaryFunction, path: MeasurePath, t: float) -> RussoReport:
@@ -127,13 +126,15 @@ def russo_report(f: QaryFunction, path: MeasurePath, t: float) -> RussoReport:
 
 
 @dataclasses.dataclass(frozen=True)
-class MCEstimate:
+class MCEstimate(Report):
     p_hat: float
     half_width: float
     samples: int
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+
+def _wald_half_width(p_hat: float, samples: int) -> float:
+    """The 95% normal-approximation half-width of a proportion from ``samples`` draws."""
+    return 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples)
 
 
 def mc_estimate(
@@ -154,8 +155,7 @@ def mc_estimate(
         hits += int((f.batch(X) == a).sum())
         remaining -= rows
     p_hat = hits / samples
-    half_width = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples)
-    return MCEstimate(p_hat=p_hat, half_width=half_width, samples=samples)
+    return MCEstimate(p_hat=p_hat, half_width=_wald_half_width(p_hat, samples), samples=samples)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -223,15 +223,12 @@ def scan_path(
 
 
 @dataclasses.dataclass(frozen=True)
-class ThresholdWindow:
+class ThresholdWindow(Report):
     eps: float
     t_lo: float
     t_hi: float
     width: float
     method: str
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _locate_crossing(curve: ThresholdCurve, level: float) -> float:
@@ -282,7 +279,7 @@ def critical_bound_shape(eps: float, n: int) -> float | None:
 
 
 @dataclasses.dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Report):
     """Estimated simplex measure of the critical set ``eps <= P[f = a] <= 1-eps``."""
 
     eps: float
@@ -295,9 +292,6 @@ class SweepReport:
     n: int
     anchor: int
     seed: int
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def simplex_sweep(
@@ -320,8 +314,7 @@ def simplex_sweep(
     if not 0.0 < eps < 0.5:
         raise DimensionMismatchError(f"eps must lie in (0, 0.5), got {eps}")
     _check_compatible(f, sampler)
-    if not 0 <= a < f.q:
-        raise DimensionMismatchError(f"anchor {a} outside [0, {f.q})")
+    _check_range(a, f.q, "anchor")
     point = _exact_prob(f, a)
     eta = (math.log(1.0 - eps) - math.log(eps)) / math.log(f.n) if f.n >= 2 else None
     critical = 0
@@ -343,7 +336,7 @@ def simplex_sweep(
         eps=eps,
         samples=samples,
         estimate=estimate,
-        half_width=1.96 * math.sqrt(max(estimate * (1 - estimate), 0.0) / samples),
+        half_width=_wald_half_width(estimate, samples),
         eta=eta,
         noninterior_fraction=(noninterior / samples) if eta is not None else None,
         bound_shape=critical_bound_shape(eps, f.n),
@@ -354,7 +347,7 @@ def simplex_sweep(
 
 
 @dataclasses.dataclass(frozen=True)
-class JuryReport:
+class JuryReport(Report):
     """Election outcome for a leader-biased electorate under a fair monotone rule.
 
     ``bound_margin`` is the constant-free ``loglog n / log n`` shape the
@@ -376,9 +369,6 @@ class JuryReport:
     p_hat_perturbed: float | None
     half_width_perturbed: float | None
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def jury_experiment(
     f: QaryFunction, measure: ProductMeasure, i: int, samples: int, seed: int = 0
@@ -389,8 +379,7 @@ def jury_experiment(
     families are by construction, verified exhaustively at small sizes).
     """
     _check_compatible(f, measure)
-    if not 0 <= i < f.q:
-        raise DimensionMismatchError(f"leader {i} outside [0, {f.q})")
+    _check_range(i, f.q, "leader")
     atoms = measure.atoms
     others = np.delete(atoms, i)
     margin = float(atoms[i] - others.max())

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshold_lab import (
+    DimensionMismatchError,
     InvalidFunctionError,
     ProductMeasure,
     QaryFunction,
@@ -20,8 +21,8 @@ from threshold_lab import (
     plurality,
     prob_value,
 )
-from threshold_lab.checks import _alphabet_generators, _cover_violation
-from threshold_lab.core import index_of
+from threshold_lab.checks import _cover_violation
+from threshold_lab.core import _swap_and_cycle, index_of
 from threshold_lab.families import vertex_action_generators
 
 from oracles import brute_monotone, enum_cover_violation, ix_relabel
@@ -190,6 +191,38 @@ class TestCheckSymmetric:
         # the identity alone is not transitive for n >= 2
         assert not SymmetryGroup(3, (list(range(3)),)).is_transitive()
 
+    @pytest.mark.parametrize(
+        "table,witness",
+        [
+            ([0, 0, 1, 1], {"permutation": [1, 0], "x": [0, 1], "f_x": 0, "f_x_sigma": 1}),
+            ([0, 1, 1, 1], None),
+            ([1, 0, 1, 1], {"permutation": [1, 0], "x": [0, 1], "f_x": 0, "f_x_sigma": 1}),
+        ],
+    )
+    def test_two_coordinates_need_one_generator(self, table, witness):
+        # at n = 2 the transposition is the 2-cycle: listing it twice changes nothing
+        f = QaryFunction.from_table(2, 2, table)
+        group = SymmetryGroup.full_symmetric(2)
+        assert [g.tolist() for g in group.generators] == [[1, 0]]
+        result = check_symmetric(f, group)
+        assert result == check_symmetric(f, SymmetryGroup(2, ([1, 0], [1, 0])))
+        assert result.witness == witness and result.group_transitive
+
+    @pytest.mark.parametrize("kind", ["most_popular_color", "max_clique_color",
+                                      "min_independent_set_color"])
+    def test_one_edge_graph_needs_one_generator(self, kind):
+        f = graph_property(2, 3, kind).tabulate()
+        gens = vertex_action_generators(2)
+        assert [g.tolist() for g in gens] == [[0]]
+        result = check_symmetric(f, SymmetryGroup(f.n, tuple(gens)))
+        assert result == check_symmetric(f, SymmetryGroup(f.n, ([0], [0])))
+        assert result.passed and result.group_transitive
+
+    def test_one_vertex_graph_has_no_edges_to_permute(self):
+        assert [g.tolist() for g in vertex_action_generators(1)] == [[]]
+        with pytest.raises(DimensionMismatchError):
+            SymmetryGroup(1, tuple(vertex_action_generators(1)))
+
 
 class TestCheckFair:
     def test_dictator_passes(self):
@@ -221,7 +254,7 @@ class TestCheckFair:
         for n in range(1, 5):
             f = QaryFunction.from_table(q, n, rng.integers(0, q, size=q**n))
             result = check_fair(f)
-            for pi in _alphabet_generators(q):
+            for pi in _swap_and_cycle(q):
                 bad = np.flatnonzero(ix_relabel(f.table, q, n, pi) != pi[f.table])
                 if bad.size:
                     break

@@ -461,6 +461,41 @@ class TestExitCodes:
         assert rc == 1
         assert json.loads(err)["error"] == "FileFormatError"
 
+    @pytest.mark.parametrize(
+        "argv,doc",
+        [
+            (["check", "--family", "plurality", "--q", "2", "--n", "1", "--group", "graph",
+              "--vertices", "1"], None),
+            (["influences", "--family", "plurality", "--q", "2", "--n", "3", "--measure", "{doc}"],
+             {"schema": fileio.MEASURE_SCHEMA, "q": None, "atoms": [0.5, 0.5]}),
+            (["saari", "--choice", "{doc}"],
+             {"schema": fileio.CHOICE_SCHEMA, "m": 2, "choices": {"x": 0, "2": 1, "3": 0}}),
+            (["check", "--function", "{doc}"],
+             {"schema": fileio.FUNCTION_SCHEMA, "q": 2, "n": 1, "table": "ab"}),
+            (["check", "--function", "{doc}"],
+             {"schema": fileio.FUNCTION_SCHEMA, "q": 2, "n": 2, "table": [0, 0.9, 1.5, 1]}),
+            (["jury", "--family", "plurality", "--q", "3", "--n", "5",
+              "--atoms", "nan,0.2,0.3", "--samples", "10"], None),
+            (["influences", "--family", "plurality", "--q", "2", "--n", "3",
+              "--atoms", "nan,0.5"], None),
+        ],
+        ids=["one-vertex-graph", "null-q", "mask-x", "string-table", "fractional-table",
+             "nan-jury", "nan-influences"],
+    )
+    def test_invalid_input_is_one_typed_error(self, tmp_path, capsys, argv, doc):
+        path = tmp_path / "doc.json"
+        if doc is not None:
+            path.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, *(arg.format(doc=path) for arg in argv))
+        assert rc == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+        def names(cls):
+            return {cls.__name__}.union(*(names(sub) for sub in cls.__subclasses__()))
+
+        assert json.loads(err)["error"] in names(threshold_lab.ThresholdLabError)
+
 
 class TestVerifyCommand:
     def test_hyper_suite_clean(self, capsys):

@@ -42,6 +42,11 @@ class TestProductMeasure:
         with pytest.raises(DimensionMismatchError):
             ProductMeasure(3, [0.5, 0.5])
 
+    @pytest.mark.parametrize("atoms", [[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [np.nan, np.nan]])
+    def test_non_finite_atoms_refused(self, atoms):
+        with pytest.raises(DegenerateMeasureError, match="finite"):
+            ProductMeasure(2, atoms)
+
     def test_degenerate_flagged_but_accepted(self):
         mu = ProductMeasure(3, [0.0, 0.5, 0.5])
         assert mu.degenerate
@@ -54,6 +59,38 @@ class TestProductMeasure:
         off = mu.condition_off(0)
         assert off.atoms[0] == 0.0
         assert np.allclose(off.atoms, [0.0, 0.4, 0.6])
+
+
+class TestFromTable:
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float64, bool])
+    @pytest.mark.parametrize("codomain", ["alphabet", "real"])
+    def test_array_loads_as_its_list(self, rng, dtype, codomain):
+        values = rng.integers(0, 2, size=8).astype(dtype)
+        if codomain == "real" and dtype == np.float64:
+            values = rng.standard_normal(8)
+        from_array = QaryFunction.from_table(2, 3, values, codomain=codomain)
+        from_list = QaryFunction.from_table(2, 3, list(values), codomain=codomain)
+        assert from_array.table.dtype == from_list.table.dtype
+        assert from_array.table.tobytes() == from_list.table.tobytes()
+        # the function owns a copy: the caller's array stays writable and apart
+        values[0] = 1
+        assert values.flags.writeable and not np.shares_memory(values, from_array.table)
+
+    def test_generator_loads(self):
+        f = QaryFunction.from_table(2, 2, (x % 2 for x in range(4)))
+        assert f.table.tolist() == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("codomain", ["alphabet", "real"])
+    def test_non_finite_values_refused(self, bad, codomain):
+        with pytest.raises(InvalidFunctionError, match="finite"):
+            QaryFunction.from_table(2, 2, [0.0, bad, 1.0, 1.0], codomain=codomain)
+
+    def test_fractional_alphabet_values_refused(self):
+        with pytest.raises(InvalidFunctionError, match="integers"):
+            QaryFunction.from_table(2, 2, [0, 0.9, 1.5, 1])
+        # integral floats are symbols
+        assert QaryFunction.from_table(2, 2, [0.0, 1.0, 1.0, 0.0]).table.tolist() == [0, 1, 1, 0]
 
 
 class TestTableIndexing:

@@ -28,6 +28,7 @@ from threshold_lab import (
     resolve_oracle,
     scan_path,
 )
+from threshold_lab import families
 from threshold_lab.families import (
     _COLUMN_COUNT_MAX_ARITY,
     TIE_BREAKS,
@@ -39,6 +40,7 @@ from oracles import (
     enum_compositions,
     enum_prob,
     int64_plurality_winners,
+    points,
     random_positive_measure,
     reshape_recursive_plurality,
 )
@@ -293,6 +295,42 @@ class TestGraphProperty:
             mu = ProductMeasure(q, atoms)
             for a in range(q):
                 assert prob_value(f, mu, a) == pytest.approx(prob_value(table, mu, a), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["max_clique_color", "min_independent_set_color"])
+    @pytest.mark.parametrize("vertices,q", [(2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)])
+    def test_subset_kinds_match_brute_force(self, vertices, q, kind):
+        f = graph_property(vertices, q, kind)
+        want = [brute_graph_property(x, vertices, q, kind) for x in points(q, f.n)]
+        assert f.tabulate().table.tolist() == want
+
+    @pytest.mark.parametrize("kind", ["max_clique_color", "min_independent_set_color"])
+    def test_batch_across_row_chunks(self, rng, monkeypatch, kind):
+        # 26 subsets of K5 and a bound of 60 entries: chunks of two rows
+        whole = graph_property(5, 3, kind)
+        monkeypatch.setattr(families, "_GRAPH_COUNT_ENTRIES", 60)
+        chunked = graph_property(5, 3, kind)
+        X = rng.integers(0, 3, size=(101, 10)).astype(np.uint8)
+        want = [brute_graph_property(x, 5, 3, kind) for x in X]
+        for f in (whole, chunked):
+            for points_dtype in (np.uint8, np.int64):
+                got = f.batch(X.astype(points_dtype))
+                assert got.dtype == np.int64 and got.tolist() == want
+
+
+def brute_graph_property(x, vertices, q, kind):
+    """The colour whose largest clique is largest (or largest independent set
+    smallest), smaller colour on ties, by listing every vertex subset."""
+    colour = dict(zip(edge_list(vertices), x))
+    scores = []
+    for c in range(q):
+        best = 1
+        for size in range(2, vertices + 1):
+            for vs in itertools.combinations(range(vertices), size):
+                same = [colour[e] == c for e in itertools.combinations(vs, 2)]
+                if all(same) if kind == "max_clique_color" else not any(same):
+                    best = size
+        scores.append(best)
+    return int(np.argmax(scores) if kind == "max_clique_color" else np.argmin(scores))
 
 
 class TestAntisymMajority:

@@ -123,10 +123,44 @@ class TestSchemaValidation:
         with pytest.raises(fileio.FileFormatError, match="schema"):
             loader(self.BAD_DOCS[bad](schema))
 
+    MISSING_FIELD = {
+        fileio.FUNCTION_SCHEMA: "function document missing field 'q'",
+        fileio.MEASURE_SCHEMA: "measure document missing field 'q'",
+        fileio.PROFILE_SCHEMA: "profile document missing field 'm'",
+        fileio.CHOICE_SCHEMA: "choice document missing field 'm'",
+        fileio.TOURNAMENT_SCHEMA: "tournament document missing field 'm'",
+    }
+
     @pytest.mark.parametrize("loader, schema", LOADERS)
     def test_missing_field(self, loader, schema):
-        with pytest.raises(fileio.FileFormatError, match="missing field"):
+        with pytest.raises(fileio.FileFormatError, match="missing field") as info:
             loader({"schema": schema})
+        assert str(info.value) == self.MISSING_FIELD[schema]
+
+    @pytest.mark.parametrize(
+        "loader, doc",
+        [
+            (fileio.function_from_dict, {"schema": fileio.FUNCTION_SCHEMA, "q": 2, "n": 1,
+                                         "table": "ab"}),
+            (fileio.function_from_dict, {"schema": fileio.FUNCTION_SCHEMA, "q": "two", "n": 1,
+                                         "table": [0, 1]}),
+            (fileio.function_from_dict, {"schema": fileio.FUNCTION_SCHEMA, "oracle": "plurality",
+                                         "params": {"q": "three", "n": 3}}),
+            (fileio.measure_from_dict, {"schema": fileio.MEASURE_SCHEMA, "q": None,
+                                        "atoms": [0.5, 0.5]}),
+            (fileio.measure_from_dict, {"schema": fileio.MEASURE_SCHEMA, "q": 2,
+                                        "atoms": ["a", 0.5]}),
+            (fileio.profile_from_dict, {"schema": fileio.PROFILE_SCHEMA, "m": 2,
+                                        "orders": [{"ranking": [0, "b"]}]}),
+            (fileio.choice_function_from_dict, {"schema": fileio.CHOICE_SCHEMA, "m": 2,
+                                                "choices": {"x": 0, "2": 1, "3": 0}}),
+            (fileio.tournament_from_dict, {"schema": fileio.TOURNAMENT_SCHEMA, "m": 2,
+                                           "pairs": [[0]]}),
+        ],
+    )
+    def test_malformed_field(self, loader, doc):
+        with pytest.raises(fileio.FileFormatError, match="malformed field"):
+            loader(doc)
 
 
 class TestDecompositionExport:

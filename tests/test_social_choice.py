@@ -363,6 +363,23 @@ class TestBordaChoice:
                         assert winner == b
 
 
+@pytest.mark.parametrize("np_int", [np.int64, np.uint8])
+def test_numpy_integer_masks_choose_as_int_masks(rng, np_int):
+    c = ChoiceFunction.from_order(LinearOrder(4, (2, 0, 3, 1)))
+    tie_order = LinearOrder(4, (3, 1, 0, 2))
+    for _ in range(10):
+        profile = VoterProfile.from_rankings(
+            4, [tuple(rng.permutation(4)) for _ in range(5)], rng.integers(1, 4, size=5)
+        )
+        for mask in nonempty_subsets(4):
+            assert c.get(np_int(mask)) == c.get(mask)
+            assert plurality_choice(profile, np_int(mask)) == plurality_choice(profile, mask)
+            assert outdegree_choice(profile, np_int(mask), tie_order) == outdegree_choice(
+                profile, mask, tie_order
+            )
+            assert borda_choice(profile, np_int(mask)) == borda_choice(profile, mask)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     weights=st.lists(
