@@ -230,13 +230,15 @@ class Oracle:
     ``batch`` maps an ``(N, n)`` integer array to ``N`` values and must not
     modify its points: :meth:`QaryFunction.tabulate` passes a read-only view
     of a buffer it reuses, so writing into it raises ``ValueError``.  The
-    points may come in any integer dtype: Monte Carlo passes the narrowest
-    unsigned dtype that holds ``q - 1`` (``uint8`` up to q = 256) and
-    :meth:`QaryFunction.tabulate` passes int64, so ``batch`` must not assume
-    int64 (``x.sum(axis=1) - y.sum(axis=1)`` on ``uint8`` rows, for one, wraps
-    around zero).  An optional ``exact_prob(measure, a)`` computes
-    ``P[f = a]`` exactly from structure (e.g. plurality's Poissonized counts),
-    enabling exact threshold scans at sizes far beyond the table cap.
+    points may come in any integer dtype and memory layout: Monte Carlo and
+    :meth:`QaryFunction.tabulate` both pass the narrowest unsigned dtype that
+    holds ``q - 1`` (``uint8`` up to q = 256), Monte Carlo in C order and
+    ``tabulate`` column-major (each coordinate one contiguous column), so
+    ``batch`` must not assume int64 (``x.sum(axis=1) - y.sum(axis=1)`` on
+    ``uint8`` rows, for one, wraps around zero) nor C-contiguous rows.  An
+    optional ``exact_prob(measure, a)`` computes ``P[f = a]`` exactly from
+    structure (e.g. plurality's Poissonized counts), enabling exact threshold
+    scans at sizes far beyond the table cap.
     """
 
     name: str
@@ -278,7 +280,10 @@ class QaryFunction:
                     f"table must have length {self.q}**{self.n} = {size}, "
                     f"got shape {table.shape}"
                 )
-            # checked before the cast, which turns NaN into a warning and 0.9 into 0
+            # checked before the cast, which turns NaN into a warning, 0.9 into 0
+            # and the string "1.5" into 1.5
+            if table.dtype.kind not in "biuf":
+                raise TypeError(f"table values must be numbers, got dtype {table.dtype}")
             if table.dtype.kind == "f" and not np.isfinite(table).all():
                 raise InvalidFunctionError("table values must be finite")
             if self.codomain == "alphabet":
@@ -364,12 +369,13 @@ class QaryFunction:
             low += 1
         block = q**low
         high = n - low
-        buf = np.empty((block, n), dtype=np.int64)
-        buf[:, high:] = np.indices((q,) * low).reshape(low, block).T
-        points = buf.view()
+        # one contiguous column of one-byte digits per coordinate (up to q = 256)
+        columns = np.empty((n, block), dtype=np.min_scalar_type(q - 1))
+        columns[high:] = np.indices((q,) * low, dtype=columns.dtype).reshape(low, block)
+        points = columns.T
         points.setflags(write=False)
         for b, digits in enumerate(itertools.product(range(q), repeat=high)):
-            buf[:, :high] = digits
+            columns[:high] = np.array(digits, dtype=columns.dtype)[:, None]
             values[b * block : (b + 1) * block] = self.batch(points)
         return QaryFunction(
             q=self.q,
@@ -405,8 +411,7 @@ class QaryFunction:
         """True when the (tabulated) values all lie in {0, 1}."""
         if self.table is None:
             return False
-        vals = np.unique(self.table)
-        return bool(np.isin(vals, (0, 1)).all())
+        return bool(((self.table == 0) | (self.table == 1)).all())
 
 
 def permute_input_symbols(f: QaryFunction, perm: Sequence[int]) -> QaryFunction:
@@ -449,13 +454,28 @@ def _check_symbol(f: QaryFunction, a: int) -> None:
     _check_range(a, f.out_q, "symbol")
 
 
+def _table_prob(hits: np.ndarray, atoms: np.ndarray) -> float:
+    """The product-measure mass of the bool table ``hits``, one coordinate at a
+    time: coordinate 0, the most significant, is integrated out of the bool table
+    itself, then each next one out of the float table left, so no ``q**n`` weight
+    table is built and every sum has ``q`` terms."""
+    q = len(atoms)
+    view = hits.reshape(q, -1)
+    v = view[0] * atoms[0]
+    for k in range(1, q):
+        v += view[k] * atoms[k]
+    while v.size > 1:
+        v = atoms @ v.reshape(q, -1)
+    return float(v[0])
+
+
 def _exact_prob(f: QaryFunction, a: int) -> Callable[[ProductMeasure], float] | None:
     """``measure -> P[f = a]`` from the dense table, else the oracle's ``exact_prob``,
     else ``None`` (Monte Carlo only).  Checks ``a``; the evaluator trusts ``measure.q == f.q``."""
     _check_symbol(f, a)
     if f.table is not None:
         hits = f.table == a
-        return lambda measure: float(product_weights(measure, f.n) @ hits)
+        return lambda measure: _table_prob(hits, measure.atoms)
     exact = f.oracle.exact_prob
     if exact is not None:
         return lambda measure: float(exact(measure, a))

@@ -38,8 +38,11 @@ def _check_tie_break(tie_break: str) -> None:
 
 
 # gates up to this width count their inputs one column at a time, wider ones
-# each symbol in one reduction: the two cross at 8-9 on tabulate's int64 blocks
-_COLUMN_COUNT_MAX_ARITY = 8
+# each symbol in one reduction.  The two cross near 9-10 on 2000-row uint8
+# flat rows, 13-15 on 10000-row ones, 12 on int64 tree levels and 17-19 on
+# uint8 tree levels; on tabulate's one-byte blocks the column count leads by
+# at most 17% at every width up to 24.  12 bounds the worst loss either way.
+_COLUMN_COUNT_MAX_ARITY = 12
 
 
 def _gate_winners(Y: np.ndarray, q: int, arity: int, tie_break: str) -> np.ndarray:

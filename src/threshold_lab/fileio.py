@@ -53,6 +53,16 @@ def _reading(doc: dict, schema: str, kind: str):
         raise FileFormatError(f"{kind} document has a malformed field: {exc}") from None
 
 
+def _integer(value, field: str) -> int:
+    """``value`` as an int: an integral number, never a fraction, a bool or a
+    string; :func:`_reading` reports the ``ValueError`` as a malformed field."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 def function_to_dict(f: QaryFunction) -> dict:
     if f.table is not None:
         table = f.table.tolist()
@@ -76,17 +86,22 @@ def function_to_dict(f: QaryFunction) -> dict:
 def function_from_dict(doc: dict) -> QaryFunction:
     with _reading(doc, FUNCTION_SCHEMA, "function"):
         if "oracle" in doc:
-            f = resolve_oracle(doc["oracle"], doc.get("params", {}))
+            # every family's numeric parameters are integers
+            params = {
+                key: value if isinstance(value, str) else _integer(value, f"params.{key}")
+                for key, value in dict(doc.get("params", {})).items()
+            }
+            f = resolve_oracle(doc["oracle"], params)
             for field, built in (("q", f.q), ("n", f.n)):
-                if field in doc and int(doc[field]) != built:
+                if field in doc and _integer(doc[field], field) != built:
                     raise FileFormatError(
                         f"oracle document has {field}={doc[field]}, "
                         f"but {doc['oracle']} with these params has {field}={built}"
                     )
             return f
         return QaryFunction.from_table(
-            q=int(doc["q"]),
-            n=int(doc["n"]),
+            q=_integer(doc["q"], "q"),
+            n=_integer(doc["n"], "n"),
             values=doc["table"],
             codomain=doc.get("codomain", "alphabet"),
             out_q=doc.get("out_q"),
@@ -99,7 +114,7 @@ def measure_to_dict(measure: ProductMeasure) -> dict:
 
 def measure_from_dict(doc: dict) -> ProductMeasure:
     with _reading(doc, MEASURE_SCHEMA, "measure"):
-        return ProductMeasure(int(doc["q"]), np.asarray(doc["atoms"], dtype=float))
+        return ProductMeasure(_integer(doc["q"], "q"), np.asarray(doc["atoms"], dtype=float))
 
 
 def profile_to_dict(profile: VoterProfile) -> dict:
@@ -116,9 +131,9 @@ def profile_to_dict(profile: VoterProfile) -> dict:
 def profile_from_dict(doc: dict) -> VoterProfile:
     with _reading(doc, PROFILE_SCHEMA, "profile"):
         return VoterProfile.from_rankings(
-            int(doc["m"]),
-            [entry["ranking"] for entry in doc["orders"]],
-            [entry.get("weight", 1) for entry in doc["orders"]],
+            _integer(doc["m"], "m"),
+            [[_integer(a, "ranking entry") for a in entry["ranking"]] for entry in doc["orders"]],
+            [_integer(entry.get("weight", 1), "weight") for entry in doc["orders"]],
         )
 
 
@@ -132,9 +147,14 @@ def choice_function_to_dict(c: ChoiceFunction) -> dict:
 
 def choice_function_from_dict(doc: dict) -> ChoiceFunction:
     with _reading(doc, CHOICE_SCHEMA, "choice"):
+        # JSON object keys are strings: a mask key is read as a decimal integer
         return ChoiceFunction(
-            int(doc["m"]),
-            {int(mask): int(alt) for mask, alt in doc["choices"].items()},
+            _integer(doc["m"], "m"),
+            {
+                _integer(int(mask) if isinstance(mask, str) else mask, "choice mask"):
+                    _integer(alt, "alternative")
+                for mask, alt in doc["choices"].items()
+            },
         )
 
 
@@ -150,7 +170,9 @@ def tournament_to_dict(t: Tournament) -> dict:
 
 def tournament_from_dict(doc: dict) -> Tournament:
     with _reading(doc, TOURNAMENT_SCHEMA, "tournament"):
-        return Tournament.from_pairs(int(doc["m"]), doc["pairs"])
+        m = _integer(doc["m"], "m")
+        pairs = [[_integer(a, "pair entry") for a in pair] for pair in doc["pairs"]]
+        return Tournament.from_pairs(m, pairs)
 
 
 def decomposition_to_dict(d: EfronSteinDecomposition) -> dict:

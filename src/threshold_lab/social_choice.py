@@ -122,6 +122,11 @@ class ChoiceFunction:
             if not mask >> a & 1:
                 raise DimensionMismatchError(f"choice {a} not inside subset mask {mask}")
             cleaned[mask] = a
+        for mask in self.choices:
+            if mask not in cleaned:
+                raise DimensionMismatchError(
+                    f"choice for subset mask {mask} outside [1, {1 << self.m})"
+                )
         for a in range(self.m):
             if cleaned[1 << a] != a:
                 raise DimensionMismatchError("singleton subsets must choose their element")

@@ -27,7 +27,8 @@ def enum_expectation(f: QaryFunction, measure: ProductMeasure) -> float:
 
 
 def enum_prob(f: QaryFunction, measure: ProductMeasure, a: int) -> float:
-    return sum(point_prob(x, measure) for x in points(f.q, f.n) if f(x) == a)
+    # fsum: the only rounding left is each point's product of n atoms
+    return math.fsum(point_prob(x, measure) for x in points(f.q, f.n) if f(x) == a)
 
 
 def enum_compositions(n: int, q: int) -> np.ndarray:

@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -91,6 +93,17 @@ class TestFromTable:
             QaryFunction.from_table(2, 2, [0, 0.9, 1.5, 1])
         # integral floats are symbols
         assert QaryFunction.from_table(2, 2, [0.0, 1.0, 1.0, 0.0]).table.tolist() == [0, 1, 1, 0]
+
+
+@pytest.mark.parametrize(
+    "values, codomain, binary",
+    [([0, 1, 1, 0], "alphabet", True), ([1, 1, 1, 1], "alphabet", True),
+     ([0, 2, 1, 0], "alphabet", False), ([0.0, 1.0, 1.0, 0.0], "real", True),
+     ([0.0, 0.5, 1.0, 0.0], "real", False), ([-1.0, 0.0, 1.0, 0.0], "real", False)],
+)
+def test_is_binary(values, codomain, binary):
+    f = QaryFunction.from_table(2, 2, values, codomain=codomain, out_q=3)
+    assert f.is_binary() is binary
 
 
 class TestTableIndexing:
@@ -186,6 +199,32 @@ class TestProbValue:
             mu = random_positive_measure(q, rng)
             total = sum(prob_value(f, mu, a) for a in range(q))
             assert total == pytest.approx(1.0, abs=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 7), st.integers(0, 2**32 - 1), st.booleans())
+    def test_contraction_matches_enumeration(self, q, n, seed, zero_atom):
+        rng = np.random.default_rng(seed)
+        f = QaryFunction.from_table(q, n, rng.integers(0, q, size=q**n))
+        atoms = rng.dirichlet(np.ones(q))
+        if zero_atom:
+            atoms[rng.integers(q)] = 0.0
+            atoms /= atoms.sum()
+        mu = ProductMeasure(q, atoms)
+        a = int(rng.integers(q))
+        assert abs(prob_value(f, mu, a) - enum_prob(f, mu, a)) <= 1e-14
+
+    def test_accurate_at_two_to_the_twenty(self):
+        from threshold_lab import plurality
+
+        f = plurality(2, 20).tabulate()
+        for p in (0.3, 0.45, 0.5, 0.55, 0.7):
+            mu = ProductMeasure(2, [1.0 - p, p])
+            p0, p1 = (Fraction(float(x)) for x in mu.atoms)
+            # more ones than zeros, or a 10-10 tie with a one at coordinate 0,
+            # which first_occurrence hands the tie
+            want = sum(math.comb(20, k) * p1**k * p0 ** (20 - k) for k in range(11, 21))
+            want += math.comb(19, 9) * p1**10 * p0**10
+            assert abs(prob_value(f, mu, 1) - float(want)) <= 2e-15
 
     def test_symbol_out_of_range(self):
         f = QaryFunction.from_table(2, 1, [0, 1])
@@ -377,6 +416,23 @@ class TestTabulate:
             traced = QaryFunction.from_oracle(2, 18, Oracle("dictator", {}, batch))
             assert np.array_equal(traced.tabulate().table, enumerated[:, coord])
             assert calls == [2**17, 2**17]
+
+    @pytest.mark.parametrize("q, n", [(2, 5), (3, 4), (4, 3), (257, 2)])
+    def test_batch_sees_read_only_one_byte_columns(self, q, n, monkeypatch):
+        monkeypatch.setattr(core, "_TABULATE_COORDS", q * n)  # blocks of q points
+        seen = []
+
+        def batch(X):
+            seen.append((X.dtype, X.flags.writeable, X.strides, X.shape))
+            return np.asarray(X)[:, -1].astype(np.int64)
+
+        f = QaryFunction.from_oracle(q, n, Oracle("spy", {}, batch))
+        assert f.tabulate().table.tolist() == [x[-1] for x in points(q, n)]
+        assert len(seen) > 1
+        for dtype, writeable, strides, shape in seen:
+            # each coordinate one contiguous column: uint8 up to q = 256, then uint16
+            assert dtype == np.min_scalar_type(q - 1) and not writeable
+            assert strides == (dtype.itemsize, dtype.itemsize * shape[0])
 
     def test_batch_may_not_write_its_points(self):
         def batch(X):

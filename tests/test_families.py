@@ -28,7 +28,8 @@ from threshold_lab import (
     resolve_oracle,
     scan_path,
 )
-from threshold_lab import families
+from threshold_lab import core, families
+from threshold_lab.core import Oracle, all_points
 from threshold_lab.families import (
     _COLUMN_COUNT_MAX_ARITY,
     TIE_BREAKS,
@@ -509,6 +510,33 @@ def test_batch_is_the_same_on_every_integer_dtype(rng, f):
         assert (got == want).all()
     # a non-integer array is cast, as before
     assert (f.batch(X.astype(float)) == want).all()
+
+
+def _weighted_sum_mod_q(q, n):
+    # a user oracle: reads every column, widens nothing itself
+    weights = np.arange(1, n + 1)
+    oracle = Oracle("weighted_sum", {}, lambda X: (np.asarray(X) @ weights) % q)
+    return QaryFunction.from_oracle(q, n, oracle)
+
+
+TABLE_FAMILIES = [
+    *(plurality(q, n, tie) for q, n in [(2, 13), (3, 7), (4, 5)] for tie in TIE_BREAKS),
+    *(recursive_plurality(q, 3, 2, tie) for q in (2, 3, 4) for tie in TIE_BREAKS),
+    *(graph_property(4, q, kind) for q in (2, 3) for kind in families.GRAPH_PROPERTIES),
+    graph_property(3, 4, "max_clique_color"),
+    antisym_majority(5),
+    *(dictator(q, 4, 3) for q in (2, 3, 4)),
+    *(_weighted_sum_mod_q(q, 5) for q in (2, 3, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "f", TABLE_FAMILIES, ids=lambda f: f"{f.oracle.name}-{f.q}-{f.n}-{f.oracle.params}"
+)
+def test_tabulate_equals_batch_on_all_points(f, monkeypatch):
+    # int64 row-major points against tabulate's one-byte columns, over several blocks
+    monkeypatch.setattr(core, "_TABULATE_COORDS", 300 * f.n)
+    assert np.array_equal(f.tabulate().table, f.batch(all_points(f.q, f.n)))
 
 
 def test_building_plurality_leaves_numpy_polynomial_unloaded():

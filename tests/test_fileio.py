@@ -5,6 +5,7 @@ import pytest
 
 from threshold_lab import (
     ChoiceFunction,
+    DimensionMismatchError,
     ProductMeasure,
     QaryFunction,
     Tournament,
@@ -156,11 +157,48 @@ class TestSchemaValidation:
                                                 "choices": {"x": 0, "2": 1, "3": 0}}),
             (fileio.tournament_from_dict, {"schema": fileio.TOURNAMENT_SCHEMA, "m": 2,
                                            "pairs": [[0]]}),
+            # fractions, bools and numeric strings are never truncated or parsed
+            (fileio.measure_from_dict, {"schema": fileio.MEASURE_SCHEMA, "q": 2.7,
+                                        "atoms": [0.5, 0.5]}),
+            (fileio.measure_from_dict, {"schema": fileio.MEASURE_SCHEMA, "q": True,
+                                        "atoms": [1.0]}),
+            (fileio.function_from_dict, {"schema": fileio.FUNCTION_SCHEMA, "q": 2, "n": 1.5,
+                                         "table": [0, 1]}),
+            (fileio.function_from_dict, {"schema": fileio.FUNCTION_SCHEMA, "oracle": "plurality",
+                                         "params": {"q": 3.5, "n": 5}}),
+            (fileio.function_from_dict, {"schema": fileio.FUNCTION_SCHEMA, "oracle": "plurality",
+                                         "params": {"q": 3, "n": 5}, "n": 5.5}),
+            (fileio.function_from_dict, {"schema": fileio.FUNCTION_SCHEMA, "q": 2, "n": 1,
+                                         "codomain": "real", "table": ["1.5", "0"]}),
+            (fileio.function_from_dict, {"schema": fileio.FUNCTION_SCHEMA, "q": 2, "n": 1,
+                                         "table": ["1", "0"]}),
+            (fileio.profile_from_dict, {"schema": fileio.PROFILE_SCHEMA, "m": 2,
+                                        "orders": [{"ranking": [0, 1], "weight": 1.5}]}),
+            (fileio.profile_from_dict, {"schema": fileio.PROFILE_SCHEMA, "m": 2,
+                                        "orders": [{"ranking": [0.5, 1]}]}),
+            (fileio.choice_function_from_dict, {"schema": fileio.CHOICE_SCHEMA, "m": 2.5,
+                                                "choices": {"1": 0, "2": 1, "3": 0}}),
+            (fileio.choice_function_from_dict, {"schema": fileio.CHOICE_SCHEMA, "m": 2,
+                                                "choices": {"1": 0, "2": 1, "3": 0.5}}),
+            (fileio.tournament_from_dict, {"schema": fileio.TOURNAMENT_SCHEMA, "m": 2,
+                                           "pairs": [[0, 1.5]]}),
         ],
     )
     def test_malformed_field(self, loader, doc):
         with pytest.raises(fileio.FileFormatError, match="malformed field"):
             loader(doc)
+
+    def test_integral_floats_still_read(self):
+        measure = fileio.measure_from_dict(
+            {"schema": fileio.MEASURE_SCHEMA, "q": 2.0, "atoms": [0.5, 0.5]}
+        )
+        assert measure.q == 2 and type(measure.q) is int
+
+    def test_choice_mask_outside_the_subsets_refused(self):
+        doc = {"schema": fileio.CHOICE_SCHEMA, "m": 2,
+               "choices": {"1": 0, "2": 1, "3": 0, "7": 2}}
+        with pytest.raises(DimensionMismatchError, match="mask 7 outside"):
+            fileio.choice_function_from_dict(doc)
 
 
 class TestDecompositionExport:
