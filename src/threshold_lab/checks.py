@@ -178,7 +178,11 @@ def check_fair(f: QaryFunction) -> CheckResult:
     if f.codomain != "alphabet" or f.out_q != f.q:
         raise InvalidFunctionError("fairness needs codomain = input alphabet")
     for pi in _swap_and_cycle(f.q):
-        relabeled_inputs = f.table[_relabel_index(pi, f.n)]
+        if f.q == 2:
+            # the swap is the only generator, and index(pi x) = 2**n - 1 - index(x)
+            relabeled_inputs = f.table[::-1]
+        else:
+            relabeled_inputs = f.table[_relabel_index(pi, f.n)]
         relabeled_outputs = pi[f.table]
         bad = relabeled_inputs != relabeled_outputs
         if bad.any():

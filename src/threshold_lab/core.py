@@ -35,6 +35,10 @@ ATOM_SUM_TOL = 1e-12
 #: hands to an oracle's ``batch``.
 _TABULATE_COORDS = 4_000_000
 
+#: Coordinates per block of rows that a table's ``batch`` encodes into table
+#: indices: half a MiB of one-byte digits, read column by column from cache.
+_ENCODE_DIGITS = 1 << 19
+
 
 class ThresholdLabError(Exception):
     """Base class for domain errors raised by this package."""
@@ -113,6 +117,28 @@ def index_of(x: Sequence[int], q: int) -> int:
     for v in x:
         idx = idx * q + int(v)
     return idx
+
+
+def _table_index(points: np.ndarray, q: int) -> np.ndarray:
+    """:func:`index_of` of each row of ``points``, whose coordinates lie in
+    ``[0, q)``, by Horner's rule one column at a time.
+
+    Rows go in blocks of about :data:`_ENCODE_DIGITS` coordinates, each in the
+    narrowest dtype that holds ``q - 1`` (the one-byte points Monte Carlo draws
+    are not copied), so the strided column reads stay in cache whatever the
+    points' dtype; no column is widened to int64.
+    """
+    digits = np.min_scalar_type(q - 1)
+    rows = max(1, _ENCODE_DIGITS // points.shape[1])
+    index = np.empty(points.shape[0], dtype=np.int64)
+    for start in range(0, points.shape[0], rows):
+        columns = points[start : start + rows].astype(digits, copy=False).T
+        block = index[start : start + rows]
+        block[:] = columns[0]
+        for column in columns[1:]:
+            block *= q
+            block += column
+    return index
 
 
 def points_of(indices: np.ndarray, q: int, n: int) -> np.ndarray:
@@ -350,7 +376,7 @@ class QaryFunction:
         if self.table is not None:
             if points.size and (points.min() < 0 or points.max() >= self.q):
                 raise DimensionMismatchError(f"coordinates must lie in [0, {self.q})")
-            return self.table[np.ravel_multi_index(tuple(points.T), (self.q,) * self.n)]
+            return self.table[_table_index(points, self.q)]
         return self.oracle.batch(points)
 
     def tabulate(self) -> "QaryFunction":
@@ -444,7 +470,7 @@ def expectation(f: QaryFunction, measure: ProductMeasure) -> float:
             "expectation of an oracle function needs tabulation; use tabulate() "
             "or a Monte Carlo estimator"
         )
-    return float(product_weights(measure, f.n) @ f.table)
+    return _table_mean(f.table, measure.atoms)
 
 
 def _check_symbol(f: QaryFunction, a: int) -> None:
@@ -454,13 +480,13 @@ def _check_symbol(f: QaryFunction, a: int) -> None:
     _check_range(a, f.out_q, "symbol")
 
 
-def _table_prob(hits: np.ndarray, atoms: np.ndarray) -> float:
-    """The product-measure mass of the bool table ``hits``, one coordinate at a
-    time: coordinate 0, the most significant, is integrated out of the bool table
-    itself, then each next one out of the float table left, so no ``q**n`` weight
-    table is built and every sum has ``q`` terms."""
+def _table_mean(table: np.ndarray, atoms: np.ndarray) -> float:
+    """``sum_x table[x] prod_i atoms[x_i]`` for a bool or real table, one
+    coordinate at a time: coordinate 0, the most significant, is integrated out
+    of ``table`` itself, then each next one out of the float table left, so no
+    ``q**n`` weight table is built and every sum has ``q`` terms."""
     q = len(atoms)
-    view = hits.reshape(q, -1)
+    view = table.reshape(q, -1)
     v = view[0] * atoms[0]
     for k in range(1, q):
         v += view[k] * atoms[k]
@@ -475,7 +501,7 @@ def _exact_prob(f: QaryFunction, a: int) -> Callable[[ProductMeasure], float] | 
     _check_symbol(f, a)
     if f.table is not None:
         hits = f.table == a
-        return lambda measure: _table_prob(hits, measure.atoms)
+        return lambda measure: _table_mean(hits, measure.atoms)
     exact = f.oracle.exact_prob
     if exact is not None:
         return lambda measure: float(exact(measure, a))

@@ -160,17 +160,34 @@ def mc_estimate(
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ThresholdCurve:
-    """Sampled values of ``t -> P[f = a]`` along a measure path."""
+    """Values of ``t -> P[f = a]`` at the nodes of a uniform grid of the path.
+
+    A Monte Carlo curve is sampled at every node when it is built.  An exact
+    curve evaluates a node the first time it is read and keeps the value by
+    node index, so a window reads only the nodes its bisection visits;
+    ``values`` evaluates every node not read yet.
+    """
 
     path: MeasurePath
     anchor: int
     grid: np.ndarray
-    values: np.ndarray
     method: str  # "exact" | "mc"
     samples: int | None = None
     seed: int | None = None
     half_widths: np.ndarray | None = None
     evaluator: object = dataclasses.field(default=None, repr=False, compare=False)
+    _nodes: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
+
+    def _node(self, i: int) -> float:
+        """G at grid node ``i``, evaluated on the first read."""
+        if i not in self._nodes:
+            self._nodes[i] = self.evaluator(self.grid[i])
+        return self._nodes[i]
+
+    @property
+    def values(self) -> np.ndarray:
+        """G at every grid node, in grid order."""
+        return np.array([self._node(i) for i in range(self.grid.size)])
 
 
 def scan_path(
@@ -182,11 +199,14 @@ def scan_path(
     samples: int = 10_000,
     seed: int = 0,
 ) -> ThresholdCurve:
-    """Evaluate the curve ``G(t) = P[f = a]`` on a uniform grid of the path.
+    """The curve ``G(t) = P[f = a]`` on a uniform grid of the path.
 
-    Exact mode needs a dense table or a structured exact evaluator; Monte
-    Carlo mode draws ``samples`` points per grid node with per-node streams
-    derived from ``(seed, node index)``.
+    Exact mode needs a dense table or a structured exact evaluator, and
+    evaluates a grid node only when the curve reads it: ``values`` (as
+    ``scan`` and the curve writers read it) evaluates every node, a window
+    only the nodes its bisection visits.  Monte Carlo mode draws ``samples``
+    points at every grid node up front, with per-node streams derived from
+    ``(seed, node index)``.
     """
     if grid_size < 2:
         raise DimensionMismatchError("grid needs at least 2 points")
@@ -199,9 +219,8 @@ def scan_path(
             raise TableSizeError(
                 "exact scan needs a table or structured evaluator; use method='mc'"
             )
-        values = np.array([point(path.measure_at(t)) for t in grid])
         return ThresholdCurve(
-            path=path, anchor=a, grid=grid, values=values, method="exact",
+            path=path, anchor=a, grid=grid, method="exact",
             evaluator=lambda t: point(path.measure_at(t)),
         )
     if method != "mc":
@@ -214,11 +233,11 @@ def scan_path(
         path=path,
         anchor=a,
         grid=grid,
-        values=np.array([e.p_hat for e in estimates]),
         method="mc",
         samples=samples,
         seed=seed,
         half_widths=np.array([e.half_width for e in estimates]),
+        _nodes={idx: e.p_hat for idx, e in enumerate(estimates)},
     )
 
 
@@ -232,35 +251,57 @@ class ThresholdWindow(Report):
 
 
 def _locate_crossing(curve: ThresholdCurve, level: float) -> float:
-    grid, values = curve.grid, curve.values
-    if values[0] > level or values[-1] < level:
+    grid, node = curve.grid, curve._node
+    last = grid.size - 1
+    if node(0) > level or node(last) < level:
+        values = curve.values
         raise WindowUndefinedError(
             f"curve does not cross level {level}: range "
             f"[{values.min():.6g}, {values.max():.6g}]"
         )
-    i = int(np.argmax(values >= level))
-    if i == 0:
+    if node(0) >= level:
         return float(grid[0])
+    if curve.evaluator is None:
+        # a Monte Carlo curve is noisy, so its first node at the level counts
+        values = curve.values
+        i = int(np.argmax(values >= level))
+        lo, hi = float(grid[i - 1]), float(grid[i])
+        v0, v1 = float(values[i - 1]), float(values[i])
+        if v1 == v0:
+            return 0.5 * (lo + hi)
+        return lo + (level - v0) * (hi - lo) / (v1 - v0)
+    # bisection over node indices, keeping node(lo_i) < level <= node(i)
+    lo_i, i = 0, last
+    while i - lo_i > 1:
+        mid = (lo_i + i) // 2
+        if node(mid) >= level:
+            i = mid
+        else:
+            lo_i = mid
     lo, hi = float(grid[i - 1]), float(grid[i])
-    if curve.evaluator is not None:
-        while hi - lo > _REFINE_TOL:
-            mid = 0.5 * (lo + hi)
-            if curve.evaluator(mid) < level:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-    v0, v1 = float(curve.values[i - 1]), float(curve.values[i])
-    if v1 == v0:
-        return 0.5 * (lo + hi)
-    return lo + (level - v0) * (hi - lo) / (v1 - v0)
+    while hi - lo > _REFINE_TOL:
+        mid = 0.5 * (lo + hi)
+        if curve.evaluator(mid) < level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def threshold_window(curve: ThresholdCurve, eps: float) -> ThresholdWindow:
     """Locate where the curve crosses ``eps`` and ``1 - eps``.
 
-    Exact curves are refined by bisection to a bracket of width ``1e-6``;
-    Monte Carlo curves interpolate linearly between bracketing grid points.
+    On an exact curve each crossing's grid cell is found by bisection over
+    the node indices, so a 101-node window evaluates about 7 nodes per level
+    (the two levels share them) instead of all 101; the cell is then refined
+    by bisection to a bracket of width ``1e-6``.  This assumes G is
+    non-decreasing along the path, as it is for every f monotone along the
+    anchor: then the cell is the one the first node at or above the level
+    closes.  On an exact curve that is not non-decreasing the window is *a*
+    crossing whose grid cell brackets the level, not necessarily the first.
+    A Monte Carlo curve is noisy and not monotone, so its crossing is the
+    first node at or above the level, interpolated linearly from the node
+    before it.
     """
     if not 0.0 < eps <= 0.5:
         raise DimensionMismatchError(f"eps must lie in (0, 0.5], got {eps}")
@@ -327,9 +368,11 @@ def simplex_sweep(
             p = mc_estimate(f, mu, a, inner_samples, [sampler.seed, idx]).p_hat
         if eps <= p <= 1.0 - eps:
             critical += 1
-        if eta is not None and mu.atoms[a] < 1.0:
-            off = np.delete(mu.atoms, a) / (1.0 - mu.atoms[a])
-            if off.min() < eta:
+        if eta is not None:
+            atoms = mu.atoms.tolist()
+            # dividing by the positive 1 - mu_a preserves order under rounding,
+            # so the smallest conditional atom is the smallest off-anchor atom's
+            if atoms[a] < 1.0 and min(atoms[:a] + atoms[a + 1 :]) / (1.0 - atoms[a]) < eta:
                 noninterior += 1
     estimate = critical / samples
     return SweepReport(

@@ -1,11 +1,19 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from threshold_lab import QaryFunction
 
 from oracles import random_binary_function, random_positive_measure, random_real_function
+
+# on CI every property test draws the same examples on every run, and a failure
+# prints the blob that replays it locally (@reproduce_failure)
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -11,7 +11,14 @@ import math
 
 import numpy as np
 
-from threshold_lab import ProductMeasure, QaryFunction, leq_a
+from threshold_lab import (
+    ProductMeasure,
+    QaryFunction,
+    ThresholdWindow,
+    WindowUndefinedError,
+    leq_a,
+)
+from threshold_lab.threshold import _REFINE_TOL
 
 
 def points(q: int, n: int):
@@ -207,3 +214,40 @@ def reshape_recursive_plurality(X: np.ndarray, q: int, arity: int, tie_break: st
         blocks = Y.reshape(-1, arity)
         Y = int64_plurality_winners(blocks, q, tie_break).reshape(Y.shape[0], -1)
     return Y[:, 0]
+
+
+def full_grid_crossing(curve, level: float) -> float:
+    """The crossing of ``level`` from every grid node's value, the library's
+    former ``_locate_crossing``: the first node at or above the level closes
+    the cell that is refined (exact) or interpolated (Monte Carlo)."""
+    grid, values = curve.grid, curve.values
+    if values[0] > level or values[-1] < level:
+        raise WindowUndefinedError(
+            f"curve does not cross level {level}: range "
+            f"[{values.min():.6g}, {values.max():.6g}]"
+        )
+    i = int(np.argmax(values >= level))
+    if i == 0:
+        return float(grid[0])
+    lo, hi = float(grid[i - 1]), float(grid[i])
+    if curve.evaluator is not None:
+        while hi - lo > _REFINE_TOL:
+            mid = 0.5 * (lo + hi)
+            if curve.evaluator(mid) < level:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+    v0, v1 = float(curve.values[i - 1]), float(curve.values[i])
+    if v1 == v0:
+        return 0.5 * (lo + hi)
+    return lo + (level - v0) * (hi - lo) / (v1 - v0)
+
+
+def full_grid_window(curve, eps: float) -> ThresholdWindow:
+    """``threshold_window`` over :func:`full_grid_crossing`."""
+    t_lo = full_grid_crossing(curve, eps)
+    t_hi = full_grid_crossing(curve, 1.0 - eps)
+    return ThresholdWindow(
+        eps=eps, t_lo=t_lo, t_hi=t_hi, width=max(0.0, t_hi - t_lo), method=curve.method
+    )

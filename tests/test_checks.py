@@ -249,6 +249,25 @@ class TestCheckFair:
         for a in range(3):
             assert prob_value(f, mu, a) == pytest.approx(1 / 3, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    def test_binary_witness_from_the_ix_relabelling(self, n, rng):
+        # a fair table with one entry flipped fails at the first index whose
+        # mirror image 2**n - 1 - index disagrees
+        f = dictator(2, n, n // 2).tabulate()
+        table = f.table.copy()
+        table[rng.integers(table.size)] ^= 1
+        result = check_fair(QaryFunction.from_table(2, n, table))
+        swap = np.array([1, 0])
+        relabeled = ix_relabel(table, 2, n, swap)
+        bad = np.flatnonzero(relabeled != swap[table])
+        assert not result.passed
+        assert result.witness == {
+            "symbol_permutation": [1, 0],
+            "x": [int(v) for v in np.unravel_index(bad[0], (2,) * n)],
+            "f_pi_x": int(relabeled[bad[0]]),
+            "pi_f_x": int(swap[table[bad[0]]]),
+        }
+
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_witness_from_the_ix_relabelling(self, q, rng):
         for n in range(1, 5):

@@ -133,6 +133,21 @@ class TestTableIndexing:
             with pytest.raises(DimensionMismatchError):
                 f(point)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.int64, np.uint64])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("block_digits", [core._ENCODE_DIGITS, 40])
+    def test_table_batch_encodes_like_ravel_multi_index(
+        self, dtype, order, block_digits, rng, monkeypatch
+    ):
+        # 40 digits puts 300 rows in many blocks, the last one short
+        monkeypatch.setattr(core, "_ENCODE_DIGITS", block_digits)
+        for q, n in ((2, 1), (2, 9), (3, 6), (5, 4), (300, 2)):
+            f = QaryFunction.from_table(q, n, rng.integers(0, q, size=q**n))
+            X = np.asarray(rng.integers(0, q, size=(300, n)), dtype=dtype, order=order)
+            want = f.table[np.ravel_multi_index(tuple(X.T.astype(np.int64)), (q,) * n)]
+            assert np.array_equal(f.batch(X), want)
+            assert f.batch(X[:0]).shape == (0,)
+
 
 class TestExpectation:
     def test_constant(self):
@@ -171,6 +186,32 @@ class TestExpectation:
         assert expectation(combo, mu) == pytest.approx(
             alpha * expectation(f, mu) + beta * expectation(g, mu), abs=1e-10
         )
+
+    def test_accurate_at_two_to_the_twenty(self):
+        from threshold_lab import plurality
+
+        f = plurality(2, 20).tabulate()
+        g = f.indicator(1)
+        for p in (0.3, 0.45, 0.5, 0.55, 0.7):
+            mu = ProductMeasure(2, [1.0 - p, p])
+            p0, p1 = (Fraction(float(x)) for x in mu.atoms)
+            # P[plurality = 1], as in TestProbValue's test at this size
+            want = sum(math.comb(20, k) * p1**k * p0 ** (20 - k) for k in range(11, 21))
+            want += math.comb(19, 9) * p1**10 * p0**10
+            assert abs(expectation(g, mu) - float(want)) <= 2e-15
+            # one contraction serves both, so the indicator's mean is P[f = 1] exactly
+            assert expectation(g, mu) == prob_value(f, mu, 1)
+
+    def test_real_table_against_a_fraction_sum(self, rng):
+        q, n = 3, 8
+        f = QaryFunction.from_table(q, n, rng.random(q**n), codomain="real")
+        mu = random_positive_measure(q, rng)
+        atoms = [Fraction(float(x)) for x in mu.atoms]
+        want = sum(
+            Fraction(float(v)) * math.prod(atoms[d] for d in x)
+            for v, x in zip(f.table, points(q, n))
+        )
+        assert abs(expectation(f, mu) - float(want)) <= 2e-15
 
 
 class TestProbValue:

@@ -21,7 +21,9 @@ from threshold_lab import (
     influence,
     jury_experiment,
     mc_estimate,
+    permute_input_symbols,
     plurality,
+    prob_value,
     recursive_plurality,
     russo_derivative,
     russo_report,
@@ -32,7 +34,7 @@ from threshold_lab import (
 from threshold_lab import threshold
 from threshold_lab.threshold import NoStrictLeaderError, critical_bound_shape
 
-from oracles import zero_monotone_closure
+from oracles import full_grid_window, zero_monotone_closure
 
 BASE2 = ProductMeasure(2, [0.0, 1.0])
 
@@ -266,6 +268,108 @@ class TestThresholdWindow:
         assert window.width == pytest.approx(exact.width, abs=0.1)
 
 
+def _up_set_table(q, n, a, rng):
+    """An alphabet table that is ``a`` on a random up-set of ``<=_a`` and
+    ``(a + 1) mod q`` elsewhere, so ``P[f = a]`` is non-decreasing toward ``a``."""
+    closed = zero_monotone_closure(rng.integers(0, 2, size=q**n), q, n)
+    swap = np.arange(q)
+    swap[[0, a]] = swap[[a, 0]]
+    up = permute_input_symbols(QaryFunction.from_table(q, n, closed, out_q=2), swap)
+    return QaryFunction.from_table(q, n, np.where(up.table == 1, a, (a + 1) % q))
+
+
+def _window_or_error(window, curve, eps):
+    try:
+        return window(curve, eps)
+    except WindowUndefinedError as err:
+        return str(err)
+
+
+def _spied(f):
+    """``f`` with its oracle's ``exact_prob`` counting its calls in ``calls``."""
+    calls = []
+    exact = f.oracle.exact_prob
+
+    def counted(measure, a):
+        calls.append(a)
+        return exact(measure, a)
+
+    oracle = Oracle(f.oracle.name, f.oracle.params, f.oracle.batch, counted)
+    return QaryFunction.from_oracle(f.q, f.n, oracle), calls
+
+
+class TestLazyWindow:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["first_occurrence", "smallest_index", "dictator", "table"]),
+        q=st.integers(2, 5),
+        n=st.integers(1, 40),
+        anchor_seed=st.integers(0, 2**32 - 1),
+        eps=st.floats(1e-3, 0.5),
+        grid=st.one_of(st.sampled_from([2, 3]), st.integers(2, 101)),
+    )
+    def test_equals_the_full_grid_window(self, kind, q, n, anchor_seed, eps, grid):
+        rng = np.random.default_rng(anchor_seed)
+        a = int(rng.integers(q))
+        if kind == "dictator":
+            f = dictator(q, n, int(rng.integers(n)))
+        elif kind == "table":
+            n = min(n, {2: 6, 3: 4, 4: 3, 5: 3}[q])
+            f = _up_set_table(q, n, a, rng)
+        else:
+            f = plurality(q, n, kind)
+        atoms = rng.dirichlet(np.ones(q))
+        atoms[a] = 0.0
+        base = ProductMeasure(q, atoms / atoms.sum())
+        lazy = _window_or_error(threshold_window, scan_path(f, a, base, grid_size=grid), eps)
+        full = _window_or_error(full_grid_window, scan_path(f, a, base, grid_size=grid), eps)
+        assert lazy == full
+
+    def test_grid_101_window_reads_few_nodes(self):
+        f, calls = _spied(plurality(3, 45))
+        curve = scan_path(f, 0, ProductMeasure(3, [0.0, 0.4, 0.6]))
+        assert calls == []
+        threshold_window(curve, 0.1)
+        assert 0 < len(calls) <= 44
+
+    def test_values_evaluate_only_the_nodes_not_read_yet(self):
+        f, calls = _spied(plurality(3, 45))
+        curve = scan_path(f, 0, ProductMeasure(3, [0.0, 0.4, 0.6]), grid_size=21)
+        threshold_window(curve, 0.1)
+        before = len(calls)
+        values = curve.values
+        first_read = len(calls) - before
+        assert 0 < first_read < 21
+        assert np.array_equal(curve.values, values)
+        assert len(calls) == before + first_read
+
+    def test_non_monotone_crossing_lies_in_a_bracketing_cell(self):
+        # G(t) = n t (1 - t)^(n - 1) + t^n rises to about 0.39, falls, then
+        # rises to 1, so the level 0.2 is crossed three times
+        n = 10
+        f = QaryFunction.from_table(
+            2, n, [int(sum(x) in (1, n)) for x in itertools.product((0, 1), repeat=n)]
+        )
+        curve = scan_path(f, 1, ProductMeasure(2, [1.0, 0.0]), grid_size=101)
+        t_lo = threshold_window(curve, 0.2).t_lo
+        i = int(np.searchsorted(curve.grid, t_lo))
+        G = [prob_value(f, curve.path.measure_at(t), 1) for t in curve.grid[i - 1 : i + 1]]
+        assert G[0] < 0.2 <= G[1]
+        # the bisection's first probe, at t = 0.5, lies past the first crossing
+        assert t_lo > 0.5 > full_grid_window(curve, 0.2).t_lo
+
+    def test_undefined_window_names_the_range_of_every_node(self):
+        # G(t) = 5 t (1 - t)^4 is 0 at both ends and peaks inside
+        f = QaryFunction.from_table(
+            2, 5, [int(sum(x) == 1) for x in itertools.product((0, 1), repeat=5)]
+        )
+        curve = scan_path(f, 1, ProductMeasure(2, [1.0, 0.0]), grid_size=11)
+        peak = max(prob_value(f, curve.path.measure_at(t), 1) for t in curve.grid)
+        with pytest.raises(WindowUndefinedError) as err:
+            threshold_window(curve, 0.1)
+        assert str(err.value) == f"curve does not cross level 0.1: range [0, {peak:.6g}]"
+
+
 class TestMCEstimate:
     def test_constant(self):
         f = QaryFunction.from_table(2, 2, [1, 1, 1, 1])
@@ -327,6 +431,23 @@ class TestSimplexSweep:
         )
         assert 0.0 <= rep.noninterior_fraction <= 1.0
         assert rep.bound_shape == pytest.approx(critical_bound_shape(0.1, 81))
+
+    @pytest.mark.parametrize(
+        "q,a,n", [(2, 0, 40), (3, 1, 40), (4, 0, 300), (4, 2, 300), (5, 4, 5000)]
+    )
+    def test_noninterior_count_as_conditioned_atoms(self, q, a, n):
+        # recounted from each conditional measure's atoms, the form the sweep
+        # used to compute; n puts eta among the smallest conditional atoms
+        rep = simplex_sweep(dictator(q, n), a, 0.3, SimplexSampler(q, seed=q), 2000)
+        sampler = SimplexSampler(q, seed=q)
+        count = 0
+        for _ in range(2000):
+            atoms = sampler.sample().atoms
+            if atoms[a] < 1.0:
+                count += int((np.delete(atoms, a) / (1.0 - atoms[a])).min() < rep.eta)
+        assert rep.noninterior_fraction == count / 2000
+        # at q = 2 the one conditional atom is 1, above eta
+        assert count == 0 if q == 2 else 0 < count < 2000
 
     def test_nested_mc_for_structureless_oracle(self):
         from threshold_lab import recursive_plurality
