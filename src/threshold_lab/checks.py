@@ -93,7 +93,8 @@ def _cover_violation(table: np.ndarray, q: int, n: int, a: int, binary: bool) ->
     Covers generate the anchored order by transitivity, so they certify full
     monotonicity.  ``binary`` switches the predicate from value preservation
     (``f(x) = a`` forces ``f(y) = a``) to order preservation
-    (``f(x) <= f(y)`` for {0,1} values).
+    (``f(x) <= f(y)`` for {0,1} values, int or real); the witness holds the
+    values as ints either way.
     """
     # x is flagged when f(x) is a source value and f(y) a sink value; at
     # digit a the cover y is x itself, and no value is both
@@ -112,8 +113,8 @@ def _cover_violation(table: np.ndarray, q: int, n: int, a: int, binary: bool) ->
                 "coord": int(i),
                 "x": pts[0].tolist(),
                 "y": pts[1].tolist(),
-                "f_x": table[x_idx].item(),
-                "f_y": table[y_idx].item(),
+                "f_x": int(table[x_idx]),
+                "f_y": int(table[y_idx]),
             }
     return None
 
@@ -141,7 +142,7 @@ def anchored_monotone_violation(f: QaryFunction, anchor: int) -> dict | None:
     f = f.tabulate()
     if not f.is_binary():
         raise InvalidFunctionError("anchored monotonicity is defined for {0,1} values")
-    return _cover_violation(f.table.astype(np.int64), f.q, f.n, anchor, binary=True)
+    return _cover_violation(f.table, f.q, f.n, anchor, binary=True)
 
 
 def check_symmetric(f: QaryFunction, group: SymmetryGroup) -> CheckResult:

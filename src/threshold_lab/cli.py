@@ -16,6 +16,7 @@ import numpy as np
 from . import fileio
 from .checks import SymmetryGroup, check_fair, check_monotone, check_symmetric, check_zero_monotone
 from .core import (
+    InvalidFunctionError,
     ProductMeasure,
     QaryFunction,
     SimplexSampler,
@@ -75,17 +76,26 @@ _FAMILY_PARAMS = {
 def _load_function(args) -> QaryFunction:
     if args.function:
         return fileio.load_function(args.function)
-    if args.family:
-        params = {
-            key: getattr(args, option.replace("-", "_")) for key, option in _FAMILY_PARAMS.items()
-        }
-        params = {k: v for k, v in params.items() if v is not None}
+    if not args.family:
+        raise UsageError("one of --function/--family is required")
+    params = {
+        key: getattr(args, option.replace("-", "_")) for key, option in _FAMILY_PARAMS.items()
+    }
+    params = {k: v for k, v in params.items() if v is not None}
+    while True:
         try:
             return resolve_oracle(args.family, params)
-        except KeyError as exc:  # a builder read a parameter no option set
+        except KeyError as exc:  # the family needs a parameter no option set
             option = _FAMILY_PARAMS[exc.args[0]]
             raise UsageError(f"--family {args.family} needs --{option}") from None
-    raise UsageError("one of --function/--family is required")
+        except InvalidFunctionError as exc:
+            key = getattr(exc, "parameter", None)
+            if key is None:
+                raise
+            if key != "vertices" or getattr(args, "group", None) != "graph":
+                option = _FAMILY_PARAMS[key]
+                raise UsageError(f"--family {args.family} takes no --{option}") from None
+            del params[key]  # --group graph reads --vertices itself
 
 
 def _load_measure(args, q: int) -> ProductMeasure:

@@ -279,7 +279,8 @@ class QaryFunction:
 
     Exactly one of ``table`` (dense, index order as in :func:`index_of`) and
     ``oracle`` is set.  Instances are immutable and safe to share across
-    threads.
+    threads.  ``__post_init__`` casts every table into a read-only array of its
+    own, so a derived function is its source through ``dataclasses.replace``.
     """
 
     q: int
@@ -403,35 +404,22 @@ class QaryFunction:
         for b, digits in enumerate(itertools.product(range(q), repeat=high)):
             columns[:high] = np.array(digits, dtype=columns.dtype)[:, None]
             values[b * block : (b + 1) * block] = self.batch(points)
-        return QaryFunction(
-            q=self.q,
-            n=self.n,
-            codomain=self.codomain,
-            out_q=self.out_q,
-            table=values,
-        )
+        return dataclasses.replace(self, table=values, oracle=None)
 
     def as_real(self) -> "QaryFunction":
-        """Reinterpret alphabet values as real numbers."""
+        """Reinterpret alphabet values as real numbers: the tabulated integer
+        table, cast to float once by ``__post_init__``; a real function as is."""
         if self.codomain == "real":
             return self
-        tab = self.tabulate()
-        return QaryFunction(
-            q=self.q, n=self.n, codomain="real", out_q=None, table=tab.table.astype(float)
-        )
+        return dataclasses.replace(self.tabulate(), codomain="real", out_q=None)
 
     def indicator(self, a: int) -> "QaryFunction":
-        """The real-valued indicator ``1[f = a]`` as a table."""
+        """The real-valued indicator ``1[f = a]`` as a table: the bool table
+        ``f == a``, cast to float once by ``__post_init__``."""
         if self.codomain != "alphabet":
             raise InvalidFunctionError("indicator needs an alphabet codomain")
         tab = self.tabulate()
-        return QaryFunction(
-            q=self.q,
-            n=self.n,
-            codomain="real",
-            out_q=None,
-            table=(tab.table == a).astype(float),
-        )
+        return dataclasses.replace(tab, codomain="real", out_q=None, table=tab.table == a)
 
     def is_binary(self) -> bool:
         """True when the (tabulated) values all lie in {0, 1}."""
@@ -446,10 +434,7 @@ def permute_input_symbols(f: QaryFunction, perm: Sequence[int]) -> QaryFunction:
     if sorted(perm.tolist()) != list(range(f.q)):
         raise DimensionMismatchError(f"perm must be a permutation of [{f.q})")
     tab = f.tabulate()
-    permuted = tab.table[_relabel_index(perm, f.n)]
-    return QaryFunction(
-        q=f.q, n=f.n, codomain=f.codomain, out_q=f.out_q, table=permuted
-    )
+    return dataclasses.replace(tab, table=tab.table[_relabel_index(perm, f.n)])
 
 
 def _check_compatible(f: QaryFunction, measure: ProductMeasure | SimplexSampler) -> None:
@@ -544,12 +529,13 @@ def conditional_expectation(
     subset = set(int(i) for i in coords)
     if not subset <= set(range(f.n)):
         raise DimensionMismatchError(f"coordinates {sorted(subset)} not within [0, {f.n})")
-    table = np.array(f.tabulate().table)
+    tab = f.tabulate()
+    table = np.array(tab.table)
     for i in range(f.n):
         if i not in subset:
             view = _axis_view(table, f.q, f.n, i)
             view[...] = _axis_mean(view, measure.atoms)
-    return QaryFunction(q=f.q, n=f.n, codomain="real", out_q=None, table=table)
+    return dataclasses.replace(tab, table=table)
 
 
 def _categorical(rng: np.random.Generator, probs: np.ndarray, shape: tuple) -> np.ndarray:

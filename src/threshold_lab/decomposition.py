@@ -188,7 +188,7 @@ def efron_stein(f: QaryFunction, measure: ProductMeasure) -> EfronSteinDecomposi
 def delta_i(f: QaryFunction, measure: ProductMeasure, i: int) -> QaryFunction:
     """``f`` minus its conditional mean given every coordinate except ``i``."""
     f = _as_real_table(f, measure)
-    return QaryFunction(q=f.q, n=f.n, codomain="real", out_q=None, table=_delta(f, measure, i))
+    return dataclasses.replace(f, table=_delta(f, measure, i))
 
 
 def _delta(f: QaryFunction, measure: ProductMeasure, i: int) -> np.ndarray:
@@ -262,8 +262,7 @@ def noise_operator(d: EfronSteinDecomposition, theta: float) -> QaryFunction:
     """Attenuate each component by ``theta`` to the power of its subset size."""
     if not 0.0 <= theta <= 1.0:
         raise DimensionMismatchError(f"noise parameter {theta} outside [0, 1]")
-    table = _noise(d.f, d.measure, theta)
-    return QaryFunction(q=d.q, n=d.n, codomain="real", out_q=None, table=table)
+    return dataclasses.replace(d.f, table=_noise(d.f, d.measure, theta))
 
 
 def hypercontractive_sigma(alpha: float, exact: bool = False) -> float:

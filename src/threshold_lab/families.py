@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 import itertools
 import math
 
@@ -363,24 +364,33 @@ def dictator(q: int, n: int, coord: int = 0) -> QaryFunction:
     return f
 
 
-#: Registry used by function files of the form {"oracle": name, "params": {...}}.
+#: Registry used by function files of the form {"oracle": name, "params": {...}}:
+#: each family's builder, whose arguments are the parameters it takes.
 ORACLE_BUILDERS = {
-    "plurality": lambda p: plurality(int(p["q"]), int(p["n"]), p.get("tie_break", "first_occurrence")),
-    "recursive_plurality": lambda p: recursive_plurality(
-        int(p["q"]), int(p["arity"]), int(p["depth"]), p.get("tie_break", "first_occurrence")
-    ),
-    "graph_property": lambda p: graph_property(
-        int(p["vertices"]), int(p["q"]), p["property_kind"]
-    ),
-    "antisym_majority": lambda p: antisym_majority(int(p["n"])),
-    "dictator": lambda p: dictator(int(p["q"]), int(p["n"]), int(p.get("coord", 0))),
+    "plurality": plurality,
+    "recursive_plurality": recursive_plurality,
+    "graph_property": graph_property,
+    "antisym_majority": antisym_majority,
+    "dictator": dictator,
 }
 
 
 def resolve_oracle(name: str, params: dict) -> QaryFunction:
-    """Instantiate a named family from file parameters."""
+    """Instantiate a named family, binding ``params`` by name to its builder's
+    arguments.  A parameter the builder needs and ``params`` lacks raises
+    ``KeyError`` naming it; one the builder does not take raises
+    :class:`InvalidFunctionError`, with its name in the error's ``parameter``."""
     try:
         builder = ORACLE_BUILDERS[name]
     except KeyError:
         raise InvalidFunctionError(f"unknown oracle family {name!r}") from None
-    return builder(params)
+    taken = inspect.signature(builder).parameters
+    for key in params:
+        if key not in taken:
+            error = InvalidFunctionError(f"oracle family {name!r} takes no parameter {key!r}")
+            error.parameter = key
+            raise error
+    for key, parameter in taken.items():
+        if parameter.default is parameter.empty and key not in params:
+            raise KeyError(key)
+    return builder(**params)

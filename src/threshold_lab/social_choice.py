@@ -392,7 +392,6 @@ def indeterminacy_experiment(
     orders = [LinearOrder(c0.m, r) for r in rankings]
     masks = list(nonempty_subsets(c0.m))
     top_table = np.array([[o.top_of(mask) for o in orders] for mask in masks])
-    weights_out = {r: float(p) for r, p in zip(rankings, probs)}
     if n_voters == 1:
         agree_matrix = top_table == np.array([[c0.get(mask)] for mask in masks])
         per_subset = {
@@ -400,26 +399,18 @@ def indeterminacy_experiment(
             for row, mask in enumerate(masks)
         }
         joint = float(probs[agree_matrix.all(axis=0)].sum())
-        return IndeterminacyReport(
-            m=c0.m,
-            n_voters=1,
-            trials=trials,
-            seed=seed,
-            per_subset=per_subset,
-            min_subset=min(per_subset.values()),
-            joint=joint,
-            weights=weights_out,
-        )
-    rng = np.random.default_rng(seed)
-    draws = _categorical(rng, probs, (trials, n_voters))
-    per_subset = {}
-    joint = np.ones(trials, dtype=bool)
-    for row, mask in enumerate(masks):
-        tops = top_table[row][draws]
-        winners = plurality_winners(tops, c0.m, "first_occurrence")
-        agree = winners == c0.get(mask)
-        per_subset[mask] = float(agree.mean())
-        joint &= agree
+    else:
+        rng = np.random.default_rng(seed)
+        draws = _categorical(rng, probs, (trials, n_voters))
+        per_subset = {}
+        agree_all = np.ones(trials, dtype=bool)
+        for row, mask in enumerate(masks):
+            tops = top_table[row][draws]
+            winners = plurality_winners(tops, c0.m, "first_occurrence")
+            agree = winners == c0.get(mask)
+            per_subset[mask] = float(agree.mean())
+            agree_all &= agree
+        joint = float(agree_all.mean())
     return IndeterminacyReport(
         m=c0.m,
         n_voters=n_voters,
@@ -427,8 +418,8 @@ def indeterminacy_experiment(
         seed=seed,
         per_subset=per_subset,
         min_subset=min(per_subset.values()),
-        joint=float(joint.mean()),
-        weights=weights_out,
+        joint=joint,
+        weights={r: float(p) for r, p in zip(rankings, probs)},
     )
 
 

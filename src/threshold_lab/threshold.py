@@ -46,30 +46,31 @@ class NoStrictLeaderError(ThresholdLabError):
     pass
 
 
-def _binary_table(f: QaryFunction) -> QaryFunction:
+def _monotone_real(f: QaryFunction, path: MeasurePath) -> QaryFunction:
+    """``f`` as a real table, after checking that it is {0,1}-valued, on the
+    path's alphabet and monotone along its anchor, where Russo's formula holds."""
     f = f.tabulate()
     if not f.is_binary():
         raise InvalidFunctionError("this operation needs a {0,1}-valued table")
-    return f
-
-
-def _restriction_sums(f: QaryFunction, path: MeasurePath, t: float) -> tuple[float, float]:
-    """The Russo derivative and the mixed conditional-variance sum, from one
-    pass over the restrictions of ``f`` to each coordinate."""
-    f = _binary_table(f)
     _check_compatible(f, path.base)
     witness = anchored_monotone_violation(f, path.anchor)
     if witness is not None:
         raise InvalidFunctionError(
             f"function is not monotone along anchor {path.anchor}: {witness}"
         )
-    mu_t = path.measure_at(t)
-    table = f.table.astype(float)
+    return f.as_real()
+
+
+def _restriction_sums(
+    real: QaryFunction, path: MeasurePath, mu_t: ProductMeasure
+) -> tuple[float, float]:
+    """The Russo derivative and the mixed conditional-variance sum at ``mu_t``, from
+    one pass over the restrictions of :func:`_monotone_real`'s table to each coordinate."""
     # the view's outer axes keep the other coordinates in rest_weights' order
-    rest_weights = product_weights(mu_t, f.n - 1)
+    rest_weights = product_weights(mu_t, real.n - 1)
     derivative = mixed = 0.0
-    for i in range(f.n):
-        view = _axis_view(table, f.q, f.n, i)
+    for i in range(real.n):
+        view = _axis_view(real.table, real.q, real.n, i)
         first = _axis_mean(view, path.base.atoms).ravel()
         not_const = (view.max(axis=1) != view.min(axis=1)).ravel()
         derivative += float(rest_weights @ (not_const * (1.0 - first)))
@@ -87,7 +88,7 @@ def russo_derivative(f: QaryFunction, path: MeasurePath, t: float) -> float:
     mass of the zero set of the restriction.  Refuses functions that are not
     anchor-monotone, where the formula is invalid.
     """
-    return _restriction_sums(f, path, t)[0]
+    return _restriction_sums(_monotone_real(f, path), path, path.measure_at(t))[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,10 +111,9 @@ class RussoReport(Report):
 
 
 def russo_report(f: QaryFunction, path: MeasurePath, t: float) -> RussoReport:
-    f = _binary_table(f)
-    derivative, mixed = _restriction_sums(f, path, t)
+    real = _monotone_real(f, path)
     mu_t = path.measure_at(t)
-    real = f.as_real()
+    derivative, mixed = _restriction_sums(real, path, mu_t)
     sum_path = sum(_influences(real, mu_t))
     sum_base = sum(_influences(real, path.base))
     return RussoReport(

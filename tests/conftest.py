@@ -9,11 +9,12 @@ from threshold_lab import QaryFunction
 
 from oracles import random_binary_function, random_positive_measure, random_real_function
 
-# on CI every property test draws the same examples on every run, and a failure
-# prints the blob that replays it locally (@reproduce_failure)
-settings.register_profile("ci", derandomize=True, print_blob=True)
-if os.environ.get("CI"):
-    settings.load_profile("ci")
+# property tests run without a per-example deadline, whose timings a shared host
+# makes flaky; on CI every property test also draws the same examples on every
+# run, and a failure prints the blob that replays it locally (@reproduce_failure)
+settings.register_profile("dev", deadline=None)
+settings.register_profile("ci", deadline=None, derandomize=True, print_blob=True)
+settings.load_profile("ci" if os.environ.get("CI") else "dev")
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -16,12 +17,14 @@ from threshold_lab import (
     check_symmetric,
     check_zero_monotone,
     dictator,
+    fileio,
     graph_property,
     leq_a,
     plurality,
     prob_value,
 )
 from threshold_lab.checks import _cover_violation
+from threshold_lab.cli import main
 from threshold_lab.core import _swap_and_cycle, index_of
 from threshold_lab.families import vertex_action_generators
 
@@ -44,7 +47,7 @@ class TestLeqA:
     def test_change_to_non_anchor_fails(self):
         assert not leq_a((1, 2), (0, 1), 0)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.integers(2, 3), st.integers(1, 5), st.integers(0, 2**31), st.integers(0, 2))
     def test_partial_order_axioms(self, q, n, seed, a):
         a = a % q
@@ -84,7 +87,7 @@ class TestCheckMonotone:
             f = QaryFunction.from_table(q, n, rng.integers(0, q, size=q**n))
             assert check_monotone(f).passed == brute_monotone(f)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.integers(2, 4), st.integers(1, 5), st.integers(0, 2**31), st.booleans())
     def test_cover_witness_equals_enumeration(self, q, n, seed, from_plurality):
         rng = np.random.default_rng(seed)
@@ -127,6 +130,21 @@ class TestCheckZeroMonotone:
     def test_constant_passes(self):
         f = QaryFunction.from_table(2, 2, [0.0] * 4, codomain="real")
         assert check_zero_monotone(f).passed
+
+    def test_real_table_witness_holds_ints(self, tmp_path, capsys):
+        # 1[x_0 != 0] on [3]**3 as a real table: the witness reads the float table
+        # itself, and its values print as the int64 copy it once read printed them
+        values = [float(x[0] != 0) for x in itertools.product(range(3), repeat=3)]
+        f = QaryFunction.from_table(3, 3, values, codomain="real")
+        witness = check_zero_monotone(f).witness
+        assert witness["f_x"] == 1 and type(witness["f_x"]) is int
+        assert witness["f_y"] == 0 and type(witness["f_y"]) is int
+        path = str(tmp_path / "f.json")
+        fileio.save_function(f, path)
+        assert main(["check", "--function", path]) == 0
+        out = capsys.readouterr().out
+        digest = "91d56a874944ea802c8fedfb7fb54ded353a9049646e6673c377dd4d48f3e54d"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
     def test_anti_dictator_fails(self):
         # 1[x0 != 0]

@@ -394,6 +394,45 @@ class TestExitCodes:
         assert err == f"error: --family {argv[1]} needs {option}\n"
 
     @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["--family", "dictator", "--q", "3", "--n", "5", "--tie-break", "smallest_index",
+              "--depth", "7"], "--tie-break"),
+            (["--family", "antisym_majority", "--n", "3", "--q", "2"], "--q"),
+            (["--family", "plurality", "--q", "3", "--n", "5", "--property", "x"], "--property"),
+            (["--family", "plurality", "--q", "3", "--n", "5", "--vertices", "4"], "--vertices"),
+        ],
+    )
+    def test_family_unknown_parameter_is_usage_error(self, capsys, argv, option):
+        rc, out, err = run(capsys, "window", *argv)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: --family {argv[1]} takes no {option}\n"
+
+    def test_graph_group_reads_vertices_of_any_family(self, capsys):
+        # anonymous plurality over the 6 edges of K4 is invariant under relabelling vertices
+        rc, out, _ = run(
+            capsys, "check", "--family", "plurality", "--q", "2", "--n", "6",
+            "--tie-break", "smallest_index", "--group", "graph", "--vertices", "4",
+        )
+        assert rc == 0
+        assert json.loads(out)["checks"]["symmetric"]["passed"]
+
+    def test_unknown_parameter_in_a_file_is_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({
+            "schema": fileio.FUNCTION_SCHEMA, "oracle": "plurality",
+            "params": {"q": 3, "n": 5, "tiebreak": "smallest_index"},
+        }))
+        rc, out, err = run(capsys, "check", "--function", str(path))
+        assert rc == 1
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "InvalidFunctionError",
+            "message": "oracle family 'plurality' takes no parameter 'tiebreak'",
+        }
+
+    @pytest.mark.parametrize(
         "argv", [["--leader", "7"], ["--leader", "-1", "--atoms", "0.2,0.3,0.5"]]
     )
     def test_jury_leader_out_of_range_is_exit_one(self, capsys, argv):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,17 @@ from threshold_lab import (
     prob_value,
 )
 from threshold_lab import core
-from threshold_lab.core import Oracle, _relabel_index, all_points, index_of, product_weights
+from threshold_lab.core import (
+    Oracle,
+    _axis_mean,
+    _axis_view,
+    _relabel_index,
+    _table_index,
+    all_points,
+    index_of,
+    product_weights,
+)
+from threshold_lab.decomposition import _delta, _noise, delta_i, efron_stein, noise_operator
 
 from oracles import (
     enum_expectation,
@@ -174,7 +185,7 @@ class TestExpectation:
             mu = random_positive_measure(q, rng)
             assert expectation(f, mu) == pytest.approx(enum_expectation(f, mu), abs=1e-10)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.floats(-5, 5), st.floats(-5, 5), st.integers(0, 2**31))
     def test_linearity(self, alpha, beta, seed):
         rng = np.random.default_rng(seed)
@@ -241,7 +252,7 @@ class TestProbValue:
             total = sum(prob_value(f, mu, a) for a in range(q))
             assert total == pytest.approx(1.0, abs=1e-10)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(2, 4), st.integers(1, 7), st.integers(0, 2**32 - 1), st.booleans())
     def test_contraction_matches_enumeration(self, q, n, seed, zero_atom):
         rng = np.random.default_rng(seed)
@@ -400,6 +411,123 @@ class TestDigitBuilders:
                 expected = ix_relabel(f.table, q, n, perm)
                 assert np.array_equal(f.table[_relabel_index(perm, n)], expected)
                 assert np.array_equal(permute_input_symbols(f, perm).table, expected)
+
+
+def _spelled_out(f, codomain, table):
+    """A table function built field by field, as the derivations used to build them."""
+    out_q = f.out_q if codomain == "alphabet" else None
+    return QaryFunction(q=f.q, n=f.n, codomain=codomain, out_q=out_q, table=table)
+
+
+def _old_tabulate(f, values, mu):
+    table = np.empty(f.q**f.n, dtype=np.int64 if f.codomain == "alphabet" else float)
+    table[:] = values  # what the batches wrote, in index order
+    return _spelled_out(f, f.codomain, table)
+
+
+def _old_conditional_expectation(f, values, mu):
+    table = np.array(f.table)
+    for i in range(1, f.n):
+        view = _axis_view(table, f.q, f.n, i)
+        view[...] = _axis_mean(view, mu.atoms)
+    return _spelled_out(f, "real", table)
+
+
+#: name -> (codomain of the source, or None for the source's own, the
+#: derivation, the construction it replaced), each taking ``(f, values, mu)``.
+DERIVATIONS = {
+    "tabulate": (
+        None,
+        lambda f, values, mu: QaryFunction.from_oracle(
+            f.q, f.n, Oracle("values", {}, lambda X: values[_table_index(X, f.q)]),
+            codomain=f.codomain, out_q=f.out_q,
+        ).tabulate(),
+        _old_tabulate,
+    ),
+    "as_real": (
+        "alphabet",
+        lambda f, values, mu: f.as_real(),
+        lambda f, values, mu: _spelled_out(f, "real", f.table.astype(float)),
+    ),
+    "indicator": (
+        "alphabet",
+        lambda f, values, mu: f.indicator(1),
+        lambda f, values, mu: _spelled_out(f, "real", (f.table == 1).astype(float)),
+    ),
+    "permute_input_symbols": (
+        None,
+        lambda f, values, mu: permute_input_symbols(f, np.roll(np.arange(f.q), 1)),
+        lambda f, values, mu: _spelled_out(
+            f, f.codomain, f.table[_relabel_index(np.roll(np.arange(f.q), 1), f.n)]
+        ),
+    ),
+    "conditional_expectation": (
+        "real",
+        lambda f, values, mu: conditional_expectation(f, mu, [0]),
+        _old_conditional_expectation,
+    ),
+    "delta_i": (
+        "real",
+        lambda f, values, mu: delta_i(f, mu, 1),
+        lambda f, values, mu: _spelled_out(f, "real", _delta(f, mu, 1)),
+    ),
+    "noise_operator": (
+        "real",
+        lambda f, values, mu: noise_operator(efron_stein(f, mu), 0.3),
+        lambda f, values, mu: _spelled_out(f, "real", _noise(f, mu, 0.3)),
+    ),
+}
+
+
+def _derivation_cases():
+    for name, (codomain, _, _) in DERIVATIONS.items():
+        for kind in ("alphabet", "real", "bool"):
+            if codomain == "alphabet" and kind == "real":
+                continue  # a real table has no alphabet values to derive from
+            for q in (2, 3, 4):
+                yield pytest.param(name, kind, q, id=f"{name}-{kind}-q{q}")
+
+
+class TestDerivedTables:
+    """Every derived table is its source with some fields replaced: the table it
+    holds is the one the field-by-field construction held, frozen and owned."""
+
+    @pytest.mark.parametrize("name, kind, q", _derivation_cases())
+    def test_equals_the_spelled_out_construction(self, name, kind, q, rng):
+        codomain, derive, old = DERIVATIONS[name]
+        n = 3
+        values = {
+            "alphabet": rng.integers(0, q, size=q**n),
+            "real": rng.standard_normal(q**n),
+            "bool": rng.random(q**n) < 0.5,
+        }[kind]
+        codomain = codomain or ("real" if kind == "real" else "alphabet")
+        out_q = None if codomain == "real" else (2 if kind == "bool" else q)
+        f = QaryFunction.from_table(q, n, values, codomain=codomain, out_q=out_q)
+        mu = random_positive_measure(q, rng)
+        got, want = derive(f, values, mu), old(f, values, mu)
+        assert (got.q, got.n, got.codomain, got.out_q) == (want.q, want.n, want.codomain, want.out_q)
+        assert got.oracle is None
+        assert got.table.dtype == want.table.dtype
+        assert got.table.tobytes() == want.table.tobytes()
+        assert not got.table.flags.writeable
+        assert not np.shares_memory(got.table, f.table)
+        assert not np.shares_memory(got.table, values)
+
+    @pytest.mark.parametrize("name", ["as_real", "indicator"])
+    def test_allocates_one_float_and_one_bool_table(self, name):
+        size = 1 << 18
+        f = QaryFunction.from_table(2, 18, np.arange(size) % 2)
+        derive = DERIVATIONS[name][1]
+        tracemalloc.start()
+        try:
+            g = derive(f, None, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.table.dtype == np.float64
+        # a float64 and a bool table, and a few objects
+        assert peak <= 9 * size + (1 << 16)
 
 
 def _real_valued(q, n):

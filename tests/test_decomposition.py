@@ -460,7 +460,7 @@ def tables_and_measures(draw):
 
 
 class TestAgainstEnumeration:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(tables_and_measures())
     def test_components_deltas_and_influences(self, case):
         f, mu = case

@@ -142,7 +142,7 @@ def _small_plurality_cases(draw):
     return q, n, tie_break, ProductMeasure(q, weights / weights.sum())
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(_small_plurality_cases())
 def test_exact_prob_matches_the_enumerated_formula(case):
     q, n, tie_break, mu = case

@@ -6,6 +6,7 @@ import pytest
 from threshold_lab import (
     ChoiceFunction,
     DimensionMismatchError,
+    InvalidFunctionError,
     ProductMeasure,
     QaryFunction,
     Tournament,
@@ -19,6 +20,7 @@ from threshold_lab import (
     scan_path,
 )
 from threshold_lab import fileio
+from threshold_lab.core import all_points
 
 
 class TestFunctionFiles:
@@ -65,6 +67,52 @@ class TestFunctionFiles:
         for field, wrong in (("q", f.q + 1), ("n", f.n + 1)):
             with pytest.raises(fileio.FileFormatError):
                 fileio.function_from_dict({**doc, field: wrong})
+
+
+FAMILY_INSTANCES = [
+    plurality(3, 5),
+    plurality(4, 6, "smallest_index"),
+    recursive_plurality(2, 3, 2),
+    recursive_plurality(3, 2, 2, "smallest_index"),
+    *(graph_property(4, 2, kind) for kind in ("most_popular_color", "max_clique_color",
+                                              "min_independent_set_color")),
+    antisym_majority(3),
+    dictator(3, 4),
+    dictator(3, 4, 2),
+]
+
+
+class TestOracleParams:
+    @pytest.mark.parametrize(
+        "f", FAMILY_INSTANCES, ids=lambda f: "-".join(map(str, f.oracle.params.values()))
+    )
+    def test_every_family_round_trips(self, f):
+        doc = json.loads(fileio.dumps(fileio.function_to_dict(f)))
+        g = fileio.function_from_dict(doc)
+        assert g.oracle.name == f.oracle.name and g.oracle.params == f.oracle.params
+        assert (g.q, g.n, g.codomain, g.out_q) == (f.q, f.n, f.codomain, f.out_q)
+        points = all_points(f.q, f.n)
+        assert np.array_equal(g.batch(points), f.batch(points))
+
+    @pytest.mark.parametrize(
+        "name, params, unknown",
+        [
+            ("plurality", {"q": 3, "n": 5, "tiebreak": "smallest_index"}, "tiebreak"),
+            ("dictator", {"q": 3, "n": 5, "tie_break": "smallest_index"}, "tie_break"),
+            ("antisym_majority", {"n": 3, "q": 2}, "q"),
+        ],
+    )
+    def test_unknown_parameter_refused(self, name, params, unknown):
+        doc = {"schema": fileio.FUNCTION_SCHEMA, "oracle": name, "params": params}
+        with pytest.raises(InvalidFunctionError) as info:
+            fileio.function_from_dict(doc)
+        assert str(info.value) == f"oracle family {name!r} takes no parameter {unknown!r}"
+
+    def test_numeric_string_parameter_refused(self):
+        doc = {"schema": fileio.FUNCTION_SCHEMA, "oracle": "plurality",
+               "params": {"q": "3", "n": 5}}
+        with pytest.raises(fileio.FileFormatError, match="malformed field"):
+            fileio.function_from_dict(doc)
 
 
 class TestMeasureFiles:

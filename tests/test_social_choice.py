@@ -380,7 +380,7 @@ def test_numpy_integer_masks_choose_as_int_masks(rng, np_int):
             assert borda_choice(profile, np_int(mask)) == borda_choice(profile, mask)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     weights=st.lists(
         st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=24

@@ -49,7 +49,7 @@ def enum_components(f, mu):
 
 
 # the component oracle costs q**n * (2q + 1)**n evaluations, hence the size bound
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(cases(), st.floats(0.0, 1.0))
 def test_subset_norms_and_noise_match_enumerated_components(case, theta):
     f, mu = case

@@ -299,7 +299,7 @@ def _spied(f):
 
 
 class TestLazyWindow:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         kind=st.sampled_from(["first_occurrence", "smallest_index", "dictator", "table"]),
         q=st.integers(2, 5),
@@ -545,7 +545,7 @@ def _choice_draws(measure, n, samples, seed, chunk_entries):
     ]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     weights=st.lists(
         st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=2, max_size=6
