@@ -214,39 +214,17 @@ class ProductMeasure:
         return ProductMeasure(self.q, atoms / atoms.sum())
 
 
-def _expand_digits(start: np.ndarray, per_symbol: np.ndarray, n: int, op) -> np.ndarray:
-    """Fold ``op`` over the digits of every point of ``[q]**n``, in index order.
-
-    Entry ``index(x)`` is ``op(...op(op(start, s[x_0]), s[x_1])..., s[x_{n-1}])``
-    with ``s = per_symbol``; ``op(v, s, out=...)`` writes into ``out``.
-    Appending digit k to every index so far fills the stride-q slice ``k::q``,
-    so no index is ever decoded.
-    """
-    q = len(per_symbol)
-    v = start
-    for _ in range(n):
-        nxt = np.empty(v.size * q, dtype=v.dtype)
-        for k in range(q):
-            op(v, per_symbol[k], out=nxt[k::q])
-        v = nxt
-    return v
-
-
 def _relabel_index(perm: np.ndarray, n: int) -> np.ndarray:
-    """``index(perm(x))`` at every index of ``x``, ``perm`` acting on each symbol."""
+    """``index(perm(x))`` at every index of ``x``, ``perm`` acting on each symbol.
+
+    Appending digit ``k`` to every index so far gives the indices that follow
+    it by ``k``, so each coordinate is one outer sum and no index is decoded.
+    """
     q = len(perm)
-
-    def shift_in(v, s, out):
-        np.multiply(v, q, out=out)
-        out += s
-
-    return _expand_digits(np.zeros(1, dtype=np.int64), perm, n, shift_in)
-
-
-def product_weights(measure: ProductMeasure, n: int) -> np.ndarray:
-    """Weights ``w(x) = prod_i mu(x_i)`` over all of ``[q]**n`` in index order."""
-    table_size(measure.q, n)
-    return _expand_digits(np.ones(1), measure.atoms, n, np.multiply)
+    index = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        index = np.add.outer(index * q, perm).ravel()
+    return index
 
 
 @dataclasses.dataclass(frozen=True)
@@ -278,9 +256,11 @@ class QaryFunction:
     """A total function ``[q]**n -> V`` with ``V = [out_q]`` or the reals.
 
     Exactly one of ``table`` (dense, index order as in :func:`index_of`) and
-    ``oracle`` is set.  Instances are immutable and safe to share across
-    threads.  ``__post_init__`` casts every table into a read-only array of its
-    own, so a derived function is its source through ``dataclasses.replace``.
+    ``oracle`` is set.  ``out_q`` is the size of an alphabet codomain (``q``
+    when not given) and ``None`` for a real one.  Instances are immutable and
+    safe to share across threads.  ``__post_init__`` casts every table into a
+    read-only array of its own, so a derived function is its source through
+    ``dataclasses.replace``.
     """
 
     q: int
@@ -295,7 +275,11 @@ class QaryFunction:
             raise DimensionMismatchError("need q >= 2 and n >= 1")
         if self.codomain not in ("alphabet", "real"):
             raise InvalidFunctionError(f"unknown codomain {self.codomain!r}")
-        if self.codomain == "alphabet" and (self.out_q is None or self.out_q < 1):
+        if self.codomain == "real" and self.out_q is not None:
+            raise InvalidFunctionError(f"a real codomain takes no out_q, got {self.out_q}")
+        if self.codomain == "alphabet" and self.out_q is None:
+            object.__setattr__(self, "out_q", self.q)
+        if self.codomain == "alphabet" and self.out_q < 1:
             raise InvalidFunctionError("alphabet codomain needs a positive out_q")
         if (self.table is None) == (self.oracle is None):
             raise InvalidFunctionError("exactly one of table/oracle must be set")
@@ -336,8 +320,6 @@ class QaryFunction:
         codomain: str = "alphabet",
         out_q: int | None = None,
     ) -> "QaryFunction":
-        if codomain == "alphabet" and out_q is None:
-            out_q = q
         table = values if isinstance(values, np.ndarray) else np.asarray(list(values))
         return cls(q=q, n=n, codomain=codomain, out_q=out_q, table=table)
 
@@ -350,8 +332,6 @@ class QaryFunction:
         codomain: str = "alphabet",
         out_q: int | None = None,
     ) -> "QaryFunction":
-        if codomain == "alphabet" and out_q is None:
-            out_q = q
         return cls(q=q, n=n, codomain=codomain, out_q=out_q, oracle=oracle)
 
     def __call__(self, x: Sequence[int]):
@@ -466,15 +446,16 @@ def _check_symbol(f: QaryFunction, a: int) -> None:
 
 
 def _table_mean(table: np.ndarray, atoms: np.ndarray) -> float:
-    """``sum_x table[x] prod_i atoms[x_i]`` for a bool or real table, one
-    coordinate at a time: coordinate 0, the most significant, is integrated out
-    of ``table`` itself, then each next one out of the float table left, so no
-    ``q**n`` weight table is built and every sum has ``q`` terms."""
+    """The package's one product-measure mean, ``sum_x table[x] prod_i atoms[x_i]``
+    for a bool or real table over ``[q]**k``, any k >= 0, one coordinate at a
+    time: coordinate 0 is integrated out of ``table`` itself by ``_axis_mean``'s
+    contraction (a bool table is read as is, never copied to floats), then each
+    next one out of the float table left, so no weight table is built and every
+    sum has ``q`` terms.  A one-entry table is its own mean."""
     q = len(atoms)
-    view = table.reshape(q, -1)
-    v = view[0] * atoms[0]
-    for k in range(1, q):
-        v += view[k] * atoms[k]
+    v = table
+    if v.size > 1:
+        v = np.einsum("qb,q->b", v.reshape(q, -1), atoms)
     while v.size > 1:
         v = atoms @ v.reshape(q, -1)
     return float(v[0])

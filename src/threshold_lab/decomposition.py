@@ -12,14 +12,16 @@ is its squared L2 norm, the expected variance of ``f`` along coordinate ``i``.
 ``E_i`` has one kernel, ``core._axis_mean`` on the ``(q**i, q, q**(n-1-i))``
 view ``core._axis_view``, shared by the component store, ``_noise``,
 :func:`delta_i`, ``conditional_expectation`` and the Russo restriction sums.
+Every mean under the whole product measure (each L_p norm, influence and
+variance) is one ``core._table_mean`` contraction; no weight table is built.
 
 Each spectral quantity has one implementation, holding ``q**n`` entries at
 a time and making one pass per coordinate, shared by the decomposition, the
 reports and the verifiers:
 
-* ``_delta``, and ``_difference_norms`` (a ``delta_i`` table per coordinate
-  against one weight table) for the L_p norms of the influence, Talagrand
-  and Russo reports;
+* ``_delta``, and ``_difference_norms`` (a ``delta_i`` table per coordinate,
+  each L_p norm one product-measure mean) for the influence, Talagrand and
+  Russo reports;
 * ``_noise``, ``T_theta = prod_i (theta I + (1 - theta) E_i)``;
 * ``_subset_norms``, ``||f_S||^2`` for every ``S`` at once.
 
@@ -50,8 +52,8 @@ from .core import (
     _axis_view,
     _check_compatible,
     _check_range,
+    _table_mean,
     expectation,
-    product_weights,
     subset_mask,
 )
 
@@ -202,17 +204,17 @@ def _delta(f: QaryFunction, measure: ProductMeasure, i: int) -> np.ndarray:
 
 def _difference_norms(f: QaryFunction, measure: ProductMeasure, ps):
     """Yield ``(||delta_i f||_p for p in ps)`` for ``i = 0..n-1``: one difference
-    table per coordinate, one at a time, against one weight table."""
-    w = product_weights(measure, f.n)
+    table per coordinate, one at a time, each norm one product-measure mean."""
     for i in range(f.n):
         d = _delta(f, measure, i)
-        yield tuple(_weighted_norm(d, w, p) for p in ps)
+        yield tuple(_weighted_norm(d, measure.atoms, p) for p in ps)
 
 
 def influence(f: QaryFunction, measure: ProductMeasure, i: int) -> float:
     """``||delta_i f||_2^2``: the expected conditional variance of ``f`` given
     all coordinates but ``i``."""
-    return lp_norm(delta_i(f, measure, i), measure, 2.0) ** 2
+    f = _as_real_table(f, measure)
+    return _weighted_norm(_delta(f, measure, i), measure.atoms, 2.0) ** 2
 
 
 def _influences(f: QaryFunction, measure: ProductMeasure) -> list[float]:
@@ -226,12 +228,15 @@ def lp_norm(g: QaryFunction, measure: ProductMeasure, p: float) -> float:
     if p < 1:
         raise DimensionMismatchError(f"L_p norms need p >= 1, got {p}")
     g = _as_real_table(g, measure)
-    return _weighted_norm(g.table, product_weights(measure, g.n), p)
+    return _weighted_norm(g.table, measure.atoms, p)
 
 
-def _weighted_norm(table: np.ndarray, w: np.ndarray, p: float) -> float:
-    """The L_p norm of a dense table under the point weights ``w``."""
-    return float((w @ np.abs(table) ** p) ** (1.0 / p))
+def _weighted_norm(table: np.ndarray, atoms: np.ndarray, p: float) -> float:
+    """The L_p norm of a dense table under the product of ``atoms``, from one
+    float table of ``|table|**p``."""
+    powered = np.abs(table)
+    powered **= p
+    return _table_mean(powered, atoms) ** (1.0 / p)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -302,9 +307,8 @@ def verify_hypercontractivity(
     g = _as_real_table(g, measure)
     measure.require_positive("hypercontractivity check")
     sigma = hypercontractive_sigma(measure.min_atom())
-    w = product_weights(measure, g.n)
-    lhs = _weighted_norm(_noise(g, measure, sigma), w, 2.0)
-    rhs = _weighted_norm(g.table, w, 1.5)
+    lhs = _weighted_norm(_noise(g, measure, sigma), measure.atoms, 2.0)
+    rhs = _weighted_norm(g.table, measure.atoms, 1.5)
     return NormInequalityReport(sigma=sigma, lhs=lhs, rhs=rhs, ok=lhs <= rhs + tol)
 
 
@@ -397,7 +401,7 @@ def talagrand_report(f: QaryFunction, measure: ProductMeasure) -> TalagrandRepor
 def _talagrand(f: QaryFunction, measure: ProductMeasure, norms) -> TalagrandReport:
     """:func:`talagrand_report` for the tabulated real ``f`` from its per-coordinate
     ``(||delta_i f||_1, ||delta_i f||_2)``; a lazy ``norms`` is read after the
-    measure check and before the variance's weight table is built."""
+    measure check."""
     measure.require_positive("influence-sum report")
     terms = []
     for i, (l1, l2) in enumerate(norms):
@@ -416,8 +420,8 @@ def _talagrand(f: QaryFunction, measure: ProductMeasure, norms) -> TalagrandRepo
                 degenerate=degenerate,
             )
         )
-    w = product_weights(measure, f.n)
-    variance = _weighted_norm(f.table - float(w @ f.table), w, 2.0) ** 2
+    mean = _table_mean(f.table, measure.atoms)
+    variance = _weighted_norm(f.table - mean, measure.atoms, 2.0) ** 2
     log_inv = math.log(1.0 / measure.min_atom())
     constant = variance <= 1e-15
     usable = [] if constant else [t.term for t in terms if t.term is not None]

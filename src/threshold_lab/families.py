@@ -375,16 +375,22 @@ ORACLE_BUILDERS = {
 }
 
 
+def _builder_parameters(name: str):
+    """The parameters of family ``name``'s builder, by name, each annotated with
+    the type ``int`` or ``str`` (resolved, not the annotation's text)."""
+    try:
+        builder = ORACLE_BUILDERS[name]
+    except KeyError:
+        raise InvalidFunctionError(f"unknown oracle family {name!r}") from None
+    return inspect.signature(builder, eval_str=True).parameters
+
+
 def resolve_oracle(name: str, params: dict) -> QaryFunction:
     """Instantiate a named family, binding ``params`` by name to its builder's
     arguments.  A parameter the builder needs and ``params`` lacks raises
     ``KeyError`` naming it; one the builder does not take raises
     :class:`InvalidFunctionError`, with its name in the error's ``parameter``."""
-    try:
-        builder = ORACLE_BUILDERS[name]
-    except KeyError:
-        raise InvalidFunctionError(f"unknown oracle family {name!r}") from None
-    taken = inspect.signature(builder).parameters
+    taken = _builder_parameters(name)
     for key in params:
         if key not in taken:
             error = InvalidFunctionError(f"oracle family {name!r} takes no parameter {key!r}")
@@ -393,4 +399,4 @@ def resolve_oracle(name: str, params: dict) -> QaryFunction:
     for key, parameter in taken.items():
         if parameter.default is parameter.empty and key not in params:
             raise KeyError(key)
-    return builder(**params)
+    return ORACLE_BUILDERS[name](**params)

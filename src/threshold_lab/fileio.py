@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import ProductMeasure, QaryFunction, ThresholdLabError, subset_members
 from .decomposition import EfronSteinDecomposition
-from .families import resolve_oracle
+from .families import _builder_parameters, resolve_oracle
 from .social_choice import ChoiceFunction, Tournament, VoterProfile
 from .threshold import ThresholdCurve
 
@@ -86,9 +86,11 @@ def function_to_dict(f: QaryFunction) -> dict:
 def function_from_dict(doc: dict) -> QaryFunction:
     with _reading(doc, FUNCTION_SCHEMA, "function"):
         if "oracle" in doc:
-            # every family's numeric parameters are integers
+            # a parameter the builder annotates ``int`` is read as an integer
+            taken = _builder_parameters(doc["oracle"])
             params = {
-                key: value if isinstance(value, str) else _integer(value, f"params.{key}")
+                key: _integer(value, f"params.{key}")
+                if key in taken and taken[key].annotation is int else value
                 for key, value in dict(doc.get("params", {})).items()
             }
             f = resolve_oracle(doc["oracle"], params)

@@ -30,7 +30,7 @@ from .core import (
     _check_range,
     _check_symbol,
     _exact_prob,
-    product_weights,
+    _table_mean,
 )
 from .decomposition import _influences
 
@@ -66,16 +66,16 @@ def _restriction_sums(
 ) -> tuple[float, float]:
     """The Russo derivative and the mixed conditional-variance sum at ``mu_t``, from
     one pass over the restrictions of :func:`_monotone_real`'s table to each coordinate."""
-    # the view's outer axes keep the other coordinates in rest_weights' order
-    rest_weights = product_weights(mu_t, real.n - 1)
+    # the view's outer axes keep the other coordinates in index order, so each
+    # restriction vector is a table over [q]**(n-1)
     derivative = mixed = 0.0
     for i in range(real.n):
         view = _axis_view(real.table, real.q, real.n, i)
         first = _axis_mean(view, path.base.atoms).ravel()
         not_const = (view.max(axis=1) != view.min(axis=1)).ravel()
-        derivative += float(rest_weights @ (not_const * (1.0 - first)))
+        derivative += _table_mean(not_const * (1.0 - first), mu_t.atoms)
         # f is {0,1}-valued, so each restriction's second moment is ``first``
-        mixed += float(rest_weights @ (first - first**2))
+        mixed += _table_mean(first - first**2, mu_t.atoms)
     return derivative, mixed
 
 

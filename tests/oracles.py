@@ -53,7 +53,8 @@ def enum_compositions(n: int, q: int) -> np.ndarray:
 
 
 def outer_product_weights(measure: ProductMeasure, n: int) -> np.ndarray:
-    """Product weights by repeated outer products, the library's former loop."""
+    """The weights ``w(x) = prod_i mu(x_i)`` over ``[q]**n`` in index order, by
+    repeated outer products: the reference for a mean as one weighted sum."""
     w = np.ones(1)
     for _ in range(n):
         w = np.multiply.outer(w, measure.atoms).ravel()

@@ -44,7 +44,6 @@ from threshold_lab import (
     verify_hypercontractivity,
     verify_level_bound,
 )
-from threshold_lab.core import product_weights
 from threshold_lab.families import vertex_action_generators
 from threshold_lab.social_choice import (
     indeterminacy_experiment,
@@ -52,7 +51,7 @@ from threshold_lab.social_choice import (
     nonempty_subsets,
 )
 
-from oracles import random_positive_measure, zero_monotone_closure
+from oracles import outer_product_weights, random_positive_measure, zero_monotone_closure
 
 
 def _pass(number: int, message: str) -> None:
@@ -95,7 +94,7 @@ def test_criterion_01_efron_stein_suite(es_corpus):
     for f, _, mu in es_corpus:
         d = efron_stein(f, mu)
         assert np.max(np.abs(d.reconstruction() - f.table)) <= tol
-        w = product_weights(mu, f.n)
+        w = outer_product_weights(mu, f.n)
         comps = d.components
         gram = (comps * w) @ comps.T
         off_diagonal = gram - np.diag(np.diag(gram))
@@ -132,7 +131,7 @@ def test_criterion_03_hypercontractivity(hyper_corpus):
 def test_criterion_04_level_bound_and_cauchy_schwarz(hyper_corpus):
     violations = 0
     for g, mu in hyper_corpus:
-        mean = float(product_weights(mu, g.n) @ g.table)
+        mean = float(outer_product_weights(mu, g.n) @ g.table)
         centered = QaryFunction.from_table(g.q, g.n, g.table - mean, codomain="real")
         for k in range(1, g.n + 1):
             if not verify_level_bound(centered, mu, k, tol=1e-9).ok:
@@ -147,8 +146,8 @@ def test_criterion_04_level_bound_and_cauchy_schwarz(hyper_corpus):
 
 
 def _finite_difference(f, path, t, h=1e-4):
-    w_lo = product_weights(path.measure_at(t - h), f.n)
-    w_hi = product_weights(path.measure_at(t + h), f.n)
+    w_lo = outer_product_weights(path.measure_at(t - h), f.n)
+    w_hi = outer_product_weights(path.measure_at(t + h), f.n)
     return float((w_hi - w_lo) @ f.table) / (2 * h)
 
 

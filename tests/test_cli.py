@@ -360,6 +360,18 @@ class TestExitCodes:
         rc, _, err = run(capsys, "check", "--function", "/nonexistent.json")
         assert rc == 2
 
+    def test_numeric_string_param_is_named(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"schema": fileio.FUNCTION_SCHEMA, "oracle": "plurality",
+                                    "params": {"q": "3", "n": 5}}))
+        rc, out, err = run(capsys, "check", "--function", str(path))
+        assert (rc, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "FileFormatError",
+            "message": "function document has a malformed field: "
+                       "params.q must be an integer, got '3'",
+        }
+
     def test_domain_error_is_exit_one(self, tmp_path, capsys):
         # constant function: the window never crosses the levels
         f = QaryFunction.from_table(2, 2, [1, 1, 1, 1])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -31,7 +32,6 @@ from threshold_lab.core import (
     _table_index,
     all_points,
     index_of,
-    product_weights,
 )
 from threshold_lab.decomposition import _delta, _noise, delta_i, efron_stein, noise_operator
 
@@ -39,7 +39,6 @@ from oracles import (
     enum_expectation,
     enum_prob,
     ix_relabel,
-    outer_product_weights,
     points,
     random_positive_measure,
     random_real_function,
@@ -113,8 +112,23 @@ class TestFromTable:
      ([0.0, 0.5, 1.0, 0.0], "real", False), ([-1.0, 0.0, 1.0, 0.0], "real", False)],
 )
 def test_is_binary(values, codomain, binary):
-    f = QaryFunction.from_table(2, 2, values, codomain=codomain, out_q=3)
+    out_q = 3 if codomain == "alphabet" else None
+    f = QaryFunction.from_table(2, 2, values, codomain=codomain, out_q=out_q)
     assert f.is_binary() is binary
+
+
+class TestOutQ:
+    def test_alphabet_defaults_to_q(self):
+        table = np.array([0, 1, 2])
+        assert QaryFunction.from_table(3, 1, table).out_q == 3
+        built = QaryFunction(q=3, n=1, codomain="alphabet", out_q=None, table=table)
+        assert built.out_q == 3
+        assert dataclasses.replace(built, out_q=None).out_q == 3
+
+    def test_real_codomain_refuses_out_q(self):
+        with pytest.raises(InvalidFunctionError, match="real codomain takes no out_q"):
+            QaryFunction.from_table(2, 1, [0.5, 1.5], codomain="real", out_q=7)
+        assert QaryFunction.from_table(2, 1, [0.5, 1.5], codomain="real").out_q is None
 
 
 class TestTableIndexing:
@@ -252,18 +266,32 @@ class TestProbValue:
             total = sum(prob_value(f, mu, a) for a in range(q))
             assert total == pytest.approx(1.0, abs=1e-10)
 
-    @settings(max_examples=40)
-    @given(st.integers(2, 4), st.integers(1, 7), st.integers(0, 2**32 - 1), st.booleans())
-    def test_contraction_matches_enumeration(self, q, n, seed, zero_atom):
+    @settings(max_examples=60)
+    @given(
+        st.integers(2, 4), st.integers(0, 7), st.integers(0, 2**32 - 1), st.booleans(),
+        st.booleans(),
+    )
+    def test_contraction_matches_enumeration(self, q, k, seed, zero_atom, real):
+        # a bool or real table over [q]**k; at k = 0 it has one entry
         rng = np.random.default_rng(seed)
-        f = QaryFunction.from_table(q, n, rng.integers(0, q, size=q**n))
         atoms = rng.dirichlet(np.ones(q))
         if zero_atom:
             atoms[rng.integers(q)] = 0.0
             atoms /= atoms.sum()
-        mu = ProductMeasure(q, atoms)
-        a = int(rng.integers(q))
-        assert abs(prob_value(f, mu, a) - enum_prob(f, mu, a)) <= 1e-14
+        table = rng.uniform(-1.0, 1.0, size=q**k) if real else rng.integers(0, 2, q**k) == 1
+        want = math.fsum(
+            float(table[index_of(x, q)]) * math.prod(atoms[v] for v in x) for x in points(q, k)
+        )
+        got = core._table_mean(table, atoms)
+        assert abs(got - want) <= 1e-14
+        if k:
+            mu = ProductMeasure(q, atoms)
+            f = QaryFunction.from_table(q, k, table, codomain="real" if real else "alphabet")
+            assert (expectation(f, mu) if real else prob_value(f, mu, 1)) == got
+            # a [q]-valued table, every symbol against the enumeration
+            f = QaryFunction.from_table(q, k, rng.integers(0, q, q**k))
+            a = int(rng.integers(q))
+            assert abs(prob_value(f, mu, a) - enum_prob(f, mu, a)) <= 1e-14
 
     def test_accurate_at_two_to_the_twenty(self):
         from threshold_lab import plurality
@@ -385,22 +413,8 @@ class TestPermuteInputSymbols:
 
 
 class TestDigitBuilders:
-    """The digit-wise builders against the outer-product and ``np.ix_`` forms
-    they replaced, compared with ``==``."""
-
-    @pytest.mark.parametrize("q", [2, 3, 4, 5])
-    def test_product_weights_bitwise(self, q, rng):
-        measures = [random_positive_measure(q, rng), ProductMeasure.uniform(q)]
-        zero = rng.dirichlet(np.ones(q))
-        zero[1] = 0.0
-        measures.append(ProductMeasure(q, zero / zero.sum()))
-        for mu in measures:
-            n = 1
-            while q**n <= 5000:
-                w = product_weights(mu, n)
-                assert w.dtype == np.float64
-                assert np.array_equal(w, outer_product_weights(mu, n))
-                n += 1
+    """The digit-wise relabelling index against the ``np.ix_`` form it
+    replaced, compared with ``==``."""
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_relabelling_bitwise(self, q, rng):
@@ -611,13 +625,6 @@ class TestTabulate:
         f = QaryFunction.from_oracle(2, 3, Oracle(name="writer", params={}, batch=batch))
         with pytest.raises(ValueError):
             f.tabulate()
-
-
-def test_product_weights_match_point_probabilities(rng):
-    mu = random_positive_measure(3, rng)
-    w = product_weights(mu, 2)
-    for idx, pt in enumerate(itertools.product(range(3), repeat=2)):
-        assert w[idx] == pytest.approx(mu.atoms[pt[0]] * mu.atoms[pt[1]])
 
 
 def test_oracle_batch_and_scalar_agree(rng):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from threshold_lab import (
     influence_report,
     lp_norm,
     noise_operator,
+    plurality,
+    prob_value,
     talagrand_report,
     verify_hypercontractivity,
     verify_level_bound,
@@ -35,6 +38,7 @@ from oracles import (
     enum_delta,
     enum_influence,
     enum_lp_norm,
+    outer_product_weights,
     random_binary_function,
     random_positive_measure,
     random_real_function,
@@ -96,11 +100,9 @@ class TestEfronStein:
                     assert np.allclose(proj.table, 0.0, atol=1e-9)
 
     def test_orthogonality_and_parseval(self, small_corpus):
-        from threshold_lab.core import product_weights
-
         for f, _, mu in small_corpus[:30]:
             d = efron_stein(f, mu)
-            w = product_weights(mu, f.n)
+            w = outer_product_weights(mu, f.n)
             norms = d.squared_norms()
             # the norm kernel against the component store
             assert np.allclose(norms, d.components**2 @ w, rtol=0.0, atol=1e-9)
@@ -120,13 +122,11 @@ class TestEfronStein:
 
     def test_norms_and_noise_past_the_store_cap(self):
         from threshold_lab import plurality
-        from threshold_lab.core import product_weights
-
         # 2**16 * 2**16 entries would exceed the store cap; the kernels read 2**16
         f = plurality(2, 16).as_real()
         mu = ProductMeasure(2, [0.3, 0.7])
         d = efron_stein(f, mu)
-        w = product_weights(mu, f.n)
+        w = outer_product_weights(mu, f.n)
         mean = float(w @ f.table)
         norms = d.squared_norms()
         assert norms.shape == (1 << 16,)
@@ -271,6 +271,33 @@ class TestLpNorm:
         with pytest.raises(DimensionMismatchError):
             lp_norm(g, UNIFORM2, 0.5)
 
+    def test_indicator_l1_is_the_table_probability(self):
+        # both are one contraction of the same {0,1} values, so they agree to the bit
+        f = plurality(2, 20).tabulate()
+        for p in (0.3, 0.45, 0.5, 0.55, 0.7):
+            mu = ProductMeasure(2, [1.0 - p, p])
+            for a in (0, 1):
+                assert lp_norm(f.indicator(a), mu, 1.0) == prob_value(f, mu, a)
+
+
+@pytest.mark.parametrize(
+    "compute, tables",
+    [(lambda g, mu: lp_norm(g, mu, 1.5), 2), (verify_hypercontractivity, 3)],
+    ids=["lp_norm", "verify_hypercontractivity"],
+)
+def test_peak_memory_builds_no_weight_table(compute, tables):
+    # |g|**p (and the check's noised table) plus the contraction's partial sums,
+    # which take half a table
+    g = plurality(2, 18).indicator(1)
+    mu = ProductMeasure(2, [0.45, 0.55])
+    tracemalloc.start()
+    try:
+        compute(g, mu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= tables * g.table.nbytes
+
 
 class TestNoiseOperator:
     def test_identity_at_one(self, majority3):
@@ -395,19 +422,15 @@ class TestVerifyLevelBound:
             verify_level_bound(g, UNIFORM2, 1)
 
     def test_holds_on_centered_corpus(self, small_corpus):
-        from threshold_lab.core import product_weights
-
         for f, _, mu in small_corpus[:40]:
-            mean = float(product_weights(mu, f.n) @ f.table)
+            mean = float(outer_product_weights(mu, f.n) @ f.table)
             g = QaryFunction.from_table(f.q, f.n, f.table - mean, codomain="real")
             for k in range(1, f.n + 1):
                 assert verify_level_bound(g, mu, k).ok
 
     def test_all_levels_are_each_level_bitwise(self, small_corpus):
-        from threshold_lab.core import product_weights
-
         for f, _, mu in small_corpus[:40]:
-            mean = float(product_weights(mu, f.n) @ f.table)
+            mean = float(outer_product_weights(mu, f.n) @ f.table)
             g = QaryFunction.from_table(f.q, f.n, f.table - mean, codomain="real")
             each = [verify_level_bound(g, mu, k) for k in range(1, f.n + 1)]
             assert verify_level_bounds(g, mu) == each

@@ -21,6 +21,7 @@ from threshold_lab import (
 )
 from threshold_lab import fileio
 from threshold_lab.core import all_points
+from threshold_lab.families import ORACLE_BUILDERS, _builder_parameters
 
 
 class TestFunctionFiles:
@@ -111,8 +112,16 @@ class TestOracleParams:
     def test_numeric_string_parameter_refused(self):
         doc = {"schema": fileio.FUNCTION_SCHEMA, "oracle": "plurality",
                "params": {"q": "3", "n": 5}}
-        with pytest.raises(fileio.FileFormatError, match="malformed field"):
+        with pytest.raises(fileio.FileFormatError, match="malformed field") as info:
             fileio.function_from_dict(doc)
+        assert "params.q must be an integer, got '3'" in str(info.value)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_BUILDERS))
+    def test_every_builder_parameter_is_int_or_str(self, name):
+        # function_from_dict reads a parameter as an integer exactly when its
+        # builder's annotation is ``int``
+        annotations = {p.annotation for p in _builder_parameters(name).values()}
+        assert annotations <= {int, str}
 
 
 class TestMeasureFiles:

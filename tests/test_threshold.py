@@ -34,7 +34,7 @@ from threshold_lab import (
 from threshold_lab import threshold
 from threshold_lab.threshold import NoStrictLeaderError, critical_bound_shape
 
-from oracles import full_grid_window, zero_monotone_closure
+from oracles import full_grid_window, outer_product_weights, zero_monotone_closure
 
 BASE2 = ProductMeasure(2, [0.0, 1.0])
 
@@ -58,6 +58,12 @@ class TestRussoDerivative:
         path = MeasurePath(anchor=0, base=ProductMeasure(3, [0.0, 0.5, 0.5]))
         for t in (0.0, 0.3, 1.0):
             assert russo_derivative(f, path, t) == pytest.approx(1.0, abs=1e-12)
+            # the one-entry restriction tables are their own means
+            rep = russo_report(f, path, t)
+            assert rep.derivative == pytest.approx(1.0, abs=1e-12)
+            assert rep.influence_sum_path_measure == pytest.approx(t * (1 - t), abs=1e-12)
+            assert rep.influence_sum_base_measure == 0.0
+            assert rep.conditional_variance_sum == 0.0
 
     def test_majority_halfway(self):
         path = MeasurePath(anchor=0, base=BASE2)
@@ -93,12 +99,12 @@ class TestRussoDerivative:
                     h = 1e-4
                     lo = float(
                         np.dot(
-                            _weights(path.measure_at(t - h), 2), f.table
+                            outer_product_weights(path.measure_at(t - h), 2), f.table
                         )
                     )
                     hi = float(
                         np.dot(
-                            _weights(path.measure_at(t + h), 2), f.table
+                            outer_product_weights(path.measure_at(t + h), 2), f.table
                         )
                     )
                     fd = (hi - lo) / (2 * h)
@@ -115,8 +121,8 @@ class TestRussoDerivative:
             path = MeasurePath(anchor=0, base=ProductMeasure(q, base_atoms))
             t = float(rng.uniform(0.1, 0.9))
             h = 1e-4
-            w_lo = _weights(path.measure_at(t - h), 3)
-            w_hi = _weights(path.measure_at(t + h), 3)
+            w_lo = outer_product_weights(path.measure_at(t - h), 3)
+            w_hi = outer_product_weights(path.measure_at(t + h), 3)
             fd = float((w_hi - w_lo) @ f.table) / (2 * h)
             assert russo_derivative(f, path, t) == pytest.approx(fd, abs=1e-5)
 
@@ -158,12 +164,6 @@ class TestRussoDerivative:
         assert rep.derivative == pytest.approx(0.05, abs=1e-12)
         assert rep.influence_sum_base_measure == pytest.approx(0.25, abs=1e-12)
         assert rep.influence_sum_base_measure > rep.derivative
-
-
-def _weights(measure, n):
-    from threshold_lab.core import product_weights
-
-    return product_weights(measure, n)
 
 
 class TestScanPath:
