@@ -32,7 +32,7 @@ from .decomposition import (
     verify_hypercontractivity,
     verify_level_bounds,
 )
-from .families import resolve_oracle, vertex_action_generators
+from .families import _builder_parameters, resolve_oracle, vertex_action_generators
 from .social_choice import (
     indeterminacy_experiment,
     majority_relation,
@@ -82,20 +82,19 @@ def _load_function(args) -> QaryFunction:
         key: getattr(args, option.replace("-", "_")) for key, option in _FAMILY_PARAMS.items()
     }
     params = {k: v for k, v in params.items() if v is not None}
-    while True:
-        try:
-            return resolve_oracle(args.family, params)
-        except KeyError as exc:  # the family needs a parameter no option set
-            option = _FAMILY_PARAMS[exc.args[0]]
-            raise UsageError(f"--family {args.family} needs --{option}") from None
-        except InvalidFunctionError as exc:
-            key = getattr(exc, "parameter", None)
-            if key is None:
-                raise
-            if key != "vertices" or getattr(args, "group", None) != "graph":
-                option = _FAMILY_PARAMS[key]
-                raise UsageError(f"--family {args.family} takes no --{option}") from None
-            del params[key]  # --group graph reads --vertices itself
+    graph_group = getattr(args, "group", None) == "graph"
+    if graph_group and "vertices" not in _builder_parameters(args.family):
+        params.pop("vertices", None)  # --group graph reads --vertices itself
+    try:
+        return resolve_oracle(args.family, params)
+    except KeyError as exc:  # the family needs a parameter no option set
+        option = _FAMILY_PARAMS[exc.args[0]]
+        raise UsageError(f"--family {args.family} needs --{option}") from None
+    except InvalidFunctionError as exc:
+        key = getattr(exc, "parameter", None)
+        if key is None:
+            raise
+        raise UsageError(f"--family {args.family} takes no --{_FAMILY_PARAMS[key]}") from None
 
 
 def _load_measure(args, q: int) -> ProductMeasure:

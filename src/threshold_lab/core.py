@@ -214,6 +214,13 @@ class ProductMeasure:
         return ProductMeasure(self.q, atoms / atoms.sum())
 
 
+def _frozen(table: np.ndarray) -> np.ndarray:
+    """``table``, which a derivation has just built, made read-only, so that
+    :class:`QaryFunction` adopts it instead of copying it."""
+    table.setflags(write=False)
+    return table
+
+
 def _relabel_index(perm: np.ndarray, n: int) -> np.ndarray:
     """``index(perm(x))`` at every index of ``x``, ``perm`` acting on each symbol.
 
@@ -259,8 +266,9 @@ class QaryFunction:
     ``oracle`` is set.  ``out_q`` is the size of an alphabet codomain (``q``
     when not given) and ``None`` for a real one.  Instances are immutable and
     safe to share across threads.  ``__post_init__`` casts every table into a
-    read-only array of its own, so a derived function is its source through
-    ``dataclasses.replace``.
+    read-only array of its own: it adopts a read-only array that owns its
+    memory and copies anything else, so a derived function is its source
+    through ``dataclasses.replace`` with a fresh table made :func:`_frozen`.
     """
 
     q: int
@@ -297,17 +305,18 @@ class QaryFunction:
                 raise TypeError(f"table values must be numbers, got dtype {table.dtype}")
             if table.dtype.kind == "f" and not np.isfinite(table).all():
                 raise InvalidFunctionError("table values must be finite")
+            copy = table.flags.writeable or table.base is not None
             if self.codomain == "alphabet":
                 if table.size and (table.min() < 0 or table.max() >= self.out_q):
                     raise InvalidFunctionError(
                         f"alphabet values must lie in [0, {self.out_q})"
                     )
-                cast = table.astype(np.int64)
+                cast = table.astype(np.int64, copy=copy)
                 if table.dtype.kind == "f" and not np.array_equal(cast, table):
                     raise InvalidFunctionError("alphabet values must be integers")
                 table = cast
             else:
-                table = table.astype(float)
+                table = table.astype(float, copy=copy)
             table.setflags(write=False)
             object.__setattr__(self, "table", table)
 
@@ -384,7 +393,7 @@ class QaryFunction:
         for b, digits in enumerate(itertools.product(range(q), repeat=high)):
             columns[:high] = np.array(digits, dtype=columns.dtype)[:, None]
             values[b * block : (b + 1) * block] = self.batch(points)
-        return dataclasses.replace(self, table=values, oracle=None)
+        return dataclasses.replace(self, table=_frozen(values), oracle=None)
 
     def as_real(self) -> "QaryFunction":
         """Reinterpret alphabet values as real numbers: the tabulated integer
@@ -414,7 +423,7 @@ def permute_input_symbols(f: QaryFunction, perm: Sequence[int]) -> QaryFunction:
     if sorted(perm.tolist()) != list(range(f.q)):
         raise DimensionMismatchError(f"perm must be a permutation of [{f.q})")
     tab = f.tabulate()
-    return dataclasses.replace(tab, table=tab.table[_relabel_index(perm, f.n)])
+    return dataclasses.replace(tab, table=_frozen(tab.table[_relabel_index(perm, f.n)]))
 
 
 def _check_compatible(f: QaryFunction, measure: ProductMeasure | SimplexSampler) -> None:
@@ -516,7 +525,7 @@ def conditional_expectation(
         if i not in subset:
             view = _axis_view(table, f.q, f.n, i)
             view[...] = _axis_mean(view, measure.atoms)
-    return dataclasses.replace(tab, table=table)
+    return dataclasses.replace(tab, table=_frozen(table))
 
 
 def _categorical(rng: np.random.Generator, probs: np.ndarray, shape: tuple) -> np.ndarray:

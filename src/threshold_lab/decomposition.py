@@ -52,6 +52,7 @@ from .core import (
     _axis_view,
     _check_compatible,
     _check_range,
+    _frozen,
     _table_mean,
     expectation,
     subset_mask,
@@ -190,7 +191,7 @@ def efron_stein(f: QaryFunction, measure: ProductMeasure) -> EfronSteinDecomposi
 def delta_i(f: QaryFunction, measure: ProductMeasure, i: int) -> QaryFunction:
     """``f`` minus its conditional mean given every coordinate except ``i``."""
     f = _as_real_table(f, measure)
-    return dataclasses.replace(f, table=_delta(f, measure, i))
+    return dataclasses.replace(f, table=_frozen(_delta(f, measure, i)))
 
 
 def _delta(f: QaryFunction, measure: ProductMeasure, i: int) -> np.ndarray:
@@ -267,7 +268,7 @@ def noise_operator(d: EfronSteinDecomposition, theta: float) -> QaryFunction:
     """Attenuate each component by ``theta`` to the power of its subset size."""
     if not 0.0 <= theta <= 1.0:
         raise DimensionMismatchError(f"noise parameter {theta} outside [0, 1]")
-    return dataclasses.replace(d.f, table=_noise(d.f, d.measure, theta))
+    return dataclasses.replace(d.f, table=_frozen(_noise(d.f, d.measure, theta)))
 
 
 def hypercontractive_sigma(alpha: float, exact: bool = False) -> float:
@@ -307,8 +308,12 @@ def verify_hypercontractivity(
     g = _as_real_table(g, measure)
     measure.require_positive("hypercontractivity check")
     sigma = hypercontractive_sigma(measure.min_atom())
-    lhs = _weighted_norm(_noise(g, measure, sigma), measure.atoms, 2.0)
     rhs = _weighted_norm(g.table, measure.atoms, 1.5)
+    # the L2 norm of _noise's fresh table, squared in place (x**2 == |x|**2),
+    # taken after rhs so that the table is never held beside rhs's |g|**1.5
+    noised = _noise(g, measure, sigma)
+    noised **= 2.0
+    lhs = _table_mean(noised, measure.atoms) ** 0.5
     return NormInequalityReport(sigma=sigma, lhs=lhs, rhs=rhs, ok=lhs <= rhs + tol)
 
 

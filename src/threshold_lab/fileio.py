@@ -214,8 +214,9 @@ def curve_to_csv(curve: ThresholdCurve) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CURVE_CSV_COLUMNS)
+    half_widths = curve.half_widths
     for idx, (t, g) in enumerate(zip(curve.grid, curve.values)):
-        half_width = "" if curve.half_widths is None else repr(float(curve.half_widths[idx]))
+        half_width = "" if half_widths is None else repr(float(half_widths[idx]))
         writer.writerow([repr(float(t)), repr(float(g)), curve.method, half_width])
     return buf.getvalue()
 

@@ -162,32 +162,40 @@ def mc_estimate(
 class ThresholdCurve:
     """Values of ``t -> P[f = a]`` at the nodes of a uniform grid of the path.
 
-    A Monte Carlo curve is sampled at every node when it is built.  An exact
-    curve evaluates a node the first time it is read and keeps the value by
-    node index, so a window reads only the nodes its bisection visits;
-    ``values`` evaluates every node not read yet.
+    ``evaluator(t, i)`` is G at ``t``, where ``i`` is the grid node's index
+    (a Monte Carlo node samples the stream ``(seed, i)``) or ``None`` off the
+    grid.  A node is evaluated the first time it is read and kept by index,
+    so a window reads only the nodes its search visits; ``values`` evaluates
+    every node not read yet.
     """
 
     path: MeasurePath
     anchor: int
     grid: np.ndarray
     method: str  # "exact" | "mc"
+    evaluator: object = dataclasses.field(repr=False, compare=False)
     samples: int | None = None
     seed: int | None = None
-    half_widths: np.ndarray | None = None
-    evaluator: object = dataclasses.field(default=None, repr=False, compare=False)
-    _nodes: dict = dataclasses.field(default_factory=dict, repr=False, compare=False)
+    _nodes: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _node(self, i: int) -> float:
         """G at grid node ``i``, evaluated on the first read."""
         if i not in self._nodes:
-            self._nodes[i] = self.evaluator(self.grid[i])
+            self._nodes[i] = self.evaluator(self.grid[i], i)
         return self._nodes[i]
 
     @property
     def values(self) -> np.ndarray:
         """G at every grid node, in grid order."""
         return np.array([self._node(i) for i in range(self.grid.size)])
+
+    @property
+    def half_widths(self) -> np.ndarray | None:
+        """Each Monte Carlo node's 95% half-width, as its :class:`MCEstimate`
+        holds it; ``None`` on an exact curve."""
+        if self.method == "exact":
+            return None
+        return np.array([_wald_half_width(g, self.samples) for g in self.values])
 
 
 def scan_path(
@@ -201,43 +209,34 @@ def scan_path(
 ) -> ThresholdCurve:
     """The curve ``G(t) = P[f = a]`` on a uniform grid of the path.
 
-    Exact mode needs a dense table or a structured exact evaluator, and
-    evaluates a grid node only when the curve reads it: ``values`` (as
-    ``scan`` and the curve writers read it) evaluates every node, a window
-    only the nodes its bisection visits.  Monte Carlo mode draws ``samples``
-    points at every grid node up front, with per-node streams derived from
-    ``(seed, node index)``.
+    Exact mode needs a dense table or a structured exact evaluator.  Monte
+    Carlo mode draws ``samples`` points at a node, from the stream ``(seed,
+    node index)``.  Either evaluates a node only when the curve reads it:
+    ``values`` (as ``scan`` and the curve writers read it) every node, a
+    window only the nodes its search visits.  Arguments are checked here.
     """
     if grid_size < 2:
         raise DimensionMismatchError("grid needs at least 2 points")
     _check_compatible(f, base)
     path = MeasurePath(anchor=a, base=base)
-    grid = np.linspace(0.0, 1.0, grid_size)
     if method == "exact":
         point = _exact_prob(f, a)
         if point is None:
             raise TableSizeError(
                 "exact scan needs a table or structured evaluator; use method='mc'"
             )
-        return ThresholdCurve(
-            path=path, anchor=a, grid=grid, method="exact",
-            evaluator=lambda t: point(path.measure_at(t)),
-        )
-    if method != "mc":
+        samples = seed = None
+        evaluator = lambda t, i: point(path.measure_at(t))
+    elif method == "mc":
+        if samples < 1:
+            raise DimensionMismatchError("need at least one sample")
+        _check_symbol(f, a)
+        evaluator = lambda t, i: mc_estimate(f, path.measure_at(t), a, samples, [seed, i]).p_hat
+    else:
         raise DimensionMismatchError(f"unknown scan method {method!r}")
-    estimates = [
-        mc_estimate(f, path.measure_at(t), a, samples, [seed, idx])
-        for idx, t in enumerate(grid)
-    ]
     return ThresholdCurve(
-        path=path,
-        anchor=a,
-        grid=grid,
-        method="mc",
-        samples=samples,
-        seed=seed,
-        half_widths=np.array([e.half_width for e in estimates]),
-        _nodes={idx: e.p_hat for idx, e in enumerate(estimates)},
+        path=path, anchor=a, grid=np.linspace(0.0, 1.0, grid_size), method=method,
+        samples=samples, seed=seed, evaluator=evaluator,
     )
 
 
@@ -261,12 +260,11 @@ def _locate_crossing(curve: ThresholdCurve, level: float) -> float:
         )
     if node(0) >= level:
         return float(grid[0])
-    if curve.evaluator is None:
+    if curve.method == "mc":
         # a Monte Carlo curve is noisy, so its first node at the level counts
-        values = curve.values
-        i = int(np.argmax(values >= level))
+        i = next(i for i in range(1, last + 1) if node(i) >= level)
         lo, hi = float(grid[i - 1]), float(grid[i])
-        v0, v1 = float(values[i - 1]), float(values[i])
+        v0, v1 = float(node(i - 1)), float(node(i))
         if v1 == v0:
             return 0.5 * (lo + hi)
         return lo + (level - v0) * (hi - lo) / (v1 - v0)
@@ -281,7 +279,7 @@ def _locate_crossing(curve: ThresholdCurve, level: float) -> float:
     lo, hi = float(grid[i - 1]), float(grid[i])
     while hi - lo > _REFINE_TOL:
         mid = 0.5 * (lo + hi)
-        if curve.evaluator(mid) < level:
+        if curve.evaluator(mid, None) < level:
             lo = mid
         else:
             hi = mid
@@ -301,7 +299,7 @@ def threshold_window(curve: ThresholdCurve, eps: float) -> ThresholdWindow:
     crossing whose grid cell brackets the level, not necessarily the first.
     A Monte Carlo curve is noisy and not monotone, so its crossing is the
     first node at or above the level, interpolated linearly from the node
-    before it.
+    before it, reading the nodes in order only up to that one.
     """
     if not 0.0 < eps <= 0.5:
         raise DimensionMismatchError(f"eps must lie in (0, 0.5], got {eps}")

@@ -231,10 +231,10 @@ def full_grid_crossing(curve, level: float) -> float:
     if i == 0:
         return float(grid[0])
     lo, hi = float(grid[i - 1]), float(grid[i])
-    if curve.evaluator is not None:
+    if curve.method == "exact":
         while hi - lo > _REFINE_TOL:
             mid = 0.5 * (lo + hi)
-            if curve.evaluator(mid) < level:
+            if curve.evaluator(mid, None) < level:
                 lo = mid
             else:
                 hi = mid

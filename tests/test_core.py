@@ -543,6 +543,15 @@ class TestDerivedTables:
         # a float64 and a bool table, and a few objects
         assert peak <= 9 * size + (1 << 16)
 
+    def test_adopts_only_a_read_only_array_that_owns_its_memory(self):
+        owned = np.arange(8) % 2
+        owned.setflags(write=False)
+        assert QaryFunction.from_table(2, 3, owned).table is owned
+        view = np.repeat(owned, 2)[::2]
+        view.setflags(write=False)
+        for table in (np.arange(8) % 2, view):
+            assert not np.shares_memory(QaryFunction.from_table(2, 3, table).table, table)
+
 
 def _real_valued(q, n):
     # elementwise per row, so its values cannot depend on how rows are batched
@@ -616,6 +625,21 @@ class TestTabulate:
             # each coordinate one contiguous column: uint8 up to q = 256, then uint16
             assert dtype == np.min_scalar_type(q - 1) and not writeable
             assert strides == (dtype.itemsize, dtype.itemsize * shape[0])
+
+    def test_peak_memory_is_the_table_it_returns(self, monkeypatch):
+        from threshold_lab import plurality
+
+        # with small point blocks the filled values are the one table held: the
+        # function adopts them, where a copy of them made a second table
+        monkeypatch.setattr(core, "_TABULATE_COORDS", 18 * 1024)
+        f = plurality(2, 18)
+        tracemalloc.start()
+        try:
+            tab = f.tabulate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= tab.table.nbytes + (1 << 17)
 
     def test_batch_may_not_write_its_points(self):
         def batch(X):

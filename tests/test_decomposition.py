@@ -31,7 +31,7 @@ from threshold_lab import (
     verify_level_bound,
     verify_level_bounds,
 )
-from threshold_lab.decomposition import _subset_sizes
+from threshold_lab.decomposition import _noise, _subset_sizes, _weighted_norm
 
 from oracles import (
     enum_component,
@@ -397,6 +397,26 @@ class TestVerifyHypercontractivity:
             g = random_real_function(q, n, rng)
             mu = random_positive_measure(q, rng)
             assert verify_hypercontractivity(g, mu).ok
+
+    def test_lhs_is_the_l2_norm_of_the_noised_table(self, rng):
+        for _ in range(200):
+            q = int(rng.integers(2, 5))
+            g = random_real_function(q, int(rng.integers(1, {2: 11, 3: 7, 4: 6}[q])), rng)
+            mu = random_positive_measure(q, rng)
+            rep = verify_hypercontractivity(g, mu)
+            assert rep.lhs == _weighted_norm(_noise(g, mu, rep.sigma), mu.atoms, 2.0)
+
+    def test_squares_the_noised_table_in_place(self, rng):
+        # the noised table and, while _noise averages one axis at q = 2, two half
+        # tables; no |.| copy of the noised table beside them
+        g = random_real_function(2, 18, rng)
+        tracemalloc.start()
+        try:
+            verify_hypercontractivity(g, ProductMeasure(2, [0.3, 0.7]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.125 * g.table.nbytes
 
 
 class TestVerifyLevelBound:

@@ -17,6 +17,7 @@ from threshold_lab import (
     SimplexSampler,
     TableSizeError,
     WindowUndefinedError,
+    antisym_majority,
     dictator,
     influence,
     jury_experiment,
@@ -368,6 +369,99 @@ class TestLazyWindow:
         with pytest.raises(WindowUndefinedError) as err:
             threshold_window(curve, 0.1)
         assert str(err.value) == f"curve does not cross level 0.1: range [0, {peak:.6g}]"
+
+
+def _point_mass(a):
+    """The base measure on {0, 1} that puts all its mass off the anchor ``a``."""
+    return ProductMeasure(2, [float(a), 1.0 - a])
+
+
+@pytest.fixture
+def mc_calls(monkeypatch):
+    """The ``mc_estimate`` calls the curves make, one entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return mc_estimate(*args, **kwargs)
+
+    monkeypatch.setattr(threshold, "mc_estimate", counted)
+    return calls
+
+
+class TestLazyMCCurve:
+    def test_window_samples_only_the_nodes_up_to_its_crossings(self, mc_calls):
+        f = recursive_plurality(2, 3, 4)
+        curve = scan_path(f, 0, _point_mass(0), grid_size=21, method="mc", samples=500, seed=11)
+        assert mc_calls == []
+        threshold_window(curve, 0.1)
+        read = len(mc_calls)
+        assert 0 < read <= 16  # a full scan would sample all 21 nodes
+        values = curve.values
+        assert len(mc_calls) == 21
+        assert sorted(stream[1] for stream in mc_calls) == list(range(21))
+        assert np.array_equal(curve.values, values) and len(mc_calls) == 21
+
+    @pytest.mark.parametrize("a", [0, 1])
+    def test_nodes_are_the_per_node_estimates(self, a):
+        f = plurality(2, 15)
+        curve = scan_path(f, a, _point_mass(a), grid_size=9, method="mc", samples=300, seed=4)
+        threshold_window(curve, 0.2)  # reads some nodes first, in its own order
+        estimates = [
+            mc_estimate(f, curve.path.measure_at(t), a, 300, [4, i])
+            for i, t in enumerate(curve.grid)
+        ]
+        assert curve.values.tobytes() == np.array([e.p_hat for e in estimates]).tobytes()
+        assert curve.half_widths.tobytes() == np.array([e.half_width for e in estimates]).tobytes()
+
+    def test_exact_curve_has_no_half_widths(self):
+        assert scan_path(plurality(2, 5), 0, BASE2, grid_size=3).half_widths is None
+
+    @settings(max_examples=80)
+    @given(
+        kind=st.sampled_from(["plurality", "antisym_majority", "recursive_plurality", "dictator"]),
+        n=st.integers(1, 12),
+        a=st.sampled_from([0, 1]),
+        grid=st.integers(2, 31),
+        # levels a node can equal exactly, at a few samples per node
+        eps=st.one_of(st.floats(1e-3, 0.5), st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5])),
+        samples=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_full_grid_window(self, kind, n, a, grid, eps, samples, seed):
+        f = {
+            "plurality": lambda: plurality(2, n),
+            "antisym_majority": lambda: antisym_majority(max(1, n // 2)),
+            "recursive_plurality": lambda: recursive_plurality(2, 3, 2),
+            "dictator": lambda: dictator(2, n, n // 2),
+        }[kind]()
+
+        def fresh():
+            return scan_path(
+                f, a, _point_mass(a), grid_size=grid, method="mc", samples=samples, seed=seed
+            )
+
+        lazy = _window_or_error(threshold_window, fresh(), eps)
+        assert lazy == _window_or_error(full_grid_window, fresh(), eps)
+
+    @pytest.mark.parametrize(
+        "f, a, samples, error",
+        [
+            (plurality(2, 5), 0, 0, DimensionMismatchError),
+            (QaryFunction.from_table(3, 2, [0, 1, 0, 1, 1, 0, 0, 0, 1], out_q=2), 2, 10,
+             DimensionMismatchError),
+            (QaryFunction.from_table(2, 2, [0.5, 1.0, 0.0, 0.25], codomain="real"), 0, 10,
+             InvalidFunctionError),
+        ],
+        ids=["no-samples", "symbol-out-of-range", "real-codomain"],
+    )
+    def test_argument_errors_surface_when_the_curve_is_built(
+        self, mc_calls, f, a, samples, error
+    ):
+        base = ProductMeasure(f.q, np.eye(f.q)[(a + 1) % f.q])
+        with pytest.raises(error):
+            scan_path(f, a, base, grid_size=5, method="mc", samples=samples)
+        assert mc_calls == []
 
 
 class TestMCEstimate:
