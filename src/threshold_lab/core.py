@@ -104,8 +104,10 @@ def table_size(q: int, n: int) -> int:
     """Return ``q**n`` after checking it against :data:`MAX_TABLE_SIZE`."""
     size = q**n
     if size > MAX_TABLE_SIZE:
+        # past 2**64 the digits would swamp the message (348 of them at 3**729)
+        shown = f"= {size}" if size <= 1 << 64 else f"~ 10**{n * math.log10(q):.1f}"
         raise TableSizeError(
-            f"table of size {q}**{n} = {size} exceeds the exact-computation "
+            f"table of size {q}**{n} {shown} exceeds the exact-computation "
             f"cap {MAX_TABLE_SIZE}"
         )
     return size
@@ -248,8 +250,8 @@ class Oracle:
     ``batch`` must not assume int64 (``x.sum(axis=1) - y.sum(axis=1)`` on
     ``uint8`` rows, for one, wraps around zero) nor C-contiguous rows.  An
     optional ``exact_prob(measure, a)`` computes ``P[f = a]`` exactly from
-    structure (e.g. plurality's Poissonized counts), enabling exact threshold
-    scans at sizes far beyond the table cap.
+    structure (the family laws of :mod:`.laws`, e.g. plurality's Poissonized
+    counts), enabling exact threshold scans at sizes far beyond the table cap.
     """
 
     name: str
@@ -470,16 +472,29 @@ def _table_mean(table: np.ndarray, atoms: np.ndarray) -> float:
     return float(v[0])
 
 
-def _exact_prob(f: QaryFunction, a: int) -> Callable[[ProductMeasure], float] | None:
-    """``measure -> P[f = a]`` from the dense table, else the oracle's ``exact_prob``,
+@dataclasses.dataclass(frozen=True)
+class Evaluator:
+    """``P[f = a]`` at a measure, ``prob(measure, stream)``, by a named method:
+    ``table`` (the dense table's mean), ``exact:<oracle name>`` (the oracle's
+    ``exact_prob``), both ignoring ``stream``, or ``mc`` (``samples`` draws of the
+    stream ``[seed, stream]``)."""
+
+    name: str
+    prob: Callable[..., float] = dataclasses.field(repr=False)
+    samples: int | None = None
+    seed: int | None = None
+
+
+def _exact_prob(f: QaryFunction, a: int) -> Evaluator | None:
+    """The exact evaluator of ``P[f = a]``: the dense table, else the oracle's ``exact_prob``,
     else ``None`` (Monte Carlo only).  Checks ``a``; the evaluator trusts ``measure.q == f.q``."""
     _check_symbol(f, a)
     if f.table is not None:
         hits = f.table == a
-        return lambda measure: _table_mean(hits, measure.atoms)
-    exact = f.oracle.exact_prob
-    if exact is not None:
-        return lambda measure: float(exact(measure, a))
+        return Evaluator("table", lambda measure, stream=None: _table_mean(hits, measure.atoms))
+    if f.oracle.exact_prob is not None:
+        prob = lambda measure, stream=None: float(f.oracle.exact_prob(measure, a))
+        return Evaluator(f"exact:{f.oracle.name}", prob)
     return None
 
 
@@ -490,12 +505,12 @@ def prob_value(f: QaryFunction, measure: ProductMeasure, a: int) -> float:
     structured evaluator.  Functions with neither must go through Monte Carlo.
     """
     _check_compatible(f, measure)
-    point = _exact_prob(f, a)
-    if point is None:
+    evaluator = _exact_prob(f, a)
+    if evaluator is None:
         raise TableSizeError(
             f"no exact evaluator for oracle {f.oracle.name!r}; use mc_estimate"
         )
-    return point(measure)
+    return evaluator.prob(measure)
 
 
 def _axis_view(table: np.ndarray, q: int, n: int, i: int) -> np.ndarray:

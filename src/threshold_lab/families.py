@@ -3,18 +3,17 @@ antisymmetric majority, dictators.
 
 Families are pure oracles with vectorized evaluators; small instances
 tabulate on demand.  One gate routine finds every plurality winner: flat
-plurality, each tree level and the most-popular-colour property.  Plurality
-carries an exact probability evaluator, by Poissonized counts, that works at
+plurality, each tree level and the most-popular-colour property.  A family's
+exact law ``P[f = a]``, where it has one, lives in :mod:`.laws`, and its
+oracle's ``exact_prob`` names it; plurality's, by Poissonized counts, works at
 every (q, n), far beyond the table cap.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import inspect
 import itertools
-import math
 
 import numpy as np
 
@@ -22,13 +21,11 @@ from .core import (
     DimensionMismatchError,
     InvalidFunctionError,
     Oracle,
-    ProductMeasure,
     QaryFunction,
-    _check_compatible,
     _check_range,
-    _check_symbol,
     _swap_and_cycle,
 )
+from .laws import _DictatorExact, _PluralityExact
 
 TIE_BREAKS = ("first_occurrence", "smallest_index")
 
@@ -95,98 +92,6 @@ def plurality_winners(X: np.ndarray, q: int, tie_break: str = "first_occurrence"
     _check_tie_break(tie_break)
     X = np.asarray(X)
     return _gate_winners(X, q, X.shape[1], tie_break)[:, 0]
-
-
-class _PluralityExact:
-    """Exact ``P[plurality = a]`` at any (q, n) by Poissonization (B. Levin,
-    *Ann. Statist.* 9, 1981): independent ``N_b ~ Poisson(n mu_b)``
-    conditioned on ``sum N_b = n`` are multinomial(n, mu), so with ``pi_b``
-    the pmf of ``N_b``::
-
-        P[plur = a] = sum_k pi_a(k) [x^(n-k)] int_0^1 prod_{b != a}
-                      (sum_{j<k} pi_b(j) x^j + y_b pi_b(k) x^k) dy / P[sum N = n]
-
-    Under ``first_occurrence`` every ``y_b`` is ``y``: arrangements are
-    exchangeable, so ``a`` wins a tie with ``t`` others with probability
-    ``1/(t+1) = int y^t dy``, and ``ceil(q/2)`` Gauss-Legendre nodes integrate
-    the degree ``q - 1`` integrand exactly.  Under ``smallest_index`` ``y_b``
-    is 0 for ``b < a`` and 1 for ``b > a``.  Only pmf entries above 1e-18
-    count, every term lies in [0, 1], and a zero atom is a point mass at 0.
-    """
-
-    def __init__(self, q: int, n: int, tie_break: str):
-        self.q, self.n, self.tie_break = q, n, tie_break
-        self._counts = np.arange(n + 1.0)
-        # an accurate log-gamma: a cumulative sum of logs drifts by 4e-11 at n = 3051
-        self._log_factorials = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
-
-    @functools.cached_property
-    def _gauss_legendre(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``ceil(q/2)`` nodes and weights on [0, 1], made on first use so that
-        building the oracle leaves ``numpy.polynomial`` unimported."""
-        nodes, weights = np.polynomial.legendre.leggauss((self.q + 1) // 2)
-        return (nodes + 1) / 2, weights / 2
-
-    def __call__(self, measure: ProductMeasure, a: int) -> float:
-        _check_compatible(self, measure)
-        _check_range(a, self.q, "symbol")
-        q, n = self.q, self.n
-        rates = n * measure.atoms
-        # a zero rate's log, clamped to the least normal float, leaves a point
-        # mass at 0 once the cut applies
-        pmf = np.multiply.outer(np.log(np.maximum(rates, np.finfo(float).tiny)), self._counts)
-        pmf -= self._log_factorials
-        pmf -= rates[:, None]
-        np.exp(pmf, out=pmf)
-        kept = pmf > 1e-18
-        pmf *= kept
-        lo, hi = kept.argmax(axis=1), n - kept[:, ::-1].argmax(axis=1)
-        # a's count k is at least n/q and at least every other symbol's least count
-        ks = np.arange(max(lo.max(), -(-n // q)), hi[a] + 1)
-        if ks.size == 0:
-            return 0.0
-        others = np.arange(q - 1)
-        others[a:] += 1
-        if self.tie_break == "first_occurrence":
-            nodes, weights = self._gauss_legendre
-            y = np.repeat(nodes[:, None], q - 1, axis=1)
-        else:
-            y, weights = (others > a)[None, :].astype(float), np.ones(1)
-        *inner, last = others
-        # rows[node, k, m]: the product of the factors but the last at count
-        # offset + m; two or more are multiplied by one stacked real FFT
-        rows, offset, factors = np.ones((1, ks.size, 1)), 0, []
-        for i, b in enumerate(inner):
-            top = min(hi[b], ks[-1])
-            below = (np.arange(lo[b], top + 1) < ks[:, None]) * pmf[b, lo[b] : top + 1]
-            factor = np.repeat(below[None], y.shape[0], axis=0)
-            tied = np.flatnonzero(ks <= top)
-            factor[:, tied, ks[tied] - lo[b]] = y[:, i, None] * pmf[b, ks[tied]]
-            factors.append(factor)
-        if len(factors) == 1:
-            rows, offset = factors[0], lo[inner[0]]
-        elif factors:
-            size = sum(factor.shape[-1] for factor in factors) - len(factors) + 1
-            length = 1 << (size - 1).bit_length()  # or 3/4 of it: both are fast sizes
-            length = 3 * length // 4 if 3 * length >= 4 * size else length
-            spectrum = np.fft.rfft(factors[0], length)
-            for factor in factors[1:]:
-                spectrum *= np.fft.rfft(factor, length)
-            rows, offset = np.fft.irfft(spectrum, length)[..., :size], lo[inner].sum()
-        # the last factor at count n - k - offset - m is a Hankel view of one
-        # vector; it stays below k where m > n - 2k - offset, and its tie at k
-        # is one lookup per k
-        width = rows.shape[-1]
-        counts = n - ks[0] - offset - np.arange(ks.size + width - 1)
-        band = pmf[last].take(counts, mode="clip") * (counts >= 0)
-        last_rows = np.ndarray((ks.size, width), buffer=band, strides=band.strides * 2)
-        tie = n - 2 * ks - offset
-        by_k = np.einsum("nkm,km->nk", rows, last_rows * (np.arange(width) > tie[:, None]))
-        hit = np.flatnonzero((tie >= 0) & (tie < width))
-        by_k[:, hit] += y[:, -1, None] * pmf[last, ks[hit]] * rows[:, hit, tie[hit]]
-        total = rates.sum()
-        norm = np.exp(n * np.log(total) - total - self._log_factorials[n])
-        return float(weights @ by_k @ pmf[a, ks] / norm)
 
 
 def plurality(q: int, n: int, tie_break: str = "first_occurrence") -> QaryFunction:
@@ -347,21 +252,16 @@ def antisym_majority(n: int) -> QaryFunction:
 
 def dictator(q: int, n: int, coord: int = 0) -> QaryFunction:
     """The function returning coordinate ``coord`` verbatim."""
+    if q < 2 or n < 1:
+        raise DimensionMismatchError("need q >= 2 and n >= 1")
     _check_range(coord, n, "coordinate")
-
-    def exact_prob(measure: ProductMeasure, a: int) -> float:
-        _check_compatible(f, measure)
-        _check_symbol(f, a)
-        return float(measure.atoms[a])
-
     oracle = Oracle(
         name="dictator",
         params={"q": q, "n": n, "coord": coord},
         batch=lambda X: np.asarray(X)[:, coord].astype(np.int64),
-        exact_prob=exact_prob,
+        exact_prob=_DictatorExact(q),
     )
-    f = QaryFunction.from_oracle(q, n, oracle)
-    return f
+    return QaryFunction.from_oracle(q, n, oracle)
 
 
 #: Registry used by function files of the form {"oracle": name, "params": {...}}:

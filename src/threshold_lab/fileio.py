@@ -193,15 +193,15 @@ def decomposition_to_dict(d: EfronSteinDecomposition) -> dict:
 def curve_to_dict(curve: ThresholdCurve) -> dict:
     doc = {
         "schema": CURVE_SCHEMA,
-        "anchor": curve.anchor,
+        "anchor": curve.path.anchor,
         "base_atoms": curve.path.base.atoms.tolist(),
         "method": curve.method,
         "t": curve.grid.tolist(),
         "G": curve.values.tolist(),
     }
     if curve.method == "mc":
-        doc["samples"] = curve.samples
-        doc["seed"] = curve.seed
+        doc["samples"] = curve.evaluator.samples
+        doc["seed"] = curve.evaluator.seed
         doc["half_width"] = curve.half_widths.tolist()
     return doc
 

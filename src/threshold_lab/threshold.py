@@ -15,6 +15,7 @@ import numpy as np
 from .checks import anchored_monotone_violation
 from .core import (
     DimensionMismatchError,
+    Evaluator,
     InvalidFunctionError,
     MeasurePath,
     ProductMeasure,
@@ -158,30 +159,40 @@ def mc_estimate(
     return MCEstimate(p_hat=p_hat, half_width=_wald_half_width(p_hat, samples), samples=samples)
 
 
+def _mc_evaluator(f: QaryFunction, a: int, samples: int, seed) -> Evaluator:
+    """The Monte Carlo evaluator of ``P[f = a]``: :func:`mc_estimate` from ``samples``
+    draws of the stream ``[seed, i]``.  Checks ``samples`` and ``a`` now."""
+    if samples < 1:
+        raise DimensionMismatchError("need at least one sample")
+    _check_symbol(f, a)
+    prob = lambda measure, i: mc_estimate(f, measure, a, samples, [seed, i]).p_hat
+    return Evaluator("mc", prob, samples, seed)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class ThresholdCurve:
     """Values of ``t -> P[f = a]`` at the nodes of a uniform grid of the path.
 
-    ``evaluator(t, i)`` is G at ``t``, where ``i`` is the grid node's index
-    (a Monte Carlo node samples the stream ``(seed, i)``) or ``None`` off the
-    grid.  A node is evaluated the first time it is read and kept by index,
-    so a window reads only the nodes its search visits; ``values`` evaluates
-    every node not read yet.
+    G at ``t`` is ``evaluator.prob(path.measure_at(t), i)``, where ``i`` is the
+    grid node's index (a Monte Carlo node samples the stream ``(seed, i)``) or
+    ``None`` off the grid.  A node is evaluated the first time it is read and
+    kept by index, so a window reads only the nodes its search visits;
+    ``values`` evaluates every node not read yet.
     """
 
     path: MeasurePath
-    anchor: int
     grid: np.ndarray
-    method: str  # "exact" | "mc"
-    evaluator: object = dataclasses.field(repr=False, compare=False)
-    samples: int | None = None
-    seed: int | None = None
+    evaluator: Evaluator = dataclasses.field(repr=False, compare=False)
     _nodes: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def method(self) -> str:
+        return "mc" if self.evaluator.name == "mc" else "exact"
 
     def _node(self, i: int) -> float:
         """G at grid node ``i``, evaluated on the first read."""
         if i not in self._nodes:
-            self._nodes[i] = self.evaluator(self.grid[i], i)
+            self._nodes[i] = self.evaluator.prob(self.path.measure_at(self.grid[i]), i)
         return self._nodes[i]
 
     @property
@@ -195,7 +206,7 @@ class ThresholdCurve:
         holds it; ``None`` on an exact curve."""
         if self.method == "exact":
             return None
-        return np.array([_wald_half_width(g, self.samples) for g in self.values])
+        return np.array([_wald_half_width(g, self.evaluator.samples) for g in self.values])
 
 
 def scan_path(
@@ -220,24 +231,16 @@ def scan_path(
     _check_compatible(f, base)
     path = MeasurePath(anchor=a, base=base)
     if method == "exact":
-        point = _exact_prob(f, a)
-        if point is None:
+        evaluator = _exact_prob(f, a)
+        if evaluator is None:
             raise TableSizeError(
                 "exact scan needs a table or structured evaluator; use method='mc'"
             )
-        samples = seed = None
-        evaluator = lambda t, i: point(path.measure_at(t))
     elif method == "mc":
-        if samples < 1:
-            raise DimensionMismatchError("need at least one sample")
-        _check_symbol(f, a)
-        evaluator = lambda t, i: mc_estimate(f, path.measure_at(t), a, samples, [seed, i]).p_hat
+        evaluator = _mc_evaluator(f, a, samples, seed)
     else:
         raise DimensionMismatchError(f"unknown scan method {method!r}")
-    return ThresholdCurve(
-        path=path, anchor=a, grid=np.linspace(0.0, 1.0, grid_size), method=method,
-        samples=samples, seed=seed, evaluator=evaluator,
-    )
+    return ThresholdCurve(path=path, grid=np.linspace(0.0, 1.0, grid_size), evaluator=evaluator)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -279,7 +282,7 @@ def _locate_crossing(curve: ThresholdCurve, level: float) -> float:
     lo, hi = float(grid[i - 1]), float(grid[i])
     while hi - lo > _REFINE_TOL:
         mid = 0.5 * (lo + hi)
-        if curve.evaluator(mid, None) < level:
+        if curve.evaluator.prob(curve.path.measure_at(mid), None) < level:
             lo = mid
         else:
             hi = mid
@@ -354,16 +357,13 @@ def simplex_sweep(
         raise DimensionMismatchError(f"eps must lie in (0, 0.5), got {eps}")
     _check_compatible(f, sampler)
     _check_range(a, f.q, "anchor")
-    point = _exact_prob(f, a)
+    evaluator = _exact_prob(f, a) or _mc_evaluator(f, a, inner_samples, sampler.seed)
     eta = (math.log(1.0 - eps) - math.log(eps)) / math.log(f.n) if f.n >= 2 else None
     critical = 0
     noninterior = 0
     for idx in range(samples):
         mu = sampler.sample()
-        if point is not None:
-            p = point(mu)
-        else:
-            p = mc_estimate(f, mu, a, inner_samples, [sampler.seed, idx]).p_hat
+        p = evaluator.prob(mu, idx)
         if eps <= p <= 1.0 - eps:
             critical += 1
         if eta is not None:
@@ -416,8 +416,12 @@ def jury_experiment(
 ) -> JuryReport:
     """Estimate the probability that the strictly leading symbol wins.
 
-    The function is expected to be fair and monotone (as the built-in
-    families are by construction, verified exhaustively at small sizes).
+    The function is expected to be fair and monotone.  Of the built-in
+    families, ``check_fair`` and ``check_monotone`` both pass at small sizes on
+    plurality under ``first_occurrence``, dictator and recursive plurality at
+    q = 2 with odd arity.  Plurality under ``smallest_index`` (once ties occur)
+    and the graph properties are not fair; recursive plurality at q >= 3 and
+    antisymmetric majority are not monotone.
     """
     _check_compatible(f, measure)
     _check_range(i, f.q, "leader")

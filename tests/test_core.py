@@ -32,6 +32,7 @@ from threshold_lab.core import (
     _table_index,
     all_points,
     index_of,
+    table_size,
 )
 from threshold_lab.decomposition import _delta, _noise, delta_i, efron_stein, noise_operator
 
@@ -149,6 +150,16 @@ class TestTableIndexing:
     def test_size_cap(self):
         with pytest.raises(TableSizeError):
             all_points(2, 25)
+
+    def test_size_error_shows_a_short_size_in_full(self):
+        with pytest.raises(TableSizeError, match=r"2\*\*30 = 1073741824 exceeds"):
+            table_size(2, 30)
+
+    def test_size_error_shows_a_long_size_by_its_magnitude(self):
+        with pytest.raises(TableSizeError) as err:
+            table_size(3, 729)  # 348 digits
+        assert "3**729 ~ 10**347.8 exceeds" in str(err.value)
+        assert len(str(err.value)) < 100
 
     def test_table_batch_rejects_out_of_range_points(self):
         f = QaryFunction.from_table(2, 2, [0, 1, 1, 0])

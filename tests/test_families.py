@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import os
@@ -403,6 +404,17 @@ class TestDictator:
         for a in range(3):
             assert prob_value(f, mu, a) == pytest.approx(mu.atoms[a])
 
+    @pytest.mark.parametrize("family", [dictator, plurality])
+    @pytest.mark.parametrize("q,n", [(3, 0), (1, 3)])
+    def test_dimensions_are_checked_first(self, family, q, n):
+        # dictator once refused (3, 0) as "coordinate 0 outside [0, 0)"
+        with pytest.raises(DimensionMismatchError, match=r"^need q >= 2 and n >= 1$"):
+            family(q, n)
+
+    def test_coordinate_outside_the_inputs(self):
+        with pytest.raises(DimensionMismatchError, match=r"coordinate 5 outside \[0, 2\)"):
+            dictator(3, 2, 5)
+
     def test_exact_prob_rejects_a_symbol_outside_the_alphabet(self):
         # -1 once read the last atom and 3 raised a bare IndexError
         evaluator = dictator(3, 2).oracle.exact_prob
@@ -415,6 +427,48 @@ class TestDictator:
 def test_exact_prob_rejects_another_alphabet(f):
     with pytest.raises(DimensionMismatchError, match="function alphabet 3 != measure alphabet 2"):
         f.oracle.exact_prob(ProductMeasure.uniform(2), 0)
+
+
+# (function, passes check_fair, passes check_monotone), exhaustively at small sizes
+FAIR_MONOTONE_VERDICTS = [
+    ("plurality-3-5-first_occurrence", lambda: plurality(3, 5), True, True),
+    ("dictator-3-4", lambda: dictator(3, 4, 1), True, True),
+    ("recursive_plurality-2-3-2", lambda: recursive_plurality(2, 3, 2), True, True),
+    ("recursive_plurality-2-3-2-smallest_index",
+     lambda: recursive_plurality(2, 3, 2, "smallest_index"), True, True),
+    ("plurality-3-5-smallest_index", lambda: plurality(3, 5, "smallest_index"), False, True),
+    *[(f"graph_property-4-3-{kind}", lambda kind=kind: graph_property(4, 3, kind), False, True)
+      for kind in families.GRAPH_PROPERTIES],
+    ("recursive_plurality-3-3-2", lambda: recursive_plurality(3, 3, 2), True, False),
+    ("antisym_majority-3", lambda: antisym_majority(3), True, False),
+]
+
+
+@pytest.mark.parametrize(
+    "build,fair,monotone", [case[1:] for case in FAIR_MONOTONE_VERDICTS],
+    ids=[case[0] for case in FAIR_MONOTONE_VERDICTS],
+)
+def test_fair_and_monotone_verdicts(build, fair, monotone):
+    # the built-ins jury_experiment's docstring names as fair and monotone, and the rest
+    f = build().tabulate()
+    assert (check_fair(f).passed, check_monotone(f).passed) == (fair, monotone)
+
+
+def test_laws_import_only_core_numpy_and_the_stdlib():
+    # laws.py stays a leaf, so no law pulls in another package module or scipy
+    path = os.path.join(os.path.dirname(threshold_lab.__file__), "laws.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert ".core" in imported
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    outside = [m for m in imported if m != ".core" and m.split(".")[0] not in allowed]
+    assert outside == [], outside
 
 
 class TestOracleRegistry:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -16,9 +17,11 @@ from threshold_lab import (
     QaryFunction,
     SimplexSampler,
     TableSizeError,
+    ThresholdCurve,
     WindowUndefinedError,
     antisym_majority,
     dictator,
+    graph_property,
     influence,
     jury_experiment,
     mc_estimate,
@@ -32,7 +35,7 @@ from threshold_lab import (
     simplex_sweep,
     threshold_window,
 )
-from threshold_lab import threshold
+from threshold_lab import core, threshold
 from threshold_lab.threshold import NoStrictLeaderError, critical_bound_shape
 
 from oracles import full_grid_window, outer_product_weights, zero_monotone_closure
@@ -462,6 +465,101 @@ class TestLazyMCCurve:
         with pytest.raises(error):
             scan_path(f, a, base, grid_size=5, method="mc", samples=samples)
         assert mc_calls == []
+
+
+@pytest.fixture
+def resolved(monkeypatch):
+    """``(name, streams)`` of each evaluator ``threshold`` or ``core`` resolves,
+    ``streams`` growing by the stream of each call of its ``prob``."""
+    evaluators = []
+
+    def spy(resolve):
+        def spied(*args):
+            evaluator = resolve(*args)
+            if evaluator is None:
+                return None
+            streams = []
+            evaluators.append((evaluator.name, streams))
+
+            def prob(measure, stream=None):
+                streams.append(stream)
+                return evaluator.prob(measure, stream)
+
+            return dataclasses.replace(evaluator, prob=prob)
+
+        return spied
+
+    monkeypatch.setattr(threshold, "_exact_prob", spy(core._exact_prob))
+    monkeypatch.setattr(core, "_exact_prob", spy(core._exact_prob))
+    monkeypatch.setattr(threshold, "_mc_evaluator", spy(threshold._mc_evaluator))
+    return evaluators
+
+
+class TestEvaluator:
+    """Every ``P[f = a]`` is read through one resolved evaluator's ``prob``: each
+    law or Monte Carlo call below is one ``prob`` call of the one evaluator."""
+
+    def test_exact_scan(self, resolved):
+        f, calls = _spied(plurality(3, 21))
+        values = scan_path(f, 0, ProductMeasure(3, [0.0, 0.5, 0.5]), grid_size=11).values
+        assert resolved == [("exact:plurality", list(range(11)))] and len(calls) == 11
+        assert values[-1] == 1.0
+
+    def test_mc_scan(self, resolved, mc_calls):
+        f = recursive_plurality(2, 3, 2)
+        scan_path(f, 0, _point_mass(0), grid_size=6, method="mc", samples=50, seed=7).values
+        assert resolved == [("mc", list(range(6)))]
+        assert mc_calls == [[7, i] for i in range(6)]
+
+    def test_window_with_its_refinement(self, resolved):
+        f, calls = _spied(plurality(3, 45))
+        curve = scan_path(f, 0, ProductMeasure(3, [0.0, 0.5, 0.5]))
+        threshold_window(curve, 0.1)
+        [(name, streams)] = resolved
+        assert name == "exact:plurality" and len(streams) == len(calls)
+        nodes = [i for i in streams if i is not None]
+        assert len(set(nodes)) == len(nodes) < len(streams)  # off-grid reads are None
+
+    def test_exact_sweep(self, resolved):
+        f, calls = _spied(plurality(3, 21))
+        simplex_sweep(f, 0, 0.1, SimplexSampler(3, seed=1), 20)
+        assert resolved == [("exact:plurality", list(range(20)))] and len(calls) == 20
+
+    def test_nested_mc_sweep(self, resolved, mc_calls):
+        f = recursive_plurality(2, 3, 2)
+        simplex_sweep(f, 0, 0.1, SimplexSampler(2, seed=3), 10, inner_samples=30)
+        assert resolved == [("mc", list(range(10)))]
+        assert mc_calls == [[3, i] for i in range(10)]
+
+    def test_prob_value(self, resolved):
+        f, calls = _spied(plurality(3, 5))
+        mu = ProductMeasure(3, [0.2, 0.3, 0.5])
+        assert prob_value(f, mu, 1) == plurality(3, 5).oracle.exact_prob(mu, 1)
+        assert resolved == [("exact:plurality", [None])] and calls == [1]
+
+    @pytest.mark.parametrize(
+        "f, name",
+        [
+            (plurality(3, 3).tabulate(), "table"),
+            (plurality(3, 5), "exact:plurality"),
+            (dictator(3, 4), "exact:dictator"),
+            (graph_property(4, 3, "most_popular_color"), "exact:graph_property"),
+            (recursive_plurality(2, 3, 2), None),
+        ],
+        ids=["table", "plurality", "dictator", "most_popular_color", "recursive_plurality"],
+    )
+    def test_names(self, f, name):
+        evaluator = core._exact_prob(f, 0)
+        assert (evaluator and evaluator.name) == name
+
+    def test_mc_curve_is_named_mc(self):
+        curve = scan_path(plurality(2, 5), 0, BASE2, method="mc", samples=10, seed=2)
+        assert (curve.evaluator.name, curve.method) == ("mc", "mc")
+        assert (curve.evaluator.samples, curve.evaluator.seed) == (10, 2)
+
+    def test_curve_holds_only_path_grid_and_evaluator(self):
+        init = [field.name for field in dataclasses.fields(ThresholdCurve) if field.init]
+        assert init == ["path", "grid", "evaluator"]
 
 
 class TestMCEstimate:
