@@ -55,12 +55,12 @@ class SymmetryGroup:
 
     def is_transitive(self) -> bool:
         """Whether the orbit of coordinate 0 under the generated group is all of [n)."""
+        # a generator's inverse is one of its powers, so the generators alone close the orbit
         seen = {0}
         frontier = [0]
-        inverses = [np.argsort(g) for g in self.generators]
         while frontier:
             j = frontier.pop()
-            for g in list(self.generators) + inverses:
+            for g in self.generators:
                 k = int(g[j])
                 if k not in seen:
                     seen.add(k)

@@ -1,14 +1,16 @@
 """Command-line front end: one subcommand per experiment.
 
 Exit codes: 0 success, 1 domain error (machine-readable JSON on stderr),
-2 usage or input-parse error.  Every stochastic subcommand records its seed
-in the output, and identical configurations produce byte-identical files.
+2 usage or input-parse error.  The verify, sweep, jury and indeterminacy
+reports and a Monte Carlo JSON scan record their seed; a window report and a
+CSV scan do not.  Identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -16,6 +18,7 @@ import numpy as np
 from . import fileio
 from .checks import SymmetryGroup, check_fair, check_monotone, check_symmetric, check_zero_monotone
 from .core import (
+    DimensionMismatchError,
     InvalidFunctionError,
     ProductMeasure,
     QaryFunction,
@@ -32,7 +35,7 @@ from .decomposition import (
     verify_hypercontractivity,
     verify_level_bounds,
 )
-from .families import _builder_parameters, resolve_oracle, vertex_action_generators
+from .families import resolve_oracle, vertex_action_generators
 from .social_choice import (
     indeterminacy_experiment,
     majority_relation,
@@ -74,17 +77,15 @@ _FAMILY_PARAMS = {
 
 
 def _load_function(args) -> QaryFunction:
+    params = {key: getattr(args, opt.replace("-", "_")) for key, opt in _FAMILY_PARAMS.items()}
+    params = {k: v for k, v in params.items() if v is not None}
     if args.function:
+        if args.family or params:
+            option = "family" if args.family else _FAMILY_PARAMS[next(iter(params))]
+            raise UsageError(f"--function takes no --{option}")
         return fileio.load_function(args.function)
     if not args.family:
         raise UsageError("one of --function/--family is required")
-    params = {
-        key: getattr(args, option.replace("-", "_")) for key, option in _FAMILY_PARAMS.items()
-    }
-    params = {k: v for k, v in params.items() if v is not None}
-    graph_group = getattr(args, "group", None) == "graph"
-    if graph_group and "vertices" not in _builder_parameters(args.family):
-        params.pop("vertices", None)  # --group graph reads --vertices itself
     try:
         return resolve_oracle(args.family, params)
     except KeyError as exc:  # the family needs a parameter no option set
@@ -98,6 +99,8 @@ def _load_function(args) -> QaryFunction:
 
 
 def _load_measure(args, q: int) -> ProductMeasure:
+    if args.measure and args.atoms:
+        raise UsageError("--measure takes no --atoms")
     if args.measure:
         return fileio.load_measure(args.measure)
     if args.atoms:
@@ -118,11 +121,10 @@ def _symmetry_group(args, f: QaryFunction) -> SymmetryGroup | None:
         return SymmetryGroup.cyclic(f.n)
     if args.group == "full":
         return SymmetryGroup.full_symmetric(f.n)
-    if args.group == "graph":
-        if not args.vertices:
-            raise UsageError("--group graph needs --vertices")
-        return SymmetryGroup(f.n, tuple(vertex_action_generators(args.vertices)))
-    raise UsageError(f"unknown group {args.group!r}")
+    v = (1 + math.isqrt(1 + 8 * f.n)) // 2  # the n coordinates are the C(v, 2) edges of K_v
+    if math.comb(v, 2) != f.n:
+        raise DimensionMismatchError(f"--group graph needs n = C(v, 2) edges, got n = {f.n}")
+    return SymmetryGroup(f.n, tuple(vertex_action_generators(v)))
 
 
 def _cmd_check(args) -> None:
@@ -301,9 +303,9 @@ _OPTIONS = {
     "property": {},
     "coord": {"type": int},
     "out": {"help": "output path (atomic write); default stdout"},
-    "format": {"choices": ("json", "csv"), "default": "json"},
+    "format": {"choices": ("json", "csv"), "default": "csv"},
     "seed": {"type": int, "default": 0},
-    "group": {"help": "symmetry group: cyclic | full | graph"},
+    "group": {"choices": ("cyclic", "full", "graph"), "help": "symmetry group"},
     "measure": {"help": "measure JSON file"},
     "atoms": {"help": "comma-separated atoms"},
     "suite": {"choices": ("hyper", "level", "talagrand"), "required": True},
@@ -325,12 +327,10 @@ _OPTIONS = {
     "voters": {"type": int, "default": 1000},
 }
 
-_FUNCTION = (
-    "function", "family", "q", "n", "tie-break", "arity", "depth", "vertices", "property", "coord",
-)
-_OUTPUT = ("out", "format", "seed")
+_FUNCTION = ("function", "family", *_FAMILY_PARAMS.values())
+_OUTPUT = ("out",)
 _MEASURE = ("measure", "atoms")
-_CURVE = ("anchor", "base", "grid", "method", "samples")
+_CURVE = ("anchor", "base", "grid", "method", "samples", "seed")
 
 #: name -> (handler, help, option names, defaults that differ from _OPTIONS).
 _SUBCOMMANDS = {
@@ -343,21 +343,21 @@ _SUBCOMMANDS = {
     "influences": (_cmd_influences, "influence and difference-norm report",
                    _FUNCTION + _OUTPUT + _MEASURE, {}),
     "verify": (_cmd_verify, "inequality suites over random corpora",
-               _OUTPUT + ("suite", "trials", "qmax", "nmax"), {}),
+               _OUTPUT + ("suite", "trials", "qmax", "nmax", "seed"), {}),
     "scan": (_cmd_scan, "threshold curve along a simplex path",
-             _FUNCTION + _OUTPUT + _CURVE, {"format": "csv"}),
+             _FUNCTION + _OUTPUT + _CURVE + ("format",), {}),
     "window": (_cmd_window, "scan plus crossing-window location",
                _FUNCTION + _OUTPUT + _CURVE + ("eps",), {}),
     "sweep": (_cmd_sweep, "simplex measure of the critical set",
-              _FUNCTION + _OUTPUT + ("anchor", "eps", "samples", "inner-samples"), {}),
+              _FUNCTION + _OUTPUT + ("anchor", "eps", "samples", "inner-samples", "seed"), {}),
     "jury": (_cmd_jury, "leader-biased election experiment",
-             _FUNCTION + _OUTPUT + _MEASURE + ("leader", "samples"), {}),
+             _FUNCTION + _OUTPUT + _MEASURE + ("leader", "samples", "seed"), {}),
     "mcgarvey": (_cmd_mcgarvey, "profile realizing a tournament by majority",
                  _OUTPUT + ("tournament",), {}),
     "saari": (_cmd_saari, "profile realizing a choice function by plurality",
               _OUTPUT + ("choice", "budget"), {}),
     "indeterminacy": (_cmd_indeterminacy, "sampled plurality agreement experiment",
-                      _OUTPUT + ("choice", "profile", "voters", "samples", "budget"),
+                      _OUTPUT + ("choice", "profile", "voters", "samples", "budget", "seed"),
                       {"samples": 200}),
 }
 

@@ -432,7 +432,8 @@ def jury_experiment(
         raise NoStrictLeaderError(
             f"symbol {i} is not a strict leader: margin {margin:.6g}"
         )
-    est = mc_estimate(f, measure, i, samples, [seed, 0])
+    prob = _mc_evaluator(f, i, samples, seed).prob
+    p_hat = prob(measure, 0)
     log_n = math.log(f.n) if f.n >= 2 else None
     perturbed_atoms = None
     p_hat_perturbed = None
@@ -442,17 +443,16 @@ def jury_experiment(
         shifted[i] = atoms[i] - (f.q - 1) / log_n
         if shifted.min() >= 0.0:
             perturbed = ProductMeasure(f.q, shifted)
-            est_hat = mc_estimate(f, perturbed, i, samples, [seed, 1])
             perturbed_atoms = perturbed.atoms.tolist()
-            p_hat_perturbed = est_hat.p_hat
-            half_width_perturbed = est_hat.half_width
+            p_hat_perturbed = prob(perturbed, 1)
+            half_width_perturbed = _wald_half_width(p_hat_perturbed, samples)
     return JuryReport(
         n=f.n,
         leader=i,
         margin=margin,
         bound_margin=(math.log(math.log(f.n)) / math.log(f.n)) if f.n >= 3 else None,
-        p_hat=est.p_hat,
-        half_width=est.half_width,
+        p_hat=p_hat,
+        half_width=_wald_half_width(p_hat, samples),
         samples=samples,
         seed=seed,
         perturbed_atoms=perturbed_atoms,

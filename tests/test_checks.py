@@ -209,6 +209,25 @@ class TestCheckSymmetric:
         # the identity alone is not transitive for n >= 2
         assert not SymmetryGroup(3, (list(range(3)),)).is_transitive()
 
+    def test_transitivity_is_the_orbit_over_the_whole_group(self):
+        # brute force on random small generator sets: every element of the
+        # generated group, by composing generators, then the images of 0
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            gens = [rng.permutation(n).tolist() for _ in range(rng.integers(0, 4))]
+            group = {tuple(range(n))}
+            frontier = list(group)
+            while frontier:
+                p = frontier.pop()
+                for g in gens:
+                    h = tuple(g[j] for j in p)
+                    if h not in group:
+                        group.add(h)
+                        frontier.append(h)
+            orbit = {p[0] for p in group}
+            assert SymmetryGroup(n, tuple(gens)).is_transitive() == (len(orbit) == n), gens
+
     @pytest.mark.parametrize(
         "table,witness",
         [

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 import threshold_lab
 from threshold_lab import ChoiceFunction, ProductMeasure, QaryFunction, Tournament, dictator
 from threshold_lab import decomposition, fileio, plurality, threshold
-from threshold_lab.cli import REPORT_SCHEMA, build_parser, main
+from threshold_lab.cli import _SUBCOMMANDS, REPORT_SCHEMA, build_parser, main
 from threshold_lab.decomposition import influence_report, talagrand_report
 
 
@@ -20,12 +21,13 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
-_COMMON = {"out": None, "format": "json", "seed": 0}
+_COMMON = {"out": None}
 _FUNCTION = {
     "function": None, "family": None, "q": None, "n": None, "tie_break": None,
     "arity": None, "depth": None, "vertices": None, "property": None, "coord": None,
 }
-_CURVE = {"anchor": 0, "base": None, "grid": 101, "method": "exact", "samples": 10_000}
+_CURVE = {"anchor": 0, "base": None, "grid": 101, "method": "exact", "samples": 10_000,
+          "seed": 0}
 
 PARSED = [
     (
@@ -45,14 +47,14 @@ PARSED = [
          "measure": None, "atoms": "0.5,0.5"},
     ),
     (
-        ["influences", "--function", "f.json", "--measure", "m.json", "--format", "csv"],
+        ["influences", "--function", "f.json", "--measure", "m.json"],
         {**_COMMON, **_FUNCTION, "command": "influences", "function": "f.json",
-         "measure": "m.json", "atoms": None, "format": "csv"},
+         "measure": "m.json", "atoms": None},
     ),
     (
         ["verify", "--suite", "hyper"],
         {**_COMMON, "command": "verify", "suite": "hyper", "trials": 200, "qmax": 4,
-         "nmax": 3},
+         "nmax": 3, "seed": 0},
     ),
     (
         ["scan", "--family", "plurality", "--q", "2", "--n", "9", "--base", "b.json"],
@@ -70,26 +72,28 @@ PARSED = [
         ["sweep", "--family", "dictator", "--q", "2", "--n", "1", "--coord", "0",
          "--inner-samples", "50"],
         {**_COMMON, **_FUNCTION, "command": "sweep", "family": "dictator", "q": 2, "n": 1,
-         "coord": 0, "anchor": 0, "eps": 0.1, "samples": 10_000, "inner_samples": 50},
+         "coord": 0, "anchor": 0, "eps": 0.1, "samples": 10_000, "inner_samples": 50,
+         "seed": 0},
     ),
     (
         ["jury", "--family", "plurality", "--q", "3", "--n", "501", "--atoms",
          "0.45,0.275,0.275", "--leader", "1"],
         {**_COMMON, **_FUNCTION, "command": "jury", "family": "plurality", "q": 3, "n": 501,
-         "measure": None, "atoms": "0.45,0.275,0.275", "leader": 1, "samples": 10_000},
+         "measure": None, "atoms": "0.45,0.275,0.275", "leader": 1, "samples": 10_000,
+         "seed": 0},
     ),
     (
         ["mcgarvey", "--tournament", "t.json", "--out", "p.json"],
         {**_COMMON, "command": "mcgarvey", "tournament": "t.json", "out": "p.json"},
     ),
     (
-        ["saari", "--choice", "c.json", "--budget", "50", "--seed", "3"],
-        {**_COMMON, "command": "saari", "choice": "c.json", "budget": 50, "seed": 3},
+        ["saari", "--choice", "c.json", "--budget", "50"],
+        {**_COMMON, "command": "saari", "choice": "c.json", "budget": 50},
     ),
     (
         ["indeterminacy", "--choice", "c.json", "--profile", "p.json"],
         {**_COMMON, "command": "indeterminacy", "choice": "c.json", "profile": "p.json",
-         "voters": 1000, "samples": 200, "budget": 10_000},
+         "voters": 1000, "samples": 200, "budget": 10_000, "seed": 0},
     ),
 ]
 
@@ -99,6 +103,59 @@ def test_parsed_options(argv, expected):
     parsed = vars(build_parser().parse_args(argv))
     parsed.pop("handler", None)
     assert parsed == expected
+
+
+#: One run per subcommand.  Each sets every option the subcommand accepts but
+#: those it cannot take together with the ones set: ``--family`` and the
+#: family's own options, not ``--function``; ``--atoms``, not ``--measure``;
+#: ``--budget``, not ``--profile``.  ``--out`` is added to every run.
+READ_ARGV = {
+    "family": "--family plurality --q 2 --n 3 --tie-break smallest_index",
+    "check": "--family graph_property --vertices 3 --q 2 --property max_clique_color "
+             "--group graph",
+    "decompose": "--family dictator --q 2 --n 2 --coord 1 --atoms 0.4,0.6",
+    "influences": "--family antisym_majority --n 2 --atoms 0.3,0.7",
+    "verify": "--suite level --trials 2 --qmax 2 --nmax 2 --seed 1",
+    "scan": "--family recursive_plurality --q 2 --arity 3 --depth 2 --base {base} --anchor 0 "
+            "--grid 3 --method mc --samples 20 --seed 1 --format json",
+    "window": "--family plurality --q 2 --n 9 --anchor 1 --grid 11 --method exact "
+              "--samples 10 --seed 1 --eps 0.2",
+    "sweep": "--family dictator --q 2 --n 1 --anchor 0 --eps 0.1 --samples 3 "
+             "--inner-samples 10 --seed 1",
+    "jury": "--family plurality --q 2 --n 5 --atoms 0.6,0.4 --leader 0 --samples 20 --seed 1",
+    "mcgarvey": "--tournament {tournament}",
+    "saari": "--choice {choice} --budget 50",
+    "indeterminacy": "--choice {choice} --voters 20 --samples 3 --budget 50 --seed 1",
+}
+
+
+def test_every_accepted_option_is_read(tmp_path):
+    files = {name: str(tmp_path / f"{name}.json") for name in ("base", "tournament", "choice")}
+    fileio.save_measure(ProductMeasure(2, [0.0, 1.0]), files["base"])
+    fileio.save_tournament(Tournament.from_pairs(3, [(0, 1), (1, 2), (2, 0)]),
+                           files["tournament"])
+    fileio.save_choice_function(ChoiceFunction(
+        3, {0b001: 0, 0b010: 1, 0b100: 2, 0b011: 0, 0b110: 1, 0b101: 2, 0b111: 0}
+    ), files["choice"])
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    assert set(READ_ARGV) == set(_SUBCOMMANDS)
+    unread = {}
+    for command, options in READ_ARGV.items():
+        argv = [command, *options.format(**files).split(), "--out", str(tmp_path / command)]
+        parsed = vars(build_parser().parse_args(argv))
+        args = Recording(**parsed)
+        read.clear()
+        parsed["handler"](args)
+        missed = set(parsed) - {"command", "handler"} - read
+        if missed:
+            unread[command] = sorted(missed)
+    assert unread == {}
 
 
 #: Modules only some commands use, which every CLI run would pay for if the
@@ -354,6 +411,31 @@ class TestSocialChoiceCommands:
         assert 0.0 <= rep["min_subset"] <= 1.0
 
 
+#: Each exits 2 with one ``error:`` line on stderr and nothing on stdout:
+#: options given together that read the same input, options the subcommand
+#: does not take, and a group no one defined.
+REFUSED = [
+    ("check --function f.json --family plurality", "error: --function takes no --family"),
+    ("check --function f.json --q 3", "error: --function takes no --q"),
+    ("jury --function f.json --tie-break smallest_index --atoms 0.6,0.4",
+     "error: --function takes no --tie-break"),
+    ("influences --family plurality --q 2 --n 3 --measure m.json --atoms 0.5,0.5",
+     "error: --measure takes no --atoms"),
+    ("window --family plurality --q 2 --n 9 --format csv",
+     "threshold-lab: error: unrecognized arguments: --format csv"),
+    ("influences --function f.json --measure m.json --format csv",
+     "threshold-lab: error: unrecognized arguments: --format csv"),
+    ("check --family plurality --q 2 --n 3 --seed 1",
+     "threshold-lab: error: unrecognized arguments: --seed 1"),
+    ("saari --choice c.json --budget 50 --seed 3",
+     "threshold-lab: error: unrecognized arguments: --seed 3"),
+    ("check --family plurality --q 2 --n 3 --vertices 3 --group graph",
+     "error: --family plurality takes no --vertices"),
+    ("check --family plurality --q 2 --n 3 --group dihedral",
+     "threshold-lab check: error: argument --group: invalid choice: 'dihedral'"),
+]
+
+
 class TestExitCodes:
     def test_unparseable_file_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -427,14 +509,25 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: --family {argv[1]} takes no {option}\n"
 
-    def test_graph_group_reads_vertices_of_any_family(self, capsys):
+    def test_graph_group_takes_its_vertex_count_from_n(self, capsys):
         # anonymous plurality over the 6 edges of K4 is invariant under relabelling vertices
         rc, out, _ = run(
             capsys, "check", "--family", "plurality", "--q", "2", "--n", "6",
-            "--tie-break", "smallest_index", "--group", "graph", "--vertices", "4",
+            "--tie-break", "smallest_index", "--group", "graph",
         )
         assert rc == 0
         assert json.loads(out)["checks"]["symmetric"]["passed"]
+
+    @pytest.mark.parametrize("argv,message", REFUSED, ids=[argv for argv, _ in REFUSED])
+    def test_refused_option_is_one_usage_error(self, capsys, argv, message):
+        try:
+            rc = main(argv.split())
+        except SystemExit as exc:  # argparse's own refusals
+            rc = exc.code
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        [line] = [line for line in err.splitlines() if "error:" in line]
+        assert line.startswith(message)
 
     def test_unknown_parameter_in_a_file_is_exit_one(self, tmp_path, capsys):
         path = tmp_path / "f.json"
@@ -523,8 +616,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,doc",
         [
-            (["check", "--family", "plurality", "--q", "2", "--n", "1", "--group", "graph",
-              "--vertices", "1"], None),
+            (["check", "--family", "plurality", "--q", "2", "--n", "2", "--group", "graph"],
+             None),
             (["influences", "--family", "plurality", "--q", "2", "--n", "3", "--measure", "{doc}"],
              {"schema": fileio.MEASURE_SCHEMA, "q": None, "atoms": [0.5, 0.5]}),
             (["saari", "--choice", "{doc}"],
@@ -538,7 +631,7 @@ class TestExitCodes:
             (["influences", "--family", "plurality", "--q", "2", "--n", "3",
               "--atoms", "nan,0.5"], None),
         ],
-        ids=["one-vertex-graph", "null-q", "mask-x", "string-table", "fractional-table",
+        ids=["non-triangular-graph", "null-q", "mask-x", "string-table", "fractional-table",
              "nan-jury", "nan-influences"],
     )
     def test_invalid_input_is_one_typed_error(self, tmp_path, capsys, argv, doc):

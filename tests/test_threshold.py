@@ -531,6 +531,19 @@ class TestEvaluator:
         assert resolved == [("mc", list(range(10)))]
         assert mc_calls == [[3, i] for i in range(10)]
 
+    def test_jury(self, resolved, mc_calls):
+        f, mu = recursive_plurality(2, 3, 2), ProductMeasure(2, [0.7, 0.3])
+        report = jury_experiment(f, mu, 0, 40, seed=5)
+        assert resolved == [("mc", [0, 1])]
+        assert mc_calls == [[5, 0], [5, 1]]
+        perturbed = ProductMeasure(2, report.perturbed_atoms)
+        for p_hat, half_width, measure, stream in (
+            (report.p_hat, report.half_width, mu, 0),
+            (report.p_hat_perturbed, report.half_width_perturbed, perturbed, 1),
+        ):
+            est = mc_estimate(f, measure, 0, 40, [5, stream])
+            assert (p_hat, half_width) == (est.p_hat, est.half_width)
+
     def test_prob_value(self, resolved):
         f, calls = _spied(plurality(3, 5))
         mu = ProductMeasure(3, [0.2, 0.3, 0.5])
