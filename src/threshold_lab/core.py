@@ -167,21 +167,22 @@ class ProductMeasure:
     atoms: np.ndarray
 
     def __post_init__(self) -> None:
-        atoms = np.asarray(self.atoms, dtype=float).copy()
+        atoms = np.array(self.atoms, dtype=float)
         if self.q < 1:
             raise DimensionMismatchError("alphabet size must be >= 1")
         if atoms.shape != (self.q,):
             raise DimensionMismatchError(
                 f"expected {self.q} atoms, got shape {atoms.shape}"
             )
-        if np.any(atoms < 0):
+        values = atoms.tolist()  # faster to check than by numpy reductions
+        if any(v < 0 for v in values):
             raise DegenerateMeasureError("atoms must be nonnegative")
-        total = atoms.sum()
+        total = sum(values)
         if not math.isfinite(total):  # as it is when an atom is NaN or infinite
-            raise DegenerateMeasureError(f"atoms must be finite, got {atoms.tolist()}")
+            raise DegenerateMeasureError(f"atoms must be finite, got {values}")
         if abs(total - 1.0) > ATOM_SUM_TOL:
             raise DegenerateMeasureError(
-                f"atoms must sum to 1 within {ATOM_SUM_TOL}, got {total!r}"
+                f"atoms must sum to 1 within {ATOM_SUM_TOL}, got {np.float64(total)!r}"
             )
         atoms.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)

@@ -102,7 +102,8 @@ class _PluralityExact:
         by_k[:, hit] += y[:, -1, None] * pmf[last, ks[hit]] * rows[:, hit, tie[hit]]
         total = rates.sum()
         norm = np.exp(n * np.log(total) - total - self._log_factorials[n])
-        return float(weights @ by_k @ pmf[a, ks] / norm)
+        # the log-pmf rounding can carry the sum of nonnegative terms past 1
+        return min(1.0, float(weights @ by_k @ pmf[a, ks] / norm))
 
 
 class _DictatorExact:

@@ -322,7 +322,7 @@ def critical_bound_shape(eps: float, n: int) -> float | None:
 
 @dataclasses.dataclass(frozen=True)
 class SweepReport(Report):
-    """Estimated simplex measure of the critical set ``eps <= P[f = a] <= 1-eps``."""
+    """Estimated simplex measure of ``eps <= P[f = a] <= 1-eps``, exact non-interior measure."""
 
     eps: float
     samples: int
@@ -336,6 +336,14 @@ class SweepReport(Report):
     seed: int
 
 
+def _noninterior_measure(q: int, eta: float) -> float:
+    """The uniform-simplex measure of the ``mu`` on ``[q]`` whose smallest atom, conditioned
+    off the anchor, is below ``eta``.  Those ``k = q - 1`` atoms are uniform on their simplex:
+    at k = 1 the one atom is 1, else all are at least ``eta`` w.p. ``(1 - k eta)_+^(k-1)``."""
+    k = q - 1
+    return float(eta > 1.0) if k == 1 else 1.0 - max(0.0, 1.0 - k * eta) ** (k - 1)
+
+
 def simplex_sweep(
     f: QaryFunction,
     a: int,
@@ -347,8 +355,8 @@ def simplex_sweep(
     """Monte Carlo over uniform measures of the critical-set indicator.
 
     ``P[f = a]`` is exact where ``f`` allows, else nested Monte Carlo from
-    ``inner_samples`` draws.  The report also carries the fraction of sampled
-    measures whose conditional-off-anchor smallest atom falls below the
+    ``inner_samples`` draws.  The report also carries the exact simplex measure of
+    the set where the conditional-off-anchor smallest atom falls below the
     diagnostic cutoff ``eta = log((1-eps)/eps) / log n`` (``None`` if n < 2).
     """
     if samples < 1:
@@ -360,18 +368,9 @@ def simplex_sweep(
     evaluator = _exact_prob(f, a) or _mc_evaluator(f, a, inner_samples, sampler.seed)
     eta = (math.log(1.0 - eps) - math.log(eps)) / math.log(f.n) if f.n >= 2 else None
     critical = 0
-    noninterior = 0
     for idx in range(samples):
-        mu = sampler.sample()
-        p = evaluator.prob(mu, idx)
-        if eps <= p <= 1.0 - eps:
-            critical += 1
-        if eta is not None:
-            atoms = mu.atoms.tolist()
-            # dividing by the positive 1 - mu_a preserves order under rounding,
-            # so the smallest conditional atom is the smallest off-anchor atom's
-            if atoms[a] < 1.0 and min(atoms[:a] + atoms[a + 1 :]) / (1.0 - atoms[a]) < eta:
-                noninterior += 1
+        p = evaluator.prob(sampler.sample(), idx)
+        critical += eps <= p <= 1.0 - eps
     estimate = critical / samples
     return SweepReport(
         eps=eps,
@@ -379,7 +378,7 @@ def simplex_sweep(
         estimate=estimate,
         half_width=_wald_half_width(estimate, samples),
         eta=eta,
-        noninterior_fraction=(noninterior / samples) if eta is not None else None,
+        noninterior_fraction=_noninterior_measure(f.q, eta) if eta is not None else None,
         bound_shape=critical_bound_shape(eps, f.n),
         n=f.n,
         anchor=a,
@@ -394,8 +393,9 @@ class JuryReport(Report):
     ``bound_margin`` is the constant-free ``loglog n / log n`` shape the
     leader's margin is compared against.  The perturbed entries move mass
     ``1/log n`` from the leader to every other symbol; the original measure
-    dominates the perturbed one for the leader, so the two estimates should
-    be ordered up to Monte Carlo noise.
+    dominates the perturbed one for the leader, so a monotone rule gives
+    ``p_hat >= p_hat_perturbed``.  Each is exact with half-width 0 where ``f``
+    has a table or a law, else a Monte Carlo estimate with its Wald half-width.
     """
 
     n: int
@@ -414,7 +414,7 @@ class JuryReport(Report):
 def jury_experiment(
     f: QaryFunction, measure: ProductMeasure, i: int, samples: int, seed: int = 0
 ) -> JuryReport:
-    """Estimate the probability that the strictly leading symbol wins.
+    """``P[f = i]`` for the strict leader ``i``: exact where ``f`` allows, else ``samples`` draws.
 
     The function is expected to be fair and monotone.  Of the built-in
     families, ``check_fair`` and ``check_monotone`` both pass at small sizes on
@@ -426,33 +426,31 @@ def jury_experiment(
     _check_compatible(f, measure)
     _check_range(i, f.q, "leader")
     atoms = measure.atoms
-    others = np.delete(atoms, i)
-    margin = float(atoms[i] - others.max())
+    margin = float(atoms[i] - np.delete(atoms, i).max())
     if margin <= 0.0:
         raise NoStrictLeaderError(
             f"symbol {i} is not a strict leader: margin {margin:.6g}"
         )
-    prob = _mc_evaluator(f, i, samples, seed).prob
-    p_hat = prob(measure, 0)
+    evaluator = _exact_prob(f, i) or _mc_evaluator(f, i, samples, seed)
+    half_width = lambda p: _wald_half_width(p, samples) if evaluator.name == "mc" else 0.0
+    p_hat = evaluator.prob(measure, 0)
     log_n = math.log(f.n) if f.n >= 2 else None
-    perturbed_atoms = None
-    p_hat_perturbed = None
-    half_width_perturbed = None
+    perturbed_atoms = p_hat_perturbed = half_width_perturbed = None
     if log_n:
         shifted = atoms + 1.0 / log_n
         shifted[i] = atoms[i] - (f.q - 1) / log_n
         if shifted.min() >= 0.0:
             perturbed = ProductMeasure(f.q, shifted)
             perturbed_atoms = perturbed.atoms.tolist()
-            p_hat_perturbed = prob(perturbed, 1)
-            half_width_perturbed = _wald_half_width(p_hat_perturbed, samples)
+            p_hat_perturbed = evaluator.prob(perturbed, 1)
+            half_width_perturbed = half_width(p_hat_perturbed)
     return JuryReport(
         n=f.n,
         leader=i,
         margin=margin,
         bound_margin=(math.log(math.log(f.n)) / math.log(f.n)) if f.n >= 3 else None,
         p_hat=p_hat,
-        half_width=_wald_half_width(p_hat, samples),
+        half_width=half_width(p_hat),
         samples=samples,
         seed=seed,
         perturbed_atoms=perturbed_atoms,

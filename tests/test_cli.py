@@ -315,8 +315,10 @@ PINNED_STDOUT = [
     ("window --family plurality --q 3 --n 45 --method mc --grid 11 --samples 500 --seed 14 "
      "--eps 0.25 --anchor 1",
      "feff101c30719b1302402ebfa58ba878e5f05d983e94b06684e8fd9a3af31da9"),
+    # printed when the jury read plurality's law (p_hat 0.6574035746502244, half-width 0)
+    # rather than sampling it
     ("jury --family plurality --q 4 --n 40 --atoms 0.4,0.3,0.3,0.0 --samples 1000 --seed 22",
-     "aa64f6c2bd75a80abf49c0f045c684a57febd9ca774c298a66ba0c8dad64c254"),
+     "71c29f8aeeb040fff546b8b65b1af9962a43a83c7156e27587d34a4a885a5e27"),
     ("jury --family recursive_plurality --q 3 --arity 3 --depth 3 --atoms 0.4,0.35,0.25 "
      "--samples 1000 --seed 23",
      "5baae0dcf6a7df73e3eefc14c8969c7dd508181c78104477e768da8a87de12c1"),
@@ -351,8 +353,10 @@ PINNED_STDOUT = [
     # oracle's exact_prob itself, apart from core.prob_value
     ("window --family plurality --q 3 --n 45 --tie-break smallest_index --anchor 1",
      "c227747cf05b21659144947672031a022a8aa368f5fd82eb5747c4e0134956f0"),
+    # printed when the plurality law was clamped to at most 1 (G at t = 0.86, 0.94,
+    # 0.95 and 0.99 had read up to 1.0000000000000087)
     ("scan --family plurality --q 4 --n 61 --anchor 3 --format json",
-     "7ecbf0d3691d1230b5535d7c212a854d8306c9fc7cc95d3c3adeb3b8dbb8a0df"),
+     "86d998153b990bf58b3d5380f2d0789659893cae449b66a5d473cc6b097a205e"),
     ("sweep --family plurality --q 4 --n 63 --samples 30 --seed 5",
      "128bc85a2704a276f27e9b8895a0eb2e80f14b9400888c1dcd4b5622df168b0e"),
     ("sweep --family dictator --q 4 --n 5 --samples 2000 --seed 3",

@@ -60,6 +60,37 @@ class TestProductMeasure:
         with pytest.raises(DegenerateMeasureError, match="finite"):
             ProductMeasure(2, atoms)
 
+    @pytest.mark.parametrize(
+        "q, atoms, error, message",
+        [
+            (0, [], DimensionMismatchError, "alphabet size must be >= 1"),
+            (3, [0.5, 0.5], DimensionMismatchError, "expected 3 atoms, got shape (2,)"),
+            (2, [[0.5, 0.5]], DimensionMismatchError, "expected 2 atoms, got shape (1, 2)"),
+            (2, [-0.25, 1.25], DegenerateMeasureError, "atoms must be nonnegative"),
+            (3, [0.5, np.nan, 0.5], DegenerateMeasureError,
+             "atoms must be finite, got [0.5, nan, 0.5]"),
+            (2, [np.inf, 0.5], DegenerateMeasureError, "atoms must be finite, got [inf, 0.5]"),
+            (2, [0.5, -np.inf], DegenerateMeasureError, "atoms must be nonnegative"),
+            (2, [0.5, 0.5 + 1e-11], DegenerateMeasureError,
+             "atoms must sum to 1 within 1e-12, got np.float64(1.00000000001)"),
+            (3, [0.2, 0.3, 0.5 - 1e-11], DegenerateMeasureError,
+             "atoms must sum to 1 within 1e-12, got np.float64(0.99999999999)"),
+        ],
+        ids=["q0", "short", "2d", "negative", "nan", "inf", "-inf", "sum-high", "sum-low"],
+    )
+    def test_refusals_keep_their_type_and_message(self, q, atoms, error, message):
+        with pytest.raises(error) as raised:
+            ProductMeasure(q, atoms)
+        assert type(raised.value) is error and str(raised.value) == message
+
+    @pytest.mark.parametrize("atoms", [[0.25, 0.75], np.array([0.25, 0.75])])
+    def test_atoms_are_a_read_only_copy(self, atoms):
+        mu = ProductMeasure(2, atoms)
+        assert not mu.atoms.flags.writeable and mu.atoms.dtype == float
+        assert not np.shares_memory(mu.atoms, np.asarray(atoms))
+        atoms[0] = 0.5
+        assert mu.atoms.tolist() == [0.25, 0.75]
+
     def test_degenerate_flagged_but_accepted(self):
         mu = ProductMeasure(3, [0.0, 0.5, 0.5])
         assert mu.degenerate

@@ -217,6 +217,38 @@ def test_laws_sum_to_one_at_large_n(rng, q, n):
             assert _law(plurality(q, n, tie_break), mu).sum() == pytest.approx(1.0, abs=1e-11)
 
 
+@st.composite
+def _law_cases(draw):
+    """A plurality (q 2-6, n 1-60, either tie break) or dictator law, at a point mass,
+    at a Dirichlet draw (some near-degenerate) or at one with atoms zeroed."""
+    q, n = draw(st.integers(2, 6)), draw(st.integers(1, 60))
+    f = draw(st.sampled_from([plurality(q, n, tie) for tie in TIE_BREAKS] + [dictator(q, n)]))
+    kind = draw(st.sampled_from(["point", "dirichlet", "zeroed"]))
+    if kind == "point":
+        return f, ProductMeasure(q, np.eye(q)[draw(st.integers(0, q - 1))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atoms = rng.dirichlet(np.full(q, draw(st.sampled_from([0.02, 0.3, 1.0, 50.0]))))
+    if kind == "zeroed":
+        atoms[draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=q - 1))] = 0.0
+        if not atoms.any():
+            atoms[0] = 1.0
+    return f, ProductMeasure(q, atoms / atoms.sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_law_cases())
+def test_laws_are_probabilities(case):
+    # near certainty the plurality law's log-pmf rounding once carried it to
+    # 1 + 1.9e-14, as at every point mass for q = 5 and 6
+    f, mu = case
+    law = _law(f, mu)
+    assert ((0.0 <= law) & (law <= 1.0)).all(), law
+
+
+def test_point_masses_give_exactly_one():
+    assert prob_value(plurality(5, 9), ProductMeasure(5, [1, 0, 0, 0, 0]), 0) == 1.0
+
+
 def test_atoms_short_of_one_still_give_a_law():
     # conditioning on the total count normalises the atoms; summing the
     # unnormalised multinomial instead misses 1 by 3.6e-10 here

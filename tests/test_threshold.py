@@ -35,7 +35,7 @@ from threshold_lab import (
     simplex_sweep,
     threshold_window,
 )
-from threshold_lab import core, threshold
+from threshold_lab import core, fileio, threshold
 from threshold_lab.threshold import NoStrictLeaderError, critical_bound_shape
 
 from oracles import full_grid_window, outer_product_weights, zero_monotone_closure
@@ -544,6 +544,27 @@ class TestEvaluator:
             est = mc_estimate(f, measure, 0, 40, [5, stream])
             assert (p_hat, half_width) == (est.p_hat, est.half_width)
 
+    @pytest.mark.parametrize(
+        "build, atoms, name",
+        [
+            (lambda tmp: plurality(3, 21), [0.8, 0.1, 0.1], "exact:plurality"),
+            (lambda tmp: dictator(3, 1000, 7), [0.8, 0.15, 0.05], "exact:dictator"),
+            (lambda tmp: graph_property(8, 3, "most_popular_color"), [0.8, 0.1, 0.1],
+             "exact:graph_property"),
+            (lambda tmp: _table_file(plurality(2, 9), tmp), [0.8, 0.2], "table"),
+        ],
+        ids=["plurality", "dictator", "most_popular_color", "table-file"],
+    )
+    def test_exact_jury(self, resolved, mc_calls, tmp_path, build, atoms, name):
+        f, mu = build(tmp_path), ProductMeasure(len(atoms), atoms)
+        report = jury_experiment(f, mu, 0, 40, seed=5)
+        assert resolved == [(name, [0, 1])] and mc_calls == []
+        assert report.perturbed_atoms is not None and report.samples == 40
+        perturbed = ProductMeasure(f.q, report.perturbed_atoms)
+        assert report.p_hat == prob_value(f, mu, 0)
+        assert report.p_hat_perturbed == prob_value(f, perturbed, 0)
+        assert report.half_width == report.half_width_perturbed == 0.0
+
     def test_prob_value(self, resolved):
         f, calls = _spied(plurality(3, 5))
         mu = ProductMeasure(3, [0.2, 0.3, 0.5])
@@ -573,6 +594,26 @@ class TestEvaluator:
     def test_curve_holds_only_path_grid_and_evaluator(self):
         init = [field.name for field in dataclasses.fields(ThresholdCurve) if field.init]
         assert init == ["path", "grid", "evaluator"]
+
+
+def _table_file(f, tmp_path):
+    """``f``'s table, written to a function file and loaded from it."""
+    path = str(tmp_path / "f.json")
+    fileio.save_function(f.tabulate(), path)
+    return fileio.load_function(path)
+
+
+def test_functions_with_an_exact_evaluator_are_never_sampled(monkeypatch):
+    # every experiment reads the law of a function that has one; only a curve
+    # built with method="mc" samples it
+    monkeypatch.setattr(threshold, "mc_estimate", mock.Mock(side_effect=AssertionError("sampled")))
+    f, mu = plurality(3, 9), ProductMeasure(3, [0.5, 0.3, 0.2])
+    base = ProductMeasure(3, [0.0, 0.5, 0.5])
+    prob_value(f, mu, 0)
+    assert scan_path(f, 0, base, grid_size=11).values[-1] == 1.0
+    threshold_window(scan_path(f, 0, base), 0.1)
+    simplex_sweep(f, 0, 0.1, SimplexSampler(3, seed=1), 20)
+    assert jury_experiment(f, mu, 0, 100, seed=2).half_width == 0.0
 
 
 class TestMCEstimate:
@@ -637,22 +678,39 @@ class TestSimplexSweep:
         assert 0.0 <= rep.noninterior_fraction <= 1.0
         assert rep.bound_shape == pytest.approx(critical_bound_shape(0.1, 81))
 
-    @pytest.mark.parametrize(
-        "q,a,n", [(2, 0, 40), (3, 1, 40), (4, 0, 300), (4, 2, 300), (5, 4, 5000)]
-    )
-    def test_noninterior_count_as_conditioned_atoms(self, q, a, n):
-        # recounted from each conditional measure's atoms, the form the sweep
-        # used to compute; n puts eta among the smallest conditional atoms
-        rep = simplex_sweep(dictator(q, n), a, 0.3, SimplexSampler(q, seed=q), 2000)
-        sampler = SimplexSampler(q, seed=q)
-        count = 0
-        for _ in range(2000):
-            atoms = sampler.sample().atoms
-            if atoms[a] < 1.0:
-                count += int((np.delete(atoms, a) / (1.0 - atoms[a])).min() < rep.eta)
-        assert rep.noninterior_fraction == count / 2000
-        # at q = 2 the one conditional atom is 1, above eta
-        assert count == 0 if q == 2 else 0 < count < 2000
+    @pytest.mark.parametrize("eta, fraction", [(0.3, 0.0), (0.999, 0.0), (1.0, 0.0),
+                                               (1.001, 1.0), (7.5, 1.0)])
+    def test_noninterior_at_q2_compares_eta_with_the_one_conditional_atom(self, eta, fraction):
+        assert threshold._noninterior_measure(2, eta) == fraction
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 6])
+    def test_noninterior_is_everything_from_eta_one_over_q_minus_1(self, q):
+        for eta in (1 / (q - 1), 0.5, 1.0, 3.0):
+            assert threshold._noninterior_measure(q, eta) == 1.0
+        assert 0.0 < threshold._noninterior_measure(q, 0.99 / (q - 1)) < 1.0
+
+    def test_noninterior_is_none_at_one_voter(self):
+        rep = simplex_sweep(dictator(3, 1), 0, 0.1, SimplexSampler(3, seed=1), 10)
+        assert rep.eta is None and rep.noninterior_fraction is None
+
+    @pytest.mark.parametrize("q, a, n", [(2, 0, 40), (3, 1, 40), (4, 2, 300), (5, 4, 5000)])
+    def test_noninterior_is_the_closed_form_of_q_and_eta(self, q, a, n):
+        rep = simplex_sweep(dictator(q, n), a, 0.3, SimplexSampler(q, seed=q), 50)
+        assert rep.noninterior_fraction == threshold._noninterior_measure(q, rep.eta)
+
+    @pytest.mark.parametrize("q, a", [(3, 0), (4, 2), (5, 4)])
+    def test_noninterior_matches_the_per_sample_rule(self, q, a):
+        # the reference: the share of uniform draws whose smallest atom,
+        # conditioned off the anchor, is below eta
+        draws = 20_000
+        sampler = SimplexSampler(q, seed=10 + q)
+        atoms = np.array([sampler.sample().atoms for _ in range(draws)])
+        smallest = np.delete(atoms, a, axis=1).min(axis=1) / (1.0 - atoms[:, a])
+        for c in (0.05, 0.3, 0.6, 0.9):
+            eta = c / (q - 1)
+            p = threshold._noninterior_measure(q, eta)
+            sigma = math.sqrt(p * (1.0 - p) / draws)
+            assert abs(np.mean((atoms[:, a] < 1.0) & (smallest < eta)) - p) <= 5 * sigma
 
     def test_nested_mc_for_structureless_oracle(self):
         from threshold_lab import recursive_plurality
@@ -699,6 +757,33 @@ class TestJuryExperiment:
         mu = ProductMeasure(3, [0.4, 0.4, 0.2])
         with pytest.raises(NoStrictLeaderError):
             jury_experiment(plurality(3, 9), mu, 0, 100, seed=0)
+
+    # a 3-symbol table whose values lie in [2]: symbol 2 is a leader but no outcome
+    _TWO_OUTCOMES = QaryFunction.from_table(3, 2, [0, 1, 0, 1, 1, 0, 0, 0, 1], out_q=2)
+
+    @pytest.mark.parametrize(
+        "f, atoms, leader, error, match",
+        [
+            (_TWO_OUTCOMES, [0.2, 0.8], 2, DimensionMismatchError, "alphabet 3 != measure"),
+            (_TWO_OUTCOMES, [0.4, 0.4, 0.2], 3, DimensionMismatchError, "leader 3 outside"),
+            (_TWO_OUTCOMES, [0.4, 0.2, 0.4], 2, NoStrictLeaderError, "not a strict leader"),
+            (_TWO_OUTCOMES, [0.1, 0.1, 0.8], 2, DimensionMismatchError, "symbol 2 outside"),
+            (recursive_plurality(3, 3, 2), [0.5, 0.3, 0.2], 0, DimensionMismatchError,
+             "need at least one sample"),
+        ],
+        ids=["alphabet", "leader-range", "margin-before-symbol", "symbol", "mc-samples"],
+    )
+    def test_errors_come_in_order_before_any_sample(self, mc_calls, f, atoms, leader, error,
+                                                     match):
+        with pytest.raises(error, match=match):
+            jury_experiment(f, ProductMeasure(len(atoms), atoms), leader, 0, seed=1)
+        assert mc_calls == []
+
+    def test_exact_jury_only_echoes_its_sample_count(self):
+        mu = ProductMeasure(3, [0.5, 0.3, 0.2])
+        rep = jury_experiment(plurality(3, 5), mu, 0, 0, seed=1)
+        assert (rep.p_hat, rep.half_width, rep.samples) == (prob_value(plurality(3, 5), mu, 0),
+                                                             0.0, 0)
 
     def test_perturbation_diagnostic_reported(self):
         mu = ProductMeasure(3, [0.45, 0.275, 0.275])
