@@ -253,12 +253,17 @@ class Oracle:
     optional ``exact_prob(measure, a)`` computes ``P[f = a]`` exactly from
     structure (the family laws of :mod:`.laws`, e.g. plurality's Poissonized
     counts), enabling exact threshold scans at sizes far beyond the table cap.
+    An optional ``path_law(path, a)``, given only beside ``exact_prob``, returns
+    ``G(t) = P[f = a]`` along a :class:`MeasurePath` anchored at ``a`` as one
+    callable of ``t`` (plurality's, from n + 1 conditional probabilities), which
+    exact curves read in place of ``exact_prob`` at each ``path.measure_at(t)``.
     """
 
     name: str
     params: dict
     batch: Callable[[np.ndarray], np.ndarray]
     exact_prob: Callable[[ProductMeasure, int], float] | None = None
+    path_law: Callable[[MeasurePath, int], Callable[[float], float]] | None = None
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -478,24 +483,40 @@ class Evaluator:
     """``P[f = a]`` at a measure, ``prob(measure, stream)``, by a named method:
     ``table`` (the dense table's mean), ``exact:<oracle name>`` (the oracle's
     ``exact_prob``), both ignoring ``stream``, or ``mc`` (``samples`` draws of the
-    stream ``[seed, stream]``)."""
+    stream ``[seed, stream]``).  :meth:`along` reads the same values along a path,
+    through ``path_law(path)`` where the method has one (the oracle's
+    ``path_law``)."""
 
     name: str
     prob: Callable[..., float] = dataclasses.field(repr=False)
     samples: int | None = None
     seed: int | None = None
+    path_law: Callable[[MeasurePath], Callable[[float], float]] | None = dataclasses.field(
+        default=None, repr=False
+    )
+
+    def along(self, path: MeasurePath) -> Callable[..., float]:
+        """``G(t, stream)``: ``P[f = a]`` at ``path.measure_at(t)``, from the path law
+        if there is one (it ignores ``stream``), else from ``prob``."""
+        if self.path_law is not None:
+            law = self.path_law(path)
+            return lambda t, stream=None: law(t)
+        return lambda t, stream=None: self.prob(path.measure_at(t), stream)
 
 
 def _exact_prob(f: QaryFunction, a: int) -> Evaluator | None:
-    """The exact evaluator of ``P[f = a]``: the dense table, else the oracle's ``exact_prob``,
-    else ``None`` (Monte Carlo only).  Checks ``a``; the evaluator trusts ``measure.q == f.q``."""
+    """The exact evaluator of ``P[f = a]``: the dense table, else the oracle's ``exact_prob``
+    (with its ``path_law``, if any), else ``None`` (Monte Carlo only).  Checks ``a``; the
+    evaluator trusts ``measure.q == f.q``."""
     _check_symbol(f, a)
     if f.table is not None:
         hits = f.table == a
         return Evaluator("table", lambda measure, stream=None: _table_mean(hits, measure.atoms))
-    if f.oracle.exact_prob is not None:
-        prob = lambda measure, stream=None: float(f.oracle.exact_prob(measure, a))
-        return Evaluator(f"exact:{f.oracle.name}", prob)
+    oracle = f.oracle
+    if oracle.exact_prob is not None:
+        prob = lambda measure, stream=None: float(oracle.exact_prob(measure, a))
+        path_law = None if oracle.path_law is None else lambda path: oracle.path_law(path, a)
+        return Evaluator(f"exact:{oracle.name}", prob, path_law=path_law)
     return None
 
 

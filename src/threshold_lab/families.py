@@ -6,7 +6,9 @@ tabulate on demand.  One gate routine finds every plurality winner: flat
 plurality, each tree level and the most-popular-colour property.  A family's
 exact law ``P[f = a]``, where it has one, lives in :mod:`.laws`, and its
 oracle's ``exact_prob`` names it; plurality's, by Poissonized counts, works at
-every (q, n), far beyond the table cap.
+every (q, n), far beyond the table cap.  Plurality's oracle, and through it the
+``most_popular_color`` property's, also names the law's path law as
+``path_law``, which exact curves read once per path.
 """
 
 from __future__ import annotations
@@ -99,11 +101,13 @@ def plurality(q: int, n: int, tie_break: str = "first_occurrence") -> QaryFuncti
     _check_tie_break(tie_break)
     if q < 2 or n < 1:
         raise DimensionMismatchError("need q >= 2 and n >= 1")
+    law = _PluralityExact(q, n, tie_break)
     oracle = Oracle(
         name="plurality",
         params={"q": q, "n": n, "tie_break": tie_break},
         batch=lambda X: plurality_winners(X, q, tie_break),
-        exact_prob=_PluralityExact(q, n, tie_break),
+        exact_prob=law,
+        path_law=law.along,
     )
     return QaryFunction.from_oracle(q, n, oracle)
 

@@ -8,7 +8,9 @@ constants are never asserted, only the direction and shape of the bounds.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -173,9 +175,11 @@ def _mc_evaluator(f: QaryFunction, a: int, samples: int, seed) -> Evaluator:
 class ThresholdCurve:
     """Values of ``t -> P[f = a]`` at the nodes of a uniform grid of the path.
 
-    G at ``t`` is ``evaluator.prob(path.measure_at(t), i)``, where ``i`` is the
-    grid node's index (a Monte Carlo node samples the stream ``(seed, i)``) or
-    ``None`` off the grid.  A node is evaluated the first time it is read and
+    G at ``t`` is ``G(t, i)``, with ``G = evaluator.along(path)`` built once per
+    curve, where ``i`` is the grid node's index (a Monte Carlo node samples the
+    stream ``(seed, i)``) or ``None`` off the grid.  An exact plurality curve
+    reads its family's path law; every other curve reads ``evaluator.prob`` at
+    ``path.measure_at(t)``.  A node is evaluated the first time it is read and
     kept by index, so a window reads only the nodes its search visits;
     ``values`` evaluates every node not read yet.
     """
@@ -189,10 +193,15 @@ class ThresholdCurve:
     def method(self) -> str:
         return "mc" if self.evaluator.name == "mc" else "exact"
 
+    @functools.cached_property
+    def G(self) -> Callable[..., float]:
+        """``G(t, stream)``, the evaluator along the path, built on the first read."""
+        return self.evaluator.along(self.path)
+
     def _node(self, i: int) -> float:
         """G at grid node ``i``, evaluated on the first read."""
         if i not in self._nodes:
-            self._nodes[i] = self.evaluator.prob(self.path.measure_at(self.grid[i]), i)
+            self._nodes[i] = self.G(self.grid[i], i)
         return self._nodes[i]
 
     @property
@@ -220,9 +229,11 @@ def scan_path(
 ) -> ThresholdCurve:
     """The curve ``G(t) = P[f = a]`` on a uniform grid of the path.
 
-    Exact mode needs a dense table or a structured exact evaluator.  Monte
-    Carlo mode draws ``samples`` points at a node, from the stream ``(seed,
-    node index)``.  Either evaluates a node only when the curve reads it:
+    Exact mode needs a dense table or a structured exact evaluator; a
+    plurality or ``most_popular_color`` curve reads its path law, n + 1
+    conditional probabilities built on the curve's first read.  Monte Carlo
+    mode draws ``samples`` points at a node, from the stream ``(seed, node
+    index)``.  Either evaluates a node only when the curve reads it:
     ``values`` (as ``scan`` and the curve writers read it) every node, a
     window only the nodes its search visits.  Arguments are checked here.
     """
@@ -282,7 +293,7 @@ def _locate_crossing(curve: ThresholdCurve, level: float) -> float:
     lo, hi = float(grid[i - 1]), float(grid[i])
     while hi - lo > _REFINE_TOL:
         mid = 0.5 * (lo + hi)
-        if curve.evaluator.prob(curve.path.measure_at(mid), None) < level:
+        if curve.G(mid, None) < level:
             lo = mid
         else:
             hi = mid

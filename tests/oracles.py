@@ -234,7 +234,7 @@ def full_grid_crossing(curve, level: float) -> float:
     if curve.method == "exact":
         while hi - lo > _REFINE_TOL:
             mid = 0.5 * (lo + hi)
-            if curve.evaluator.prob(curve.path.measure_at(mid), None) < level:
+            if curve.G(mid, None) < level:
                 lo = mid
             else:
                 hi = mid

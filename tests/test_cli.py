@@ -353,10 +353,10 @@ PINNED_STDOUT = [
     # oracle's exact_prob itself, apart from core.prob_value
     ("window --family plurality --q 3 --n 45 --tie-break smallest_index --anchor 1",
      "c227747cf05b21659144947672031a022a8aa368f5fd82eb5747c4e0134956f0"),
-    # printed when the plurality law was clamped to at most 1 (G at t = 0.86, 0.94,
-    # 0.95 and 0.99 had read up to 1.0000000000000087)
+    # printed when exact plurality curves read the path law sum_c Bin(n, t)(c) H(c)
+    # (the per-measure law was at most 3.6e-14 away, at t = 0.32)
     ("scan --family plurality --q 4 --n 61 --anchor 3 --format json",
-     "86d998153b990bf58b3d5380f2d0789659893cae449b66a5d473cc6b097a205e"),
+     "5a8c4558544759cf28b92b3dc279701bfb2da903c15eb8cb830a4ebcbefb3d87"),
     ("sweep --family plurality --q 4 --n 63 --samples 30 --seed 5",
      "128bc85a2704a276f27e9b8895a0eb2e80f14b9400888c1dcd4b5622df168b0e"),
     ("sweep --family dictator --q 4 --n 5 --samples 2000 --seed 3",

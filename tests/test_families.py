@@ -1,9 +1,11 @@
 import ast
+import functools
 import itertools
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 import threshold_lab
 from threshold_lab import (
     DimensionMismatchError,
+    MeasurePath,
     ProductMeasure,
     QaryFunction,
     antisym_majority,
@@ -264,6 +267,112 @@ def test_exact_prob_rejects_a_symbol_outside_the_alphabet(tie_break):
     for a in (-1, 3):
         with pytest.raises(DimensionMismatchError):
             evaluator(ProductMeasure.uniform(3), a)
+
+
+def _path(q, a, atoms):
+    """The path anchored at ``a`` from ``atoms`` with the anchor's atom zeroed, normalized."""
+    atoms = np.array(atoms, dtype=float)
+    atoms[a] = 0.0
+    return MeasurePath(a, ProductMeasure(q, atoms / atoms.sum()))
+
+
+@functools.lru_cache(maxsize=None)
+def _tabulated(kind, q, m):
+    """Plurality over ``m`` voters under the tie break ``kind``, or the
+    ``most_popular_color`` property of the graph on ``m`` vertices, with its table."""
+    if kind == "most_popular_color":
+        f = graph_property(m, q, kind)
+    else:
+        f = plurality(q, m, kind)
+    return f, f.tabulate()
+
+
+@st.composite
+def _path_law_cases(draw):
+    """A plurality (q 2-5, n 1-8, either tie break) or ``most_popular_color`` (up to 6
+    edges), its table, an anchor, a path whose base may zero atoms off the anchor,
+    and a few points of it, the ends included."""
+    kind = draw(st.sampled_from([*TIE_BREAKS, "most_popular_color"]))
+    q = draw(st.integers(2, 5))
+    m = draw(st.integers(2, 4) if kind == "most_popular_color" else st.integers(1, 8))
+    f, table = _tabulated(kind, q, m)
+    a = draw(st.integers(0, q - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atoms = rng.dirichlet(np.full(q, draw(st.sampled_from([0.3, 1.0, 30.0]))))
+    atoms[draw(st.lists(st.integers(0, q - 1), max_size=q - 2))] = 0.0
+    atoms[a] = 0.0
+    if not atoms.any():
+        atoms[(a + 1) % q] = 1.0
+    ts = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)) + [0.0, 1.0]
+    return f, table, _path(q, a, atoms), ts
+
+
+class TestPluralityPathLaw:
+    """``G(t) = sum_c Bin(n, t)(c) H(c)`` along a path anchored at ``a``, with
+    ``H(c) = P[plurality = a | N_a = c]``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_path_law_cases())
+    def test_matches_the_table(self, case):
+        f, table, path, ts = case
+        G = f.oracle.path_law(path, path.anchor)
+        for t in ts:
+            want = prob_value(table, path.measure_at(t), path.anchor)
+            assert abs(G(t) - want) <= 1e-13, (t, G(t), want)
+
+    @pytest.mark.parametrize(
+        "q,n", [(2, 10), (2, 111), (3, 8), (3, 301), (3, 729), (4, 61), (5, 31), (5, 83), (2, 3051)]
+    )
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_conditional_law_is_a_nondecreasing_probability(self, rng, q, n, tie_break):
+        law = plurality(q, n, tie_break).oracle.path_law
+        for _ in range(3):
+            a = int(rng.integers(q))
+            for atoms in (np.ones(q), rng.dirichlet(np.ones(q)), np.eye(q)[(a + 1) % q]):
+                G = law(_path(q, a, atoms), a)
+                H = G.conditional
+                assert ((0.0 <= H) & (H <= 1.0)).all()
+                assert np.diff(H).min() >= -1e-15
+                assert G(0.0) == 0.0 and G(1.0) == 1.0
+
+    # the exact windows and the scan of the exact-threshold benchmark
+    @pytest.mark.parametrize(
+        "q,n", [(2, 111), (3, 301), (3, 729), (4, 61), (5, 31), (5, 83), (2, 3051)]
+    )
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_matches_the_per_measure_law(self, rng, q, n, tie_break):
+        f = plurality(q, n, tie_break)
+        a = int(rng.integers(q))
+        path = _path(q, a, rng.dirichlet(np.ones(q)))
+        G = f.oracle.path_law(path, a)
+        for t in np.linspace(0.0, 1.0, 21):
+            assert abs(G(t) - f.oracle.exact_prob(path.measure_at(t), a)) <= 1e-11
+
+    def test_binomial_tail_at_3051_voters(self):
+        # P[Bin(n, t) > n/2] exactly, at dyadic t near 1/2 so the integers stay small
+        n = 3051
+        G = plurality(2, n).oracle.path_law(_path(2, 0, [0.0, 1.0]), 0)
+        for t in (63 / 128, 1 / 2, 33 / 64):
+            p, r = Fraction(t).numerator, Fraction(t).denominator - Fraction(t).numerator
+            tail = sum(math.comb(n, c) * p**c * r ** (n - c) for c in range(n // 2 + 1, n + 1))
+            assert abs(Fraction(G(t)) - Fraction(tail, (p + r) ** n)) <= 2e-12
+
+    def test_most_popular_color_reads_the_plurality_law(self):
+        f = graph_property(8, 3, "most_popular_color")
+        path = _path(3, 1, [0.2, 0.0, 0.8])
+        G = f.oracle.path_law(path, 1)
+        want = plurality(3, 28, "smallest_index").oracle.path_law(path, 1)
+        assert [G(t) for t in (0.3, 0.5)] == [want(t) for t in (0.3, 0.5)]
+
+    def test_refuses_a_symbol_off_the_anchor(self):
+        with pytest.raises(DimensionMismatchError):
+            plurality(3, 5).oracle.path_law(_path(3, 0, [0.0, 0.5, 0.5]), 1)
+
+    def test_builds_nothing_before_the_first_read(self):
+        G = plurality(3, 301).oracle.path_law(_path(3, 0, [0.0, 0.5, 0.5]), 0)
+        assert "conditional" not in vars(G)
+        G(0.4)
+        assert "conditional" in vars(G)
 
 
 class TestRecursivePlurality:

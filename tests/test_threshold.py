@@ -596,6 +596,98 @@ class TestEvaluator:
         assert init == ["path", "grid", "evaluator"]
 
 
+@pytest.fixture
+def along_calls(monkeypatch):
+    """The name of the evaluator of each ``Evaluator.along`` call, one entry per call."""
+    calls = []
+    along = core.Evaluator.along
+
+    def counted(self, path):
+        calls.append(self.name)
+        return along(self, path)
+
+    monkeypatch.setattr(core.Evaluator, "along", counted)
+    return calls
+
+
+def _traced(f):
+    """``f`` with its oracle's ``exact_prob`` wrapped in a plain function counting its
+    calls in ``calls``, swapped in by ``dataclasses.replace`` as a tracer does: the
+    oracle keeps its other fields, its ``path_law`` too."""
+    calls = []
+    exact = f.oracle.exact_prob
+
+    def counted(measure, a):
+        calls.append(a)
+        return exact(measure, a)
+
+    oracle = dataclasses.replace(f.oracle, exact_prob=counted)
+    return dataclasses.replace(f, oracle=oracle), calls
+
+
+class TestAlong:
+    """A curve reads ``G = evaluator.along(path)`` once; a family with a path law
+    answers every node and bisection step from it, without ``exact_prob``."""
+
+    BASE3 = ProductMeasure(3, [0.0, 0.4, 0.6])
+
+    def test_scan(self, along_calls):
+        f, calls = _traced(plurality(3, 21))
+        curve = scan_path(f, 0, self.BASE3, grid_size=11)
+        assert along_calls == []
+        values = curve.values
+        assert along_calls == ["exact:plurality"] and calls == []
+        G = plurality(3, 21).oracle.path_law(curve.path, 0)
+        assert values.tolist() == [G(t) for t in curve.grid]
+
+    def test_window_with_its_refinement(self, along_calls):
+        f, calls = _traced(plurality(3, 45))
+        curve = scan_path(f, 0, self.BASE3)
+        threshold_window(curve, 0.1)
+        threshold_window(curve, 0.2)
+        curve.values
+        assert along_calls == ["exact:plurality"] and calls == []
+
+    def test_most_popular_color_curve(self, along_calls):
+        f, calls = _traced(graph_property(8, 3, "most_popular_color"))
+        threshold_window(scan_path(f, 2, ProductMeasure(3, [0.5, 0.5, 0.0])), 0.1)
+        assert along_calls == ["exact:graph_property"] and calls == []
+
+    def test_tracing_keeps_the_path_law(self):
+        f = plurality(4, 61)
+        traced, calls = _traced(f)
+        assert traced.oracle.path_law is f.oracle.path_law
+        base = ProductMeasure(4, [1 / 3, 1 / 3, 1 / 3, 0.0])
+        windows = [threshold_window(scan_path(g, 3, base), 0.1) for g in (f, traced)]
+        assert windows[0] == windows[1] and calls == []
+
+    def test_plain_oracles_read_exact_prob_at_each_measure(self, along_calls):
+        # _spied builds its Oracle from four fields, so it has no path law
+        f, calls = _spied(plurality(3, 45))
+        assert f.oracle.path_law is None
+        curve = scan_path(f, 0, self.BASE3, grid_size=21)
+        threshold_window(curve, 0.1)
+        read, nodes = len(calls), len(curve._nodes)
+        assert along_calls == ["exact:plurality"] and read > nodes  # bisection steps too
+        values = curve.values
+        assert len(calls) == read + 21 - nodes
+        exact = plurality(3, 45).oracle.exact_prob
+        assert values.tolist() == [exact(curve.path.measure_at(t), 0) for t in curve.grid]
+
+    def test_mc_and_table_curves_read_prob_at_each_measure(self, along_calls, mc_calls):
+        mc = scan_path(plurality(2, 9), 0, BASE2, grid_size=5, method="mc", samples=30, seed=3)
+        table = scan_path(plurality(2, 9).tabulate(), 0, BASE2, grid_size=5)
+        threshold_window(mc, 0.2)
+        threshold_window(table, 0.2)
+        mc.values, table.values
+        assert along_calls == ["mc", "table"]
+        assert sorted(stream[1] for stream in mc_calls) == list(range(5))
+        tab = plurality(2, 9).tabulate()
+        assert table.values.tolist() == [
+            prob_value(tab, table.path.measure_at(t), 0) for t in table.grid
+        ]
+
+
 def _table_file(f, tmp_path):
     """``f``'s table, written to a function file and loaded from it."""
     path = str(tmp_path / "f.json")
