@@ -1,9 +1,10 @@
 """Command-line front end: one subcommand per experiment.
 
 Exit codes: 0 success, 1 domain error (machine-readable JSON on stderr),
-2 usage or input-parse error.  The verify, sweep, jury and indeterminacy
-reports and a Monte Carlo JSON scan record their seed; a window report and a
-CSV scan do not.  Identical configurations produce byte-identical files.
+2 usage or input-parse error, a negative ``--seed`` among them.  The verify,
+sweep, jury and indeterminacy reports and a Monte Carlo JSON scan record their
+seed; a window report and a CSV scan do not.  Identical configurations produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -290,6 +291,17 @@ def _cmd_indeterminacy(args) -> None:
     _emit_json(args, report.as_dict())
 
 
+def _seed(text: str) -> int:
+    """``--seed``: an int >= 0, as numpy's seeding takes; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 #: Every option once: name (without ``--``) -> ``add_argument`` keywords.
 _OPTIONS = {
     "function": {"help": "function JSON file"},
@@ -304,7 +316,7 @@ _OPTIONS = {
     "coord": {"type": int},
     "out": {"help": "output path (atomic write); default stdout"},
     "format": {"choices": ("json", "csv"), "default": "csv"},
-    "seed": {"type": int, "default": 0},
+    "seed": {"type": _seed, "default": 0},
     "group": {"choices": ("cyclic", "full", "graph"), "help": "symmetry group"},
     "measure": {"help": "measure JSON file"},
     "atoms": {"help": "comma-separated atoms"},

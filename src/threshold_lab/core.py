@@ -257,6 +257,11 @@ class Oracle:
     ``G(t) = P[f = a]`` along a :class:`MeasurePath` anchored at ``a`` as one
     callable of ``t`` (plurality's, from n + 1 conditional probabilities), which
     exact curves read in place of ``exact_prob`` at each ``path.measure_at(t)``.
+    An optional ``prob_bounds(atoms, a)``, also given only beside ``exact_prob``,
+    returns arrays ``(lo, hi)`` with ``lo[i] <= P[f = a] <= hi[i]`` at the measure
+    of each row of an ``(M, q)`` atoms array (plurality's Chernoff bounds,
+    dictator's exact atoms), which sweeps read before the law.  All three are
+    fields, so an oracle rebuilt by ``dataclasses.replace`` keeps them.
     """
 
     name: str
@@ -264,6 +269,7 @@ class Oracle:
     batch: Callable[[np.ndarray], np.ndarray]
     exact_prob: Callable[[ProductMeasure, int], float] | None = None
     path_law: Callable[[MeasurePath, int], Callable[[float], float]] | None = None
+    prob_bounds: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]] | None = None
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -485,13 +491,18 @@ class Evaluator:
     ``exact_prob``), both ignoring ``stream``, or ``mc`` (``samples`` draws of the
     stream ``[seed, stream]``).  :meth:`along` reads the same values along a path,
     through ``path_law(path)`` where the method has one (the oracle's
-    ``path_law``)."""
+    ``path_law``).  ``bounds(atoms)``, where the method has one (the oracle's
+    ``prob_bounds``; never ``table`` or ``mc``), encloses ``P[f = a]`` at every
+    row of an ``(M, q)`` atoms array at once, as arrays ``(lo, hi)``."""
 
     name: str
     prob: Callable[..., float] = dataclasses.field(repr=False)
     samples: int | None = None
     seed: int | None = None
     path_law: Callable[[MeasurePath], Callable[[float], float]] | None = dataclasses.field(
+        default=None, repr=False
+    )
+    bounds: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = dataclasses.field(
         default=None, repr=False
     )
 
@@ -506,8 +517,8 @@ class Evaluator:
 
 def _exact_prob(f: QaryFunction, a: int) -> Evaluator | None:
     """The exact evaluator of ``P[f = a]``: the dense table, else the oracle's ``exact_prob``
-    (with its ``path_law``, if any), else ``None`` (Monte Carlo only).  Checks ``a``; the
-    evaluator trusts ``measure.q == f.q``."""
+    (with its ``path_law`` and ``prob_bounds``, if any), else ``None`` (Monte Carlo only).
+    Checks ``a``; the evaluator trusts ``measure.q == f.q``."""
     _check_symbol(f, a)
     if f.table is not None:
         hits = f.table == a
@@ -516,7 +527,8 @@ def _exact_prob(f: QaryFunction, a: int) -> Evaluator | None:
     if oracle.exact_prob is not None:
         prob = lambda measure, stream=None: float(oracle.exact_prob(measure, a))
         path_law = None if oracle.path_law is None else lambda path: oracle.path_law(path, a)
-        return Evaluator(f"exact:{oracle.name}", prob, path_law=path_law)
+        bounds = None if oracle.prob_bounds is None else lambda atoms: oracle.prob_bounds(atoms, a)
+        return Evaluator(f"exact:{oracle.name}", prob, path_law=path_law, bounds=bounds)
     return None
 
 
@@ -582,6 +594,10 @@ class SimplexSampler:
     """Seeded stream of uniform samples from the probability simplex on ``[q]``.
 
     Uniformity comes from normalizing independent unit-exponential draws.
+    :meth:`draw` takes ``k`` measures at once as a ``(k, q)`` atoms array,
+    bitwise equal to ``k`` calls of :meth:`sample` and leaving the stream where
+    they leave it; :meth:`sample` is ``draw(1)`` made a :class:`ProductMeasure`.
+    The seed must be a nonnegative integer, as numpy's seeding takes.
     Samplers are the only stateful objects in the package.
     """
 
@@ -590,11 +606,29 @@ class SimplexSampler:
             raise DimensionMismatchError("simplex dimension must be >= 1")
         self.q = q
         self.seed = int(seed)
+        if self.seed < 0:
+            raise DimensionMismatchError(f"seed must be >= 0, got {self.seed}")
         self._rng = np.random.default_rng(self.seed)
 
+    def draw(self, k: int) -> np.ndarray:
+        """The atoms of the next ``k`` measures, one per row, each row checked by
+        :class:`ProductMeasure`'s rules: nonnegative, finite, summing to 1 within
+        :data:`ATOM_SUM_TOL`.  numpy fills the rows of one ``(k, q)`` exponential
+        block in the order of ``k`` draws of ``q``, and each row's sum is the
+        sum of ``q`` draws, so the atoms are those ``k`` samples' bit for bit."""
+        draws = self._rng.exponential(size=(k, self.q))
+        atoms = draws / draws.sum(axis=1, keepdims=True)
+        if (atoms < 0).any():
+            raise DegenerateMeasureError("atoms must be nonnegative")
+        totals = atoms.sum(axis=1)
+        if not np.isfinite(totals).all():
+            raise DegenerateMeasureError("atoms must be finite")
+        if (np.abs(totals - 1.0) > ATOM_SUM_TOL).any():
+            raise DegenerateMeasureError(f"atoms must sum to 1 within {ATOM_SUM_TOL}")
+        return atoms
+
     def sample(self) -> ProductMeasure:
-        draws = self._rng.exponential(size=self.q)
-        return ProductMeasure(self.q, draws / draws.sum())
+        return ProductMeasure(self.q, self.draw(1)[0])
 
 
 @dataclasses.dataclass(frozen=True)

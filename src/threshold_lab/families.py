@@ -8,7 +8,9 @@ exact law ``P[f = a]``, where it has one, lives in :mod:`.laws`, and its
 oracle's ``exact_prob`` names it; plurality's, by Poissonized counts, works at
 every (q, n), far beyond the table cap.  Plurality's oracle, and through it the
 ``most_popular_color`` property's, also names the law's path law as
-``path_law``, which exact curves read once per path.
+``path_law``, which exact curves read once per path.  Plurality's and dictator's
+oracles name their law's closed-form enclosure as ``prob_bounds``, which sweeps
+read before the law.
 """
 
 from __future__ import annotations
@@ -108,6 +110,7 @@ def plurality(q: int, n: int, tie_break: str = "first_occurrence") -> QaryFuncti
         batch=lambda X: plurality_winners(X, q, tie_break),
         exact_prob=law,
         path_law=law.along,
+        prob_bounds=law.bounds,
     )
     return QaryFunction.from_oracle(q, n, oracle)
 
@@ -259,11 +262,13 @@ def dictator(q: int, n: int, coord: int = 0) -> QaryFunction:
     if q < 2 or n < 1:
         raise DimensionMismatchError("need q >= 2 and n >= 1")
     _check_range(coord, n, "coordinate")
+    law = _DictatorExact(q)
     oracle = Oracle(
         name="dictator",
         params={"q": q, "n": n, "coord": coord},
         batch=lambda X: np.asarray(X)[:, coord].astype(np.int64),
-        exact_prob=_DictatorExact(q),
+        exact_prob=law,
+        prob_bounds=law.bounds,
     )
     return QaryFunction.from_oracle(q, n, oracle)
 

@@ -2,8 +2,11 @@
 oracle's ``exact_prob(measure, a)`` and named ``exact:<oracle name>`` by
 :func:`.core._exact_prob`.  Plurality also has a path law, its oracle's
 ``path_law(path, a)``: the whole curve ``t -> P[f = a]`` along a path anchored at
-``a``, from n + 1 conditional probabilities (:class:`_PluralityPath`).  A leaf
-module: it imports only ``.core``, numpy and the stdlib."""
+``a``, from n + 1 conditional probabilities (:class:`_PluralityPath`).  Each law's
+``bounds(atoms, a)``, its oracle's ``prob_bounds``, encloses ``P[f = a]`` at every
+row of an ``(M, q)`` atoms array in closed form: dictator's is the atom itself,
+plurality's a pair of Chernoff bounds.  A leaf module: it imports only
+``.core``, numpy and the stdlib."""
 
 from __future__ import annotations
 
@@ -115,8 +118,32 @@ class _PluralityExact:
         by_k[:, hit] += y[:, -1, None] * pmf[last, ks[hit]] * rows[:, hit, tie[hit]]
         total = rates.sum()
         norm = np.exp(n * np.log(total) - total - self._log_factorials[n])
-        # the log-pmf rounding can carry the sum of nonnegative terms past 1
-        return min(1.0, float(weights @ by_k @ pmf[a, ks] / norm))
+        # the log-pmf rounding can carry the sum of nonnegative terms past 1, and
+        # the FFT product's rounding can leave it at -1e-32 where it vanishes
+        return min(1.0, max(0.0, float(weights @ by_k @ pmf[a, ks] / norm)))
+
+    def bounds(self, atoms: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)`` enclosing ``P[plurality = a]`` at each row of ``atoms``.
+
+        The count difference ``N_a - N_b`` sums n i.i.d. copies of
+        ``1[x = a] - 1[x = b]``, whose least exponential moment over
+        ``lambda >= 0`` is ``1 - (sqrt(mu_a) - sqrt(mu_b))**2`` when
+        ``mu_b >= mu_a`` (H. Chernoff, *Ann. Math. Statist.* 23, 1952), so
+        ``P[N_a >= N_b]`` is at most its n-th power.  Under either tie break
+        ``a`` wins only if it at least ties every ``b``: ``hi`` is the least
+        such tail, 1 if no ``b`` has ``mu_b >= mu_a``.  Where ``mu_a`` exceeds
+        every other atom, ``a`` loses only if some ``b`` at least ties it:
+        ``lo`` is 1 minus the sum of the same tails, at least 0, else 0.  The
+        tails are powers of ``1 - d`` in [0, 1], with no log of 0 at point masses.
+        """
+        _check_range(a, self.q, "symbol")
+        mu_a = atoms[:, a, None]
+        others = np.delete(atoms, a, axis=1)
+        tails = (1.0 - (np.sqrt(mu_a) - np.sqrt(others)) ** 2) ** self.n
+        hi = np.where(others >= mu_a, tails, 1.0).min(axis=1)
+        leads = (others < mu_a).all(axis=1)
+        lo = np.where(leads, np.maximum(0.0, 1.0 - tails.sum(axis=1)), 0.0)
+        return lo, hi
 
     def along(self, path: MeasurePath, a: int) -> _PluralityPath:
         """The path law ``t -> P[plurality = a]`` along ``path``, anchored at ``a``."""
@@ -239,3 +266,8 @@ class _DictatorExact:
         _check_compatible(self, measure)
         _check_range(a, self.q, "symbol")
         return float(measure.atoms[a])
+
+    def bounds(self, atoms: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
+        """The law at each row of ``atoms``, as both ends of its enclosure."""
+        _check_range(a, self.q, "symbol")
+        return atoms[:, a], atoms[:, a]

@@ -18,7 +18,15 @@ from threshold_lab import (
     WindowUndefinedError,
     leq_a,
 )
-from threshold_lab.threshold import _REFINE_TOL
+from threshold_lab.core import _exact_prob
+from threshold_lab.threshold import (
+    _REFINE_TOL,
+    SweepReport,
+    _mc_evaluator,
+    _noninterior_measure,
+    _wald_half_width,
+    critical_bound_shape,
+)
 
 
 def points(q: int, n: int):
@@ -251,4 +259,29 @@ def full_grid_window(curve, eps: float) -> ThresholdWindow:
     t_hi = full_grid_crossing(curve, 1.0 - eps)
     return ThresholdWindow(
         eps=eps, t_lo=t_lo, t_hi=t_hi, width=max(0.0, t_hi - t_lo), method=curve.method
+    )
+
+
+def sweep_by_measure(f, a, eps, sampler, samples, inner_samples=10_000) -> SweepReport:
+    """The library's former ``simplex_sweep``: one sampled measure at a time, each
+    classified by its evaluator's value (the law, the table or nested Monte Carlo
+    on the stream ``[seed, i]``), with no enclosure read."""
+    evaluator = _exact_prob(f, a) or _mc_evaluator(f, a, inner_samples, sampler.seed)
+    eta = (math.log(1.0 - eps) - math.log(eps)) / math.log(f.n) if f.n >= 2 else None
+    critical = 0
+    for idx in range(samples):
+        p = evaluator.prob(sampler.sample(), idx)
+        critical += eps <= p <= 1.0 - eps
+    estimate = critical / samples
+    return SweepReport(
+        eps=eps,
+        samples=samples,
+        estimate=estimate,
+        half_width=_wald_half_width(estimate, samples),
+        eta=eta,
+        noninterior_fraction=_noninterior_measure(f.q, eta) if eta is not None else None,
+        bound_shape=critical_bound_shape(eps, f.n),
+        n=f.n,
+        anchor=a,
+        seed=sampler.seed,
     )

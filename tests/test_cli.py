@@ -482,6 +482,38 @@ class TestExitCodes:
         assert rc == 1
         assert json.loads(err)["error"] == "NoStrictLeaderError"
 
+    # every subcommand that takes --seed, each with an otherwise valid request
+    SEEDED = {
+        "verify": "--suite hyper --trials 2",
+        "scan": "--family recursive_plurality --q 2 --arity 3 --depth 2 --method mc --grid 3",
+        "window": "--family recursive_plurality --q 2 --arity 3 --depth 2 --method mc",
+        "sweep": "--family dictator --q 2 --n 1 --samples 5",
+        "jury": "--family plurality --q 3 --n 5 --atoms 0.5,0.3,0.2 --samples 10",
+        "indeterminacy": "--choice {choice} --voters 20 --samples 2",
+    }
+
+    def test_every_seeded_subcommand_is_listed(self):
+        seeded = {name for name, spec in _SUBCOMMANDS.items() if "seed" in spec[2]}
+        assert seeded == set(self.SEEDED)
+
+    @pytest.mark.parametrize("command", list(SEEDED))
+    @pytest.mark.parametrize("seed", ["-1", "-3", "x"])
+    def test_bad_seed_is_a_usage_error(self, tmp_path, capsys, command, seed):
+        # a negative seed once reached numpy and exited 1 with a raw traceback,
+        # or, for an exact jury, was echoed in the report
+        choice = tmp_path / "c.json"
+        choice.write_text("{}")  # never read: the seed is refused first
+        argv = [command, *self.SEEDED[command].format(choice=choice).split(), "--seed", seed]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        [line] = [line for line in err.splitlines() if "error:" in line]
+        assert line.endswith(
+            f"error: argument --seed: must be a non-negative integer, got {seed}"
+            if seed != "x" else "error: argument --seed: invalid int value: 'x'"
+        )
+
 
     @pytest.mark.parametrize(
         "argv,option",

@@ -415,6 +415,44 @@ class TestSimplexSampler:
         for _ in range(5):
             assert np.array_equal(a.sample().atoms, b.sample().atoms)
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 8, 13, 40])
+    def test_draw_is_bitwise_k_samples(self, q):
+        block, one_by_one = SimplexSampler(q, seed=q), SimplexSampler(q, seed=q)
+        atoms = block.draw(37)
+        assert atoms.shape == (37, q)
+        samples = np.array([one_by_one.sample().atoms for _ in range(37)])
+        assert atoms.tobytes() == samples.tobytes()
+        # the stream is left in the same state
+        following = np.array([one_by_one.sample().atoms for _ in range(3)])
+        assert block.draw(3).tobytes() == following.tobytes()
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_draw_is_the_normalized_exponential_stream(self, q):
+        rng = np.random.default_rng(11)
+        former = []
+        for _ in range(20):
+            draws = rng.exponential(size=q)
+            former.append(draws / draws.sum())
+        assert SimplexSampler(q, seed=11).draw(20).tobytes() == np.array(former).tobytes()
+
+    @pytest.mark.parametrize(
+        "draws, message",
+        [
+            ([[1.0, 2.0], [3.0, -1.0]], "nonnegative"),  # the second row's atoms are 1.5, -0.5
+            ([[1.0, 2.0], [np.nan, 1.0]], "finite"),
+        ],
+    )
+    def test_draw_checks_every_row(self, draws, message):
+        sampler = SimplexSampler(2, seed=0)
+        sampler._rng = type("Stub", (), {"exponential": lambda self, size: np.array(draws)})()
+        with pytest.raises(DegenerateMeasureError, match=message):
+            sampler.draw(2)
+
+    @pytest.mark.parametrize("q, seed", [(0, 1), (2, -1), (3, -7)])
+    def test_bad_dimension_or_seed_is_refused(self, q, seed):
+        with pytest.raises(DimensionMismatchError):
+            SimplexSampler(q, seed)
+
 
 class TestMeasurePath:
     def test_requires_zero_anchor_mass(self):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import functools
 import itertools
 import math
@@ -248,6 +249,23 @@ def test_laws_are_probabilities(case):
     assert ((0.0 <= law) & (law <= 1.0)).all(), law
 
 
+@pytest.mark.parametrize(
+    "q, n, tie_break, atoms, a",
+    [
+        (4, 13, "first_occurrence",
+         [1.1351543348473021e-05, 0.00023882881151796086, 3.039800388282835e-08,
+          0.9997497892471296], 0),
+        (6, 23, "smallest_index",
+         [0.028809552395164816, 0.11756087870011664, 0.0, 0.11103246115818002,
+          0.00010689866734340006, 0.742490209079195], 4),
+    ],
+)
+def test_a_vanishing_law_is_not_negative(q, n, tie_break, atoms, a):
+    # the FFT product's rounding once left these at -1.0e-35 and -1.7e-32
+    law = plurality(q, n, tie_break).oracle.exact_prob(ProductMeasure(q, np.array(atoms)), a)
+    assert 0.0 <= law <= 1e-30
+
+
 def test_point_masses_give_exactly_one():
     assert prob_value(plurality(5, 9), ProductMeasure(5, [1, 0, 0, 0, 0]), 0) == 1.0
 
@@ -367,6 +385,92 @@ class TestPluralityPathLaw:
     def test_refuses_a_symbol_off_the_anchor(self):
         with pytest.raises(DimensionMismatchError):
             plurality(3, 5).oracle.path_law(_path(3, 0, [0.0, 0.5, 0.5]), 1)
+
+
+@st.composite
+def _enclosure_cases(draw):
+    """A plurality (q 2-5, n 1-8, either tie break) or ``most_popular_color`` (up to 6
+    edges), its table, a symbol, and rows of atoms that may zero any atom, the
+    symbol's included, or be point masses."""
+    kind = draw(st.sampled_from([*TIE_BREAKS, "most_popular_color"]))
+    q = draw(st.integers(2, 5))
+    m = draw(st.integers(2, 4) if kind == "most_popular_color" else st.integers(1, 8))
+    f, table = _tabulated(kind, q, m)
+    a = draw(st.integers(0, q - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atoms = rng.dirichlet(np.full(q, draw(st.sampled_from([0.3, 1.0, 30.0]))), size=6)
+    for row in atoms:
+        row[draw(st.lists(st.integers(0, q - 1), max_size=q - 1))] = 0.0
+    atoms = np.vstack([atoms, np.eye(q)])
+    atoms = atoms[atoms.sum(axis=1) > 0]
+    return f, table, a, atoms / atoms.sum(axis=1, keepdims=True)
+
+
+class TestEnclosure:
+    """``prob_bounds(atoms, a)`` encloses ``P[f = a]`` at every row of ``atoms``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_enclosure_cases())
+    def test_plurality_encloses_the_table(self, case):
+        f, table, a, atoms = case
+        lo, hi = f.oracle.prob_bounds(atoms, a)
+        assert ((0.0 <= lo) & (lo <= hi) & (hi <= 1.0)).all()
+        for row, low, high in zip(atoms, lo, hi):
+            # the table's mean rounds: at (4 colours, K4) and a near point mass it
+            # reads 1 - 7e-16 where lo is 1.0 and the law is 1 - 7e-27
+            p = prob_value(table, ProductMeasure(f.q, row), a)
+            assert low - 1e-13 <= p <= high + 1e-13, (row, low, p, high)
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_decides_point_masses_and_empty_symbols(self, tie_break):
+        f = plurality(4, 7, tie_break)
+        atoms = np.vstack([np.eye(4), [[0.0, 0.5, 0.5, 0.0]]])
+        lo, hi = f.oracle.prob_bounds(atoms, 0)
+        assert lo.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+        assert hi[:4].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert hi[4] == pytest.approx(0.5**7, rel=1e-14)  # P[N_1 = 0], a's rival left empty
+
+    def test_is_a_chernoff_bound_on_each_rival(self):
+        # mu_a leads, so lo is 1 minus the two tails; hi is 1 with no rival at or above mu_a
+        atoms = np.array([[0.5, 0.3, 0.2]])
+        lo, hi = plurality(3, 40).oracle.prob_bounds(atoms, 0)
+        tails = [(1 - (math.sqrt(0.5) - math.sqrt(b)) ** 2) ** 40 for b in (0.3, 0.2)]
+        assert hi[0] == 1.0 and lo[0] == pytest.approx(1 - sum(tails), abs=1e-15)
+        # a trailing symbol's hi is its tail against the leader, the least of the two
+        lo, hi = plurality(3, 40).oracle.prob_bounds(atoms, 2)
+        assert lo[0] == 0.0
+        assert hi[0] == pytest.approx((1 - (math.sqrt(0.2) - math.sqrt(0.5)) ** 2) ** 40)
+
+    def test_most_popular_color_has_the_plurality_enclosure(self):
+        atoms = np.random.default_rng(3).dirichlet(np.ones(3), size=20)
+        got = graph_property(8, 3, "most_popular_color").oracle.prob_bounds(atoms, 1)
+        want = plurality(3, 28, "smallest_index").oracle.prob_bounds(atoms, 1)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_dictator_is_its_law_bit_for_bit(self, rng):
+        f = dictator(4, 6, 2)
+        atoms = np.vstack([rng.dirichlet(np.ones(4), size=50), np.eye(4)])
+        for a in range(4):
+            lo, hi = f.oracle.prob_bounds(atoms, a)
+            law = [f.oracle.exact_prob(ProductMeasure(4, row), a) for row in atoms]
+            assert lo.tolist() == hi.tolist() == law
+
+    @pytest.mark.parametrize("f", [plurality(3, 5), dictator(3, 2)], ids=["plurality", "dictator"])
+    def test_refuses_a_symbol_outside_the_alphabet(self, f):
+        for a in (-1, 3):
+            with pytest.raises(DimensionMismatchError, match=rf"symbol {a} outside \[0, 3\)"):
+                f.oracle.prob_bounds(np.full((2, 3), 1 / 3), a)
+
+    def test_a_replaced_oracle_keeps_its_enclosure(self):
+        # a benchmark tracer wraps exact_prob by dataclasses.replace
+        f = plurality(3, 311)
+        wrapped = dataclasses.replace(
+            f.oracle, exact_prob=lambda measure, a: f.oracle.exact_prob(measure, a)
+        )
+        assert wrapped.prob_bounds is f.oracle.prob_bounds
+        evaluator = core._exact_prob(QaryFunction.from_oracle(3, 311, wrapped), 0)
+        atoms = np.full((1, 3), 1 / 3)
+        assert evaluator.bounds(atoms) == f.oracle.prob_bounds(atoms, 0)
 
     def test_builds_nothing_before_the_first_read(self):
         G = plurality(3, 301).oracle.path_law(_path(3, 0, [0.0, 0.5, 0.5]), 0)

@@ -38,7 +38,12 @@ from threshold_lab import (
 from threshold_lab import core, fileio, threshold
 from threshold_lab.threshold import NoStrictLeaderError, critical_bound_shape
 
-from oracles import full_grid_window, outer_product_weights, zero_monotone_closure
+from oracles import (
+    full_grid_window,
+    outer_product_weights,
+    sweep_by_measure,
+    zero_monotone_closure,
+)
 
 BASE2 = ProductMeasure(2, [0.0, 1.0])
 
@@ -826,6 +831,92 @@ class TestSimplexSweep:
         with mock.patch.object(threshold, "mc_estimate", side_effect=AssertionError("sampled")):
             with pytest.raises(DimensionMismatchError):
                 simplex_sweep(f, a, 0.1, SimplexSampler(2, seed=2), 5, inner_samples=20)
+
+
+def _report_bytes(report):
+    return fileio.dumps(report.as_dict())
+
+
+def _undecided(f, a, eps, atoms):
+    """The rows of ``atoms`` whose enclosure, widened by the guard, does not decide
+    ``eps <= P[f = a] <= 1 - eps``."""
+    lo, hi = f.oracle.prob_bounds(atoms, a)
+    g = threshold._SCREEN_GUARD
+    decided = ((lo >= eps + g) & (hi <= 1 - eps - g)) | (hi < eps - g) | (lo > 1 - eps + g)
+    return np.flatnonzero(~decided).tolist()
+
+
+class TestScreenedSweep:
+    """A sweep reads the law only where the enclosure leaves the measure undecided,
+    and reports what reading the law at every measure reports, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "build, a, inner",
+        [
+            (lambda: plurality(3, 311), 0, None),
+            (lambda: plurality(4, 63), 2, None),
+            (lambda: plurality(5, 83), 4, None),
+            (lambda: plurality(2, 111), 1, None),
+            (lambda: plurality(3, 45, "smallest_index"), 1, None),
+            (lambda: plurality(4, 8, "smallest_index"), 0, None),
+            (lambda: plurality(3, 1), 0, None),
+            (lambda: plurality(3, 2, "smallest_index"), 2, None),
+            (lambda: graph_property(8, 3, "most_popular_color"), 0, None),
+            (lambda: dictator(3, 5, 1), 0, None),
+            (lambda: plurality(3, 5).tabulate(), 0, None),
+            (lambda: recursive_plurality(2, 3, 2), 0, 30),
+        ],
+        ids=["p3-311", "p4-63", "p5-83", "p2-111", "p3-45-smallest", "p4-8-smallest",
+             "p3-1", "p3-2-smallest", "most_popular_color", "dictator", "table", "nested-mc"],
+    )
+    @pytest.mark.parametrize("eps", [0.05, 0.2])
+    def test_equals_the_per_measure_sweep(self, build, a, inner, eps):
+        f = build()
+        samples = 12 if inner else 60
+        kwargs = {"inner_samples": inner} if inner else {}
+        screened, by_measure = SimplexSampler(f.q, seed=5), SimplexSampler(f.q, seed=5)
+        got = simplex_sweep(f, a, eps, screened, samples, **kwargs)
+        want = sweep_by_measure(f, a, eps, by_measure, samples, **kwargs)
+        assert _report_bytes(got) == _report_bytes(want)
+        assert screened.draw(2).tobytes() == by_measure.draw(2).tobytes()
+
+    @pytest.mark.parametrize("f", [plurality(3, 45), dictator(3, 4)], ids=["plurality", "dictator"])
+    def test_blocks_cross_their_boundary(self, monkeypatch, resolved, f):
+        # blocks of 2 rows: 25 samples end on a block of 1
+        monkeypatch.setattr(threshold, "_MC_CHUNK_ENTRIES", 7)
+        eps = 0.1 if f.oracle.name == "plurality" else 0.3
+        got = simplex_sweep(f, 0, eps, SimplexSampler(3, seed=9), 25)
+        [(_, streams)] = resolved
+        assert streams == _undecided(f, 0, eps, SimplexSampler(3, seed=9).draw(25))
+        want = sweep_by_measure(f, 0, eps, SimplexSampler(3, seed=9), 25)
+        assert _report_bytes(got) == _report_bytes(want)
+
+    @pytest.mark.parametrize("shift", [-1e-12, 0.0, 1e-12])
+    def test_an_atom_at_eps_reads_the_law(self, resolved, shift):
+        # the enclosure of a dictator is its atom: within the guard of eps it is
+        # left to the law, which classifies the row exactly as before
+        atoms = SimplexSampler(3, seed=4).draw(40)
+        row = next(i for i in range(40) if 0.1 < atoms[i, 0] < 0.4)
+        eps = float(atoms[row, 0]) + shift
+        got = simplex_sweep(dictator(3, 2), 0, eps, SimplexSampler(3, seed=4), 40)
+        [(name, streams)] = resolved
+        assert name == "exact:dictator" and row in streams
+        assert streams == _undecided(dictator(3, 2), 0, eps, atoms)
+        want = sweep_by_measure(dictator(3, 2), 0, eps, SimplexSampler(3, seed=4), 40)
+        assert _report_bytes(got) == _report_bytes(want)
+
+    def test_law_reads_only_the_undecided_rows(self, resolved):
+        f, eps, samples = plurality(3, 311), 0.1, 100
+        simplex_sweep(f, 0, eps, SimplexSampler(3, seed=7), samples)
+        undecided = _undecided(f, 0, eps, SimplexSampler(3, seed=7).draw(samples))
+        [(name, streams)] = resolved
+        # the streams are the rows' global indices, in draw order
+        assert name == "exact:plurality" and streams == undecided
+        assert 0 < len(streams) < samples // 3
+
+    def test_a_dictator_sweep_reads_no_law(self, resolved):
+        simplex_sweep(dictator(4, 3), 1, 0.1, SimplexSampler(4, seed=2), 2000)
+        assert resolved == [("exact:dictator", [])]
 
 
 class TestJuryExperiment:
