@@ -60,6 +60,14 @@ class InvalidFunctionError(ThresholdLabError):
     pass
 
 
+def _check_seed(seed) -> None:
+    """Refuse a negative seed, or a seed sequence holding one, before numpy's
+    seeding would raise its own ``ValueError`` for it."""
+    for entry in seed if isinstance(seed, (list, tuple)) else (seed,):
+        if isinstance(entry, (int, np.integer)) and entry < 0:
+            raise DimensionMismatchError(f"seed must be >= 0, got {seed}")
+
+
 def _check_range(value, bound: int, name: str) -> None:
     """Refuse ``value`` unless ``0 <= value < bound``, naming it ``name``."""
     if not 0 <= value < bound:
@@ -606,8 +614,7 @@ class SimplexSampler:
             raise DimensionMismatchError("simplex dimension must be >= 1")
         self.q = q
         self.seed = int(seed)
-        if self.seed < 0:
-            raise DimensionMismatchError(f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
         self._rng = np.random.default_rng(self.seed)
 
     def draw(self, k: int) -> np.ndarray:

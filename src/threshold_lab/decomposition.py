@@ -10,8 +10,9 @@ coordinate difference is ``delta_i f = f - E_i f`` and the influence of ``i``
 is its squared L2 norm, the expected variance of ``f`` along coordinate ``i``.
 
 ``E_i`` has one kernel, ``core._axis_mean`` on the ``(q**i, q, q**(n-1-i))``
-view ``core._axis_view``, shared by the component store, ``_noise``,
-:func:`delta_i`, ``conditional_expectation`` and the Russo restriction sums.
+view ``core._axis_view`` or a factor's ``(a, q, q**(n-1-i))`` view, shared by
+the component factors, ``_noise``, :func:`delta_i`, ``conditional_expectation``
+and the Russo restriction sums.
 Every mean under the whole product measure (each L_p norm, influence and
 variance) is one ``core._table_mean`` contraction; no weight table is built.
 
@@ -25,8 +26,12 @@ reports and the verifiers:
 * ``_noise``, ``T_theta = prod_i (theta I + (1 - theta) E_i)``;
 * ``_subset_norms``, ``||f_S||^2`` for every ``S`` at once.
 
-Only the ``2**n`` component tables of ``q**n`` entries are stored, and only
-when read: by ``component``, ``reconstruction`` and the ``decompose`` export.
+No ``2**n * q**n`` component store is kept.  The component for ``S`` depends
+only on ``x_S``, so each is computed as a factor with length ``q`` on the axes
+in ``S`` and 1 elsewhere, ``(q + 1)**n`` entries for all ``2**n`` of them, by
+the same operations in the same order as on dense tables, so every value is
+the dense one bit for bit; dense tables are broadcast from the factors only
+where they are read (``components`` and the ``decompose`` export).
 
 All values are exact over dense tables.
 """
@@ -34,7 +39,6 @@ All values are exact over dense tables.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -120,14 +124,29 @@ def _subset_norms(f: QaryFunction, measure: ProductMeasure) -> np.ndarray:
     return coef.reshape((2,) * n).transpose().ravel()
 
 
+def _split(row: np.ndarray, atoms: np.ndarray, i: int, difference: bool = True):
+    """Step ``i`` of the decomposition on one factor: ``E_i row``, with axis ``i``
+    cut to length 1, and ``(I - E_i) row`` (``None`` unless ``difference``).
+    ``row`` holds length ``q`` on every axis from ``i`` on, so ``_axis_mean``
+    sums each mean's ``q`` terms in the same order as on the dense table."""
+    shape = row.shape
+    view = row.reshape(-1, shape[i], math.prod(shape[i + 1 :]))
+    mean = _axis_mean(view, atoms)
+    rest = (view - mean).reshape(shape) if difference else None
+    return mean.reshape(shape[:i] + (1,) + shape[i + 1 :]), rest
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class EfronSteinDecomposition:
     """The orthogonal decomposition of the real table ``f`` under a product measure.
 
-    ``components[mask]`` is the dense table of the component for the subset
-    whose bitmask is ``mask`` (bit i <-> coordinate i), built on first read.
-    Components sum to ``f`` pointwise and are pairwise orthogonal in L2 of
-    the measure.
+    The component for the subset ``S`` (bitmask ``mask``, bit i <-> coordinate
+    i) depends only on ``x_S``, so it is held as a *factor*: an array with
+    length ``q`` on the axes in ``S`` and length 1 on the others, which
+    broadcasts to the dense table over ``(q,) * n``.  Nothing is cached:
+    :meth:`component` computes one factor, :meth:`factors` all ``2**n`` of
+    them, and :attr:`components` stacks their dense tables.  Components sum
+    to ``f`` pointwise and are pairwise orthogonal in L2 of the measure.
     """
 
     f: QaryFunction
@@ -141,36 +160,65 @@ class EfronSteinDecomposition:
     def n(self) -> int:
         return self.f.n
 
-    @functools.cached_property
-    def components(self) -> np.ndarray:
-        """Every component table, shape ``(2**n, q**n)``, capped at ``2**24`` entries."""
+    def factors(self) -> list[np.ndarray]:
+        """Every component's factor, in mask order; their ``(q + 1)**n``
+        entries are capped at ``2**24``.
+
+        Step ``i`` splits each factor with mask below ``2**i`` into ``E_i`` of
+        it (kept at its mask) and ``I - E_i`` of it (at ``mask | 2**i``): the
+        dense store's steps in its order, on the factors' own shapes, so every
+        value is the dense store's, bit for bit.
+        """
         q, n = self.q, self.n
-        size = self.f.table.shape[0]
-        if (1 << n) * size > MAX_TABLE_SIZE:
-            raise TableSizeError(f"decomposition storage 2**{n} * {q}**{n} exceeds the cap")
-        # row ``mask`` holds f with (I - E_j) applied for each j in mask and E_j for
-        # each coordinate j < i outside it; step i splits every row with mask < 2**i
-        # into E_i (kept in place) and I - E_i (written to row mask | 2**i), one row
-        # at a time so no temporary grows to the size of the store
-        tables = np.empty((1 << n, size))
-        tables[0] = self.f.table
+        if (q + 1) ** n > MAX_TABLE_SIZE:
+            raise TableSizeError(f"decomposition factors ({q}+1)**{n} exceed the cap")
+        factors = [self.f.table.reshape((q,) * n)]
         for i in range(n):
-            for mask in range(1 << i):
-                row = _axis_view(tables[mask], q, n, i)
-                mean = _axis_mean(row, self.measure.atoms)
-                np.subtract(row, mean, out=_axis_view(tables[mask | 1 << i], q, n, i))
-                row[...] = mean
-        return tables
+            split = []
+            for k, row in enumerate(factors):
+                factors[k], rest = _split(row, self.measure.atoms, i)
+                split.append(rest)
+            factors += split
+        return factors
+
+    def require_dense(self) -> None:
+        """Raise unless the ``2**n`` dense tables of ``q**n`` entries fit the ``2**24`` cap."""
+        q, n = self.q, self.n
+        if (1 << n) * q**n > MAX_TABLE_SIZE:
+            raise TableSizeError(f"decomposition storage 2**{n} * {q}**{n} exceeds the cap")
+
+    @property
+    def components(self) -> np.ndarray:
+        """Every component's dense table, shape ``(2**n, q**n)``, stacked from
+        :meth:`factors` on each read and capped at ``2**24`` entries."""
+        self.require_dense()
+        q, n = self.q, self.n
+        tables = np.empty((1 << n,) + (q,) * n)
+        for mask, factor in enumerate(self.factors()):
+            tables[mask] = factor
+        return tables.reshape(1 << n, q**n)
 
     def component(self, subset) -> np.ndarray:
-        """The component table for ``subset`` (bitmask or coordinate iterable)."""
+        """The dense component table for ``subset`` (bitmask or coordinate
+        iterable), from the steps that lead to its one factor."""
         mask = subset_mask(subset)
         if not 0 <= mask < 1 << self.n:
             raise DimensionMismatchError(f"subset mask {mask} out of range")
-        return self.components[mask]
+        row = self.f.table.reshape((self.q,) * self.n)
+        for i in range(self.n):
+            inside = bool(mask >> i & 1)
+            mean, rest = _split(row, self.measure.atoms, i, inside)
+            row = rest if inside else mean
+        return np.broadcast_to(row, (self.q,) * self.n).flatten()
 
     def reconstruction(self) -> np.ndarray:
-        return self.components.sum(axis=0)
+        """The components summed in mask order into one ``q**n`` table."""
+        factors = self.factors()
+        out = np.empty((self.q,) * self.n)
+        out[...] = factors[0]
+        for factor in factors[1:]:
+            out += factor
+        return out.ravel()
 
     def delta(self, i: int) -> np.ndarray:
         """``delta_i f``: the sum of the components whose subset contains ``i``."""

@@ -16,6 +16,7 @@ import io
 import json
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii as _encode_string
 
 import numpy as np
 
@@ -178,14 +179,18 @@ def tournament_from_dict(doc: dict) -> Tournament:
 
 
 def decomposition_to_dict(d: EfronSteinDecomposition) -> dict:
+    """Every component's dense table as a list, under the decomposition's
+    ``2**n * q**n`` cap, each broadcast from its factor."""
+    d.require_dense()
+    shape = (d.q,) * d.n
     return {
         "schema": DECOMPOSITION_SCHEMA,
         "q": d.q,
         "n": d.n,
         "atoms": d.measure.atoms.tolist(),
         "components": [
-            {"S": subset_members(mask), "table": d.components[mask].tolist()}
-            for mask in range(d.components.shape[0])
+            {"S": subset_members(mask), "table": np.broadcast_to(factor, shape).ravel().tolist()}
+            for mask, factor in enumerate(d.factors())
         ],
     }
 
@@ -221,9 +226,126 @@ def curve_to_csv(curve: ThresholdCurve) -> str:
     return buf.getvalue()
 
 
-def dumps(doc: dict) -> str:
-    """Canonical JSON rendering: sorted keys, stable float reprs."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+_INFINITY = float("inf")
+
+
+def _float_text(v: float) -> str:
+    """``json``'s text for a float: its repr, or ``NaN``, ``Infinity``, ``-Infinity``."""
+    if v != v:
+        return "NaN"
+    if v == _INFINITY:
+        return "Infinity"
+    if v == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+def _scalar_text(v) -> str | None:
+    """``json``'s text for a string, ``None``, bool, int or float; ``None`` for
+    anything else.  (No object is both an int and a float, so the order of
+    the checks is json's for values and for keys alike.)"""
+    if isinstance(v, str):
+        return _encode_string(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return _float_text(v)
+    return None
+
+
+class _FloatTexts(dict):
+    """Float -> text, filled on first lookup.  ``0.0`` and ``-0.0`` are one
+    key, so a zero is never stored and each lookup renders its own sign; a
+    NaN is found only as the same object, which is how a list repeats it."""
+
+    def __missing__(self, v: float) -> str:
+        text = _float_text(v)
+        if v != 0.0:
+            self[v] = text
+        return text
+
+
+def dumps(doc) -> str:
+    """Canonical JSON: byte for byte ``json.dumps(doc, sort_keys=True, indent=2)``
+    plus a newline, raising ``TypeError`` (or ``ValueError`` on a circular
+    reference) wherever ``json.dumps`` raises it.
+
+    A list of plain floats or of plain ints is written with one ``str.join``;
+    each distinct float's text is computed once per call.
+    """
+    parts: list[str] = []
+    floats = _FloatTexts()
+    open_ids: set[int] = set()
+
+    def write(v, level: int) -> None:
+        text = _scalar_text(v)
+        if text is not None:
+            parts.append(text)
+        elif isinstance(v, (list, tuple)):
+            write_list(v, level)
+        elif isinstance(v, dict):
+            write_dict(v, level)
+        else:
+            raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
+
+    def opening(container, bracket: str, level: int) -> str:
+        """Write ``bracket`` and return the separator between items at ``level + 1``."""
+        if id(container) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(container))
+        indent = "\n" + "  " * (level + 1)
+        parts.append(bracket + indent)
+        return "," + indent
+
+    def closing(container, bracket: str, level: int) -> None:
+        parts.append("\n" + "  " * level + bracket)
+        open_ids.remove(id(container))
+
+    def write_list(items, level: int) -> None:
+        if not items:
+            parts.append("[]")
+            return
+        separator = opening(items, "[", level)
+        types = set(map(type, items))
+        if types == {float}:
+            parts.append(separator.join(map(floats.__getitem__, items)))
+        elif types == {int}:
+            parts.append(separator.join(map(int.__repr__, items)))
+        else:
+            for k, v in enumerate(items):
+                if k:
+                    parts.append(separator)
+                write(v, level + 1)
+        closing(items, "]", level)
+
+    def write_dict(mapping, level: int) -> None:
+        if not mapping:
+            parts.append("{}")
+            return
+        separator = opening(mapping, "{", level)
+        # keys sort as they are, then turn into strings: a string as it is,
+        # any other key as its json text
+        for k, (key, v) in enumerate(sorted(mapping.items())):
+            text = key if isinstance(key, str) else _scalar_text(key)
+            if text is None:
+                raise TypeError(
+                    f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+                )
+            if k:
+                parts.append(separator)
+            parts.append(_encode_string(text) + ": ")
+            write(v, level + 1)
+        closing(mapping, "}", level)
+
+    write(doc, 0)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def atomic_write(path: str, text: str) -> None:

@@ -31,6 +31,7 @@ from .core import (
     _categorical,
     _check_compatible,
     _check_range,
+    _check_seed,
     _check_symbol,
     _exact_prob,
     _table_mean,
@@ -150,6 +151,7 @@ def mc_estimate(
     """Unbiased Monte Carlo estimate of ``P[f = a]`` with a 95% half-width."""
     if samples < 1:
         raise DimensionMismatchError("need at least one sample")
+    _check_seed(seed)
     _check_compatible(f, measure)
     _check_symbol(f, a)
     rng = np.random.default_rng(seed)
@@ -167,9 +169,10 @@ def mc_estimate(
 
 def _mc_evaluator(f: QaryFunction, a: int, samples: int, seed) -> Evaluator:
     """The Monte Carlo evaluator of ``P[f = a]``: :func:`mc_estimate` from ``samples``
-    draws of the stream ``[seed, i]``.  Checks ``samples`` and ``a`` now."""
+    draws of the stream ``[seed, i]``.  Checks ``samples``, ``a`` and ``seed`` now."""
     if samples < 1:
         raise DimensionMismatchError("need at least one sample")
+    _check_seed(seed)
     _check_symbol(f, a)
     prob = lambda measure, i: mc_estimate(f, measure, a, samples, [seed, i]).p_hat
     return Evaluator("mc", prob, samples, seed)
@@ -458,6 +461,7 @@ def jury_experiment(
     """
     _check_compatible(f, measure)
     _check_range(i, f.q, "leader")
+    _check_seed(seed)  # reported even where the law is exact
     atoms = measure.atoms
     margin = float(atoms[i] - np.delete(atoms, i).max())
     if margin <= 0.0:

@@ -18,7 +18,7 @@ from threshold_lab import (
     WindowUndefinedError,
     leq_a,
 )
-from threshold_lab.core import _exact_prob
+from threshold_lab.core import _axis_mean, _axis_view, _exact_prob
 from threshold_lab.threshold import (
     _REFINE_TOL,
     SweepReport,
@@ -67,6 +67,24 @@ def outer_product_weights(measure: ProductMeasure, n: int) -> np.ndarray:
     for _ in range(n):
         w = np.multiply.outer(w, measure.atoms).ravel()
     return w
+
+
+def dense_component_store(table: np.ndarray, atoms: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Every orthogonal component as a dense table, shape ``(2**n, q**n)``: the
+    library's former component store, kept as the bit-for-bit reference for
+    its factors.  Row ``mask`` holds ``f`` with ``I - E_j`` applied for each j
+    in mask and ``E_j`` for each coordinate j < i outside it; step i splits
+    every row with mask < 2**i into ``E_i`` (kept in place) and ``I - E_i``
+    (written to row mask | 2**i)."""
+    tables = np.empty((1 << n, q**n))
+    tables[0] = table
+    for i in range(n):
+        for mask in range(1 << i):
+            row = _axis_view(tables[mask], q, n, i)
+            mean = _axis_mean(row, atoms)
+            np.subtract(row, mean, out=_axis_view(tables[mask | 1 << i], q, n, i))
+            row[...] = mean
+    return tables
 
 
 def ix_relabel(table: np.ndarray, q: int, n: int, perm) -> np.ndarray:

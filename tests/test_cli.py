@@ -806,3 +806,23 @@ class TestInfluencesAndDecompose:
         rc, out, err = run(capsys, "decompose", "--family", "plurality", "--q", "2", "--n", "13")
         assert (rc, out) == (1, "")
         assert json.loads(err)["error"] == "TableSizeError"
+
+    @pytest.mark.slow
+    def test_decompose_at_the_store_cap_is_pinned(self):
+        # 2**12 components of 2**12 entries: a 515 MB document, hashed as it
+        # streams out of a CLI subprocess; the digest is that of the dense
+        # component store and the stdlib encoder the factors replaced
+        src = os.path.dirname(os.path.dirname(threshold_lab.__file__))
+        argv = ["decompose", "--family", "plurality", "--q", "2", "--n", "12",
+                "--atoms", "0.3,0.7"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "threshold_lab.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+        ) as proc:
+            digest = hashlib.sha256()
+            for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+                digest.update(chunk)
+        assert proc.returncode == 0
+        assert digest.hexdigest() == (
+            "8843a234eea08b36d6776f408d5c8ed9da3a3bde867b8c3f392eb5dfd5665f1d"
+        )

@@ -34,6 +34,7 @@ from threshold_lab import (
 from threshold_lab.decomposition import _noise, _subset_sizes, _weighted_norm
 
 from oracles import (
+    dense_component_store,
     enum_component,
     enum_delta,
     enum_influence,
@@ -79,11 +80,12 @@ class TestEfronStein:
     def test_defining_properties_on_corpus(self, small_corpus):
         for f, _, mu in small_corpus[:30]:
             d = efron_stein(f, mu)
+            comps = d.components  # stacked on each read
             # reconstruction
             assert np.allclose(d.reconstruction(), f.table, atol=1e-9)
             # each component depends only on its subset
             for mask in masks_of(f.n):
-                comp = QaryFunction.from_table(f.q, f.n, d.components[mask], codomain="real")
+                comp = QaryFunction.from_table(f.q, f.n, comps[mask], codomain="real")
                 coords = [i for i in range(f.n) if mask >> i & 1]
                 proj = conditional_expectation(comp, mu, coords)
                 assert np.allclose(proj.table, comp.table, atol=1e-9)
@@ -93,7 +95,7 @@ class TestEfronStein:
                     if mask & ~other == 0:
                         continue
                     comp = QaryFunction.from_table(
-                        f.q, f.n, d.components[mask], codomain="real"
+                        f.q, f.n, comps[mask], codomain="real"
                     )
                     coords = [i for i in range(f.n) if other >> i & 1]
                     proj = conditional_expectation(comp, mu, coords)
@@ -102,14 +104,15 @@ class TestEfronStein:
     def test_orthogonality_and_parseval(self, small_corpus):
         for f, _, mu in small_corpus[:30]:
             d = efron_stein(f, mu)
+            comps = d.components  # stacked on each read
             w = outer_product_weights(mu, f.n)
             norms = d.squared_norms()
             # the norm kernel against the component store
-            assert np.allclose(norms, d.components**2 @ w, rtol=0.0, atol=1e-9)
+            assert np.allclose(norms, comps**2 @ w, rtol=0.0, atol=1e-9)
             for m1 in masks_of(f.n):
                 for m2 in masks_of(f.n):
                     if m1 < m2:
-                        inner = float(w @ (d.components[m1] * d.components[m2]))
+                        inner = float(w @ (comps[m1] * comps[m2]))
                         assert abs(inner) < 1e-9
             mean = expectation(f, mu)
             variance = float(w @ (f.table - mean) ** 2)
@@ -139,15 +142,31 @@ class TestEfronStein:
         assert np.array_equal(d.delta(3), delta_i(f, mu, 3).table)
         with pytest.raises(TableSizeError):
             d.components
+        # the 3**16 factors of the whole decomposition exceed the cap; one
+        # component's own steps do not
         with pytest.raises(TableSizeError):
-            d.component(0)
+            d.reconstruction()
+        assert np.allclose(d.component(0), mean, rtol=0.0, atol=1e-12)
 
-    def test_components_are_built_on_first_read_and_kept(self):
+    def test_one_component_past_the_store_cap(self):
+        # 2**13 tables of 2**13 entries exceed the store cap; S = {0} is one table
+        f = plurality(2, 13).as_real()
+        mu = ProductMeasure(2, [0.3, 0.7])
+        d = efron_stein(f, mu)
+        with pytest.raises(TableSizeError):
+            d.components
+        # f_{0} = E[f | x_0] - E[f], from conditional expectation's dense table
+        dense = conditional_expectation(f, mu, [0]).table - expectation(f, mu)
+        assert np.allclose(d.component([0]), dense, rtol=0.0, atol=1e-12)
+        assert np.allclose(d.reconstruction(), f.table, rtol=0.0, atol=1e-12)
+
+    def test_components_are_stacked_on_each_read_and_not_kept(self):
         d = efron_stein(dictator(2, 2, 0).as_real(), UNIFORM2)
-        assert "components" not in vars(d)
         store = d.components
-        assert d.components is store
-        assert d.component(0b01).base is store
+        assert d.components is not store
+        assert vars(d).keys() == {"f", "measure"}
+        assert np.array_equal(d.component(0b01), store[0b01])
+        assert not np.shares_memory(d.component(0b01), store)
 
 
 class TestDeltaAndInfluence:
@@ -508,11 +527,46 @@ class TestAgainstEnumeration:
     def test_components_deltas_and_influences(self, case):
         f, mu = case
         pts = list(itertools.product(range(f.q), repeat=f.n))
-        d = efron_stein(f, mu)
+        comps = efron_stein(f, mu).components
         for mask in masks_of(f.n):
             expected = [enum_component(f, mu, mask, x) for x in pts]
-            assert np.allclose(d.components[mask], expected, rtol=0.0, atol=1e-9)
+            assert np.allclose(comps[mask], expected, rtol=0.0, atol=1e-9)
         for i in range(f.n):
             expected = [enum_delta(f, mu, i, x) for x in pts]
             assert np.allclose(delta_i(f, mu, i).table, expected, rtol=0.0, atol=1e-9)
             assert influence(f, mu, i) == pytest.approx(enum_influence(f, mu, i), abs=1e-9)
+
+
+@st.composite
+def factor_cases(draw):
+    """A real table with q in 2..5 and n <= 6 (at most 625 entries) whose
+    entries include signed zeros, and a Dirichlet measure."""
+    q = draw(st.integers(2, 5))
+    n = draw(st.integers(1, {2: 6, 3: 5, 4: 4, 5: 4}[q]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.standard_normal(q**n)
+    table[rng.random(q**n) < 0.2] = -0.0
+    table[rng.random(q**n) < 0.1] = 0.0
+    atoms = rng.dirichlet(np.full(q, draw(st.sampled_from([0.5, 1.0, 5.0]))))
+    atoms = np.maximum(atoms, 1e-6)
+    atoms /= atoms.sum()
+    return QaryFunction.from_table(q, n, table, codomain="real"), ProductMeasure(q, atoms)
+
+
+@settings(max_examples=60)
+@given(factor_cases())
+def test_factors_are_the_dense_store_bit_for_bit(case):
+    f, mu = case
+    q, n = f.q, f.n
+    store = dense_component_store(f.table, mu.atoms, q, n)
+    d = efron_stein(f, mu)
+    factors = d.factors()
+    assert len(factors) == 1 << n
+    for mask, factor in enumerate(factors):
+        assert factor.shape == tuple(q if mask >> i & 1 else 1 for i in range(n))
+        dense = np.broadcast_to(factor, (q,) * n).ravel()
+        # int64 views compare the bits, so -0.0 differs from 0.0 and NaN equals itself
+        assert np.array_equal(dense.view(np.int64), store[mask].view(np.int64))
+        assert np.array_equal(d.component(mask).view(np.int64), store[mask].view(np.int64))
+    assert np.array_equal(d.components.view(np.int64), store.view(np.int64))
+    assert np.array_equal(d.reconstruction().view(np.int64), store.sum(axis=0).view(np.int64))

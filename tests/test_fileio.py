@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshold_lab import (
     ChoiceFunction,
@@ -304,3 +307,94 @@ def test_atomic_write_replaces_content(tmp_path):
 def test_dumps_is_deterministic():
     doc = {"b": 1.0 / 3.0, "a": [1, 2]}
     assert fileio.dumps(doc) == fileio.dumps(dict(reversed(doc.items())))
+
+
+def _stdlib_dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _assert_writes_as_stdlib(doc) -> None:
+    """``fileio.dumps`` gives the stdlib's bytes, or raises where it raises."""
+    try:
+        expected = _stdlib_dumps(doc)
+    except TypeError:
+        with pytest.raises(TypeError):
+            fileio.dumps(doc)
+        return
+    assert fileio.dumps(doc) == expected
+
+
+_NAN = float("nan")  # one object: a list repeats a NaN as the same object
+_EDGE_FLOATS = [0.0, -0.0, _NAN, math.inf, -math.inf, 5e-324, -5e-324, 1e16, 0.1, 1.0]
+_floats = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+_ints = st.one_of(st.integers(), st.sampled_from([2**53 + 1, -(2**63), 2**64, 0, 1]))
+_scalars = st.one_of(
+    st.none(), st.booleans(), _ints, _floats, st.text(max_size=8),
+    _floats.map(np.float64),
+)
+# keys of one kind per dict, so that most dicts sort; int, float, bool and
+# None keys sort before they become strings, and a dict whose keys do not
+# sort raises TypeError on both sides
+_keys = st.sampled_from([
+    st.text(max_size=6), _ints, _floats, st.booleans(), st.none(),
+    st.one_of(st.text(max_size=2), st.integers(0, 3)),
+])
+# leaves json cannot write: TypeError on both sides
+_unwritable = st.sampled_from([np.int64(1), np.bool_(True), b"x", {1, 2}, np.zeros(2)])
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=4).map(tuple),
+        _keys.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
+        # the one-join paths: flat lists of plain floats or plain ints
+        st.lists(_floats, max_size=12),
+        st.lists(st.sampled_from(_EDGE_FLOATS), max_size=12),
+        st.lists(_ints, max_size=12),
+    )
+
+
+_documents = st.recursive(_scalars, _containers, max_leaves=30)
+
+
+class TestCanonicalWriter:
+    @settings(max_examples=300)
+    @given(_documents)
+    def test_matches_the_stdlib_on_nested_documents(self, doc):
+        _assert_writes_as_stdlib(doc)
+
+    @settings(max_examples=100)
+    @given(st.recursive(st.one_of(_scalars, _unwritable), _containers, max_leaves=12))
+    def test_raises_where_the_stdlib_raises(self, doc):
+        _assert_writes_as_stdlib(doc)
+
+    @pytest.mark.parametrize("doc", [
+        [0.0, -0.0, 0.0, -0.0],
+        [-0.0, 1.5, -0.0, 1.5],
+        {"a": [0.0, 2.0], "b": [-0.0, 2.0]},
+        [_NAN, _NAN, float("nan"), 1.0],
+        {-0.0: "k", 1.5: [True, 1, 1.0, None]},
+        (1.0, (2.0, ()), {}),
+        "\u00e9\u2603",
+        np.float64(-0.0),
+    ])
+    def test_signed_zeros_nans_and_shared_texts(self, doc):
+        _assert_writes_as_stdlib(doc)
+
+    def test_circular_references_raise_value_error(self):
+        loop = [1.0]
+        loop.append(loop)
+        with pytest.raises(ValueError, match="Circular reference"):
+            fileio.dumps({"a": loop})
+
+    @pytest.mark.parametrize("codomain", ["alphabet", "real"])
+    def test_function_tables_are_the_stdlib_bytes(self, rng, codomain):
+        values = rng.integers(0, 3, 3**9) if codomain == "alphabet" else rng.standard_normal(3**9)
+        doc = fileio.function_to_dict(QaryFunction.from_table(3, 9, values, codomain=codomain))
+        assert fileio.dumps(doc) == _stdlib_dumps(doc)
+
+    def test_decomposition_documents_are_the_stdlib_bytes(self):
+        d = efron_stein(plurality(3, 4).as_real(), ProductMeasure(3, [0.2, 0.3, 0.5]))
+        doc = fileio.decomposition_to_dict(d)
+        assert fileio.dumps(doc) == _stdlib_dumps(doc)

@@ -748,6 +748,39 @@ class TestMCEstimate:
             mc_estimate(f, ProductMeasure.uniform(2), 1, 100, 0)
 
 
+class TestNegativeSeeds:
+    """A negative seed is refused before any draw, as ``SimplexSampler`` refuses
+    it, and not left to numpy's seeding."""
+
+    @pytest.fixture(autouse=True)
+    def no_generator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generator was seeded")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+
+    @pytest.mark.parametrize("seed", [-1, [-1, 0], [3, -2]])
+    def test_mc_estimate(self, seed):
+        with pytest.raises(DimensionMismatchError, match="seed must be >= 0"):
+            mc_estimate(majority3_indicator_alphabet(), ProductMeasure.uniform(2), 0, 10, seed)
+
+    def test_mc_scan(self):
+        with pytest.raises(DimensionMismatchError, match="seed must be >= 0"):
+            scan_path(plurality(2, 5), 0, ProductMeasure(2, [0.0, 1.0]), grid_size=5,
+                      method="mc", samples=10, seed=-1)
+
+    def test_mc_evaluator_of_nested_sweeps(self):
+        # the sweep's own sampler refuses a negative seed; its inner evaluator does too
+        with pytest.raises(DimensionMismatchError, match="seed must be >= 0"):
+            threshold._mc_evaluator(recursive_plurality(3, 3, 2), 0, 10, -1)
+
+    @pytest.mark.parametrize("f", [plurality(3, 21), recursive_plurality(3, 3, 2)],
+                             ids=["exact", "mc"])
+    def test_jury(self, f):
+        with pytest.raises(DimensionMismatchError, match="seed must be >= 0"):
+            jury_experiment(f, ProductMeasure(3, [0.5, 0.25, 0.25]), 0, 10, seed=-2)
+
+
 class TestSimplexSweep:
     def test_constant_function_never_critical(self):
         f = QaryFunction.from_table(2, 2, [0, 0, 0, 0])
