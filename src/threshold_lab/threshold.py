@@ -16,6 +16,7 @@ import numpy as np
 
 from .checks import anchored_monotone_violation
 from .core import (
+    SMALL_TABLE_SIZE,
     DimensionMismatchError,
     Evaluator,
     InvalidFunctionError,
@@ -236,11 +237,13 @@ def scan_path(
 ) -> ThresholdCurve:
     """The curve ``G(t) = P[f = a]`` on a uniform grid of the path.
 
-    Exact mode needs a dense table or a structured exact evaluator; a
-    plurality or ``most_popular_color`` curve reads its path law, n + 1
-    conditional probabilities built on the curve's first read.  Monte Carlo
-    mode draws ``samples`` points at a node, from the stream ``(seed, node
-    index)``.  Either evaluates a node only when the curve reads it:
+    Exact mode reads :func:`_exact_prob`'s evaluator: a dense table, an exact
+    law, or the table of an oracle of at most ``SMALL_TABLE_SIZE`` points,
+    tabulated when the curve is built; a larger oracle without a law raises
+    :class:`TableSizeError`.  A plurality or ``most_popular_color`` curve reads
+    its path law, n + 1 conditional probabilities built on the curve's first
+    read.  Monte Carlo mode draws ``samples`` points at a node, from the stream
+    ``(seed, node index)``.  Either evaluates a node only when the curve reads it:
     ``values`` (as ``scan`` and the curve writers read it) every node, a
     window only the nodes its search visits.  Arguments are checked here.
     """
@@ -252,7 +255,8 @@ def scan_path(
         evaluator = _exact_prob(f, a)
         if evaluator is None:
             raise TableSizeError(
-                "exact scan needs a table or structured evaluator; use method='mc'"
+                f"exact scan needs a table, an exact law or at most {SMALL_TABLE_SIZE} "
+                f"points to tabulate, not {f.q}**{f.n}; use method='mc'"
             )
     elif method == "mc":
         evaluator = _mc_evaluator(f, a, samples, seed)
@@ -372,14 +376,15 @@ def simplex_sweep(
 ) -> SweepReport:
     """Monte Carlo over uniform measures of the critical-set indicator.
 
-    ``P[f = a]`` is exact where ``f`` allows, else nested Monte Carlo from
-    ``inner_samples`` draws of the stream ``[seed, i]`` at the i-th measure.  The
-    measures are drawn in blocks of at most ``_MC_CHUNK_ENTRIES // q``; where the
-    evaluator has an enclosure ``bounds`` (plurality, ``most_popular_color``,
-    dictator), a measure whose ``[lo, hi]`` lies inside
-    ``[eps + g, 1 - eps - g]`` is critical and one whose ``[lo, hi]`` lies below
-    ``eps - g`` or above ``1 - eps + g`` is not, with ``g = _SCREEN_GUARD``; only
-    the rest read the law, so each measure is classified as the law classifies
+    ``P[f = a]`` is exact where ``f`` has a table, an exact law or at most
+    ``SMALL_TABLE_SIZE`` points (then tabulated once, before the first measure),
+    else nested Monte Carlo from ``inner_samples`` draws of the stream ``[seed, i]``
+    at the i-th measure.  The measures are drawn in blocks of at most
+    ``_MC_CHUNK_ENTRIES // q``; where the evaluator has an enclosure ``bounds``
+    (plurality, ``most_popular_color``, dictator), a measure whose ``[lo, hi]`` lies
+    inside ``[eps + g, 1 - eps - g]`` is critical and one whose ``[lo, hi]`` lies
+    below ``eps - g`` or above ``1 - eps + g`` is not, with ``g = _SCREEN_GUARD``;
+    only the rest read the law, so each measure is classified as the law classifies
     it.  The report also carries the exact simplex measure of the set where the
     conditional-off-anchor smallest atom falls below the diagnostic cutoff
     ``eta = log((1-eps)/eps) / log n`` (``None`` if n < 2).
@@ -431,7 +436,8 @@ class JuryReport(Report):
     ``1/log n`` from the leader to every other symbol; the original measure
     dominates the perturbed one for the leader, so a monotone rule gives
     ``p_hat >= p_hat_perturbed``.  Each is exact with half-width 0 where ``f``
-    has a table or a law, else a Monte Carlo estimate with its Wald half-width.
+    has a table, a law or at most ``SMALL_TABLE_SIZE`` points, else a Monte Carlo
+    estimate with its Wald half-width.
     """
 
     n: int
@@ -450,7 +456,9 @@ class JuryReport(Report):
 def jury_experiment(
     f: QaryFunction, measure: ProductMeasure, i: int, samples: int, seed: int = 0
 ) -> JuryReport:
-    """``P[f = i]`` for the strict leader ``i``: exact where ``f`` allows, else ``samples`` draws.
+    """``P[f = i]`` for the strict leader ``i``: exact where ``f`` allows (a table, an
+    exact law, or at most ``SMALL_TABLE_SIZE`` points, tabulated once), else
+    ``samples`` draws.
 
     The function is expected to be fair and monotone.  Of the built-in
     families, ``check_fair`` and ``check_monotone`` both pass at small sizes on

@@ -212,8 +212,9 @@ class TestScanPath:
             scan_path(f, 0, ProductMeasure(2, [0.5, 0.5]), grid_size=5)
 
     def test_exact_needs_a_table_or_structured_evaluator(self):
+        # 2**27 points, past the bound up to which a law-less oracle is tabulated
         with pytest.raises(TableSizeError):
-            scan_path(recursive_plurality(2, 3, 2), 0, BASE2, grid_size=5)
+            scan_path(recursive_plurality(2, 3, 3), 0, BASE2, grid_size=5)
 
 
 def majority3_indicator_alphabet():
@@ -531,13 +532,13 @@ class TestEvaluator:
         assert resolved == [("exact:plurality", list(range(20)))] and len(calls) == 20
 
     def test_nested_mc_sweep(self, resolved, mc_calls):
-        f = recursive_plurality(2, 3, 2)
+        f = recursive_plurality(2, 3, 3)
         simplex_sweep(f, 0, 0.1, SimplexSampler(2, seed=3), 10, inner_samples=30)
         assert resolved == [("mc", list(range(10)))]
         assert mc_calls == [[3, i] for i in range(10)]
 
     def test_jury(self, resolved, mc_calls):
-        f, mu = recursive_plurality(2, 3, 2), ProductMeasure(2, [0.7, 0.3])
+        f, mu = recursive_plurality(2, 3, 3), ProductMeasure(2, [0.7, 0.3])
         report = jury_experiment(f, mu, 0, 40, seed=5)
         assert resolved == [("mc", [0, 1])]
         assert mc_calls == [[5, 0], [5, 1]]
@@ -583,7 +584,7 @@ class TestEvaluator:
             (plurality(3, 5), "exact:plurality"),
             (dictator(3, 4), "exact:dictator"),
             (graph_property(4, 3, "most_popular_color"), "exact:graph_property"),
-            (recursive_plurality(2, 3, 2), None),
+            (recursive_plurality(2, 3, 3), None),
         ],
         ids=["table", "plurality", "dictator", "most_popular_color", "recursive_plurality"],
     )
@@ -713,6 +714,141 @@ def test_functions_with_an_exact_evaluator_are_never_sampled(monkeypatch):
     assert jury_experiment(f, mu, 0, 100, seed=2).half_width == 0.0
 
 
+@pytest.fixture
+def tabulated(monkeypatch):
+    """The ``(oracle name, q, n)`` of each ``QaryFunction.tabulate`` call, one entry per call."""
+    calls = []
+    tabulate = core.QaryFunction.tabulate
+
+    def spied(self):
+        calls.append((self.oracle and self.oracle.name, self.q, self.n))
+        return tabulate(self)
+
+    monkeypatch.setattr(core.QaryFunction, "tabulate", spied)
+    return calls
+
+
+def _small_oracles():
+    """Law-less oracles of at most ``SMALL_TABLE_SIZE`` points: tree pluralities at
+    q 2-3, the two law-less graph kinds on 3-5 vertices, antisymmetric majority up
+    to n = 8."""
+    trees = st.builds(
+        recursive_plurality, st.integers(2, 3), st.integers(2, 4), st.integers(1, 4),
+        st.sampled_from(["first_occurrence", "smallest_index"]),
+    )
+    graphs = st.builds(
+        graph_property, st.integers(3, 5), st.integers(2, 4),
+        st.sampled_from(["max_clique_color", "min_independent_set_color"]),
+    )
+    return st.one_of(trees, graphs, st.builds(antisym_majority, st.integers(1, 8))).filter(
+        lambda f: f.q**f.n <= core.SMALL_TABLE_SIZE
+    )
+
+
+class TestSmallOracleTables:
+    """A law-less oracle of at most ``SMALL_TABLE_SIZE`` points resolves to its table;
+    a table or a law still comes first, and a larger law-less oracle still nests."""
+
+    @pytest.mark.parametrize(
+        "f", [antisym_majority(8), recursive_plurality(2, 4, 2)], ids=["antisym", "tree"]
+    )
+    def test_at_the_bound_is_a_table(self, tabulated, f):
+        assert f.q**f.n == core.SMALL_TABLE_SIZE
+        assert core._exact_prob(f, 1).name == "table"
+        assert tabulated == [(f.oracle.name, f.q, f.n)]
+
+    @pytest.mark.parametrize(
+        "f", [antisym_majority(9), graph_property(6, 3, "max_clique_color")],
+        ids=["antisym", "max_clique_color"],
+    )
+    def test_past_the_bound_still_nests(self, tabulated, resolved, mc_calls, f):
+        assert f.q**f.n > core.SMALL_TABLE_SIZE
+        assert core._exact_prob(f, 0) is None
+        simplex_sweep(f, 0, 0.1, SimplexSampler(f.q, seed=6), 3, inner_samples=20)
+        assert resolved == [("mc", [0, 1, 2])] and mc_calls == [[6, i] for i in range(3)]
+        assert tabulated == []
+
+    @pytest.mark.parametrize(
+        "f, name",
+        [
+            (plurality(3, 9), "exact:plurality"),
+            (dictator(4, 5), "exact:dictator"),
+            (graph_property(4, 3, "most_popular_color"), "exact:graph_property"),
+        ],
+        ids=["plurality", "dictator", "most_popular_color"],
+    )
+    def test_a_law_comes_first(self, tabulated, f, name):
+        assert f.q**f.n <= core.SMALL_TABLE_SIZE
+        assert core._exact_prob(f, 0).name == name and tabulated == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=_small_oracles(), data=st.data())
+    def test_prob_is_the_table_mean(self, f, data):
+        # zero atoms included; bit for bit the mean of the tabulated indicator
+        weights = data.draw(
+            st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=f.q,
+                     max_size=f.q).filter(lambda w: sum(w) > 0)
+        )
+        measure = ProductMeasure(f.q, np.array(weights) / sum(weights))
+        a = data.draw(st.integers(0, f.out_q - 1))
+        evaluator = core._exact_prob(f, a)
+        assert evaluator.name == "table"
+        want = core._table_mean(f.tabulate().table == a, measure.atoms)
+        assert evaluator.prob(measure) == want
+        assert prob_value(f, measure, a) == want
+
+    def test_small_oracles_are_never_sampled(self, monkeypatch):
+        # perfbench's monte-carlo sweeps, a tree jury and an exact antisymmetric window
+        monkeypatch.setattr(
+            threshold, "mc_estimate", mock.Mock(side_effect=AssertionError("sampled"))
+        )
+        for f, samples in ((graph_property(5, 3, "max_clique_color"), 50),
+                           (graph_property(4, 2, "min_independent_set_color"), 90)):
+            got = simplex_sweep(f, 1, 0.1, SimplexSampler(f.q, seed=8), samples)
+            want = simplex_sweep(f.tabulate(), 1, 0.1, SimplexSampler(f.q, seed=8), samples)
+            assert _report_bytes(got) == _report_bytes(want)
+        report = jury_experiment(recursive_plurality(2, 3, 2), ProductMeasure(2, [0.7, 0.3]), 0,
+                                 40, seed=5)
+        assert report.half_width == report.half_width_perturbed == 0.0
+        window = threshold_window(scan_path(antisym_majority(3), 1, _point_mass(1)), 0.2)
+        assert window.method == "exact"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f: core._exact_prob(f, 2),
+            lambda f: prob_value(f, ProductMeasure.uniform(2), -1),
+            lambda f: scan_path(f, 2, ProductMeasure(2, [0.5, 0.5]), grid_size=5),
+            lambda f: simplex_sweep(f, 2, 0.1, SimplexSampler(2, seed=1), 5),
+            lambda f: jury_experiment(f, ProductMeasure(2, [0.3, 0.7]), 2, 10),
+        ],
+        ids=["resolver", "prob_value", "scan", "sweep", "jury"],
+    )
+    def test_bad_anchor_fails_before_tabulating(self, tabulated, call):
+        with pytest.raises(DimensionMismatchError):
+            call(recursive_plurality(2, 3, 2))
+        assert tabulated == []
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "f, atoms, a",
+        [
+            (graph_property(5, 3, "max_clique_color"), [0.5, 0.3, 0.2], 0),
+            (graph_property(4, 2, "min_independent_set_color"), [0.35, 0.65], 1),
+            (recursive_plurality(3, 3, 2), [0.2, 0.45, 0.35], 2),
+            (antisym_majority(8), [0.4, 0.6], 1),
+        ],
+        ids=["max_clique_color", "min_independent_set_color", "tree", "antisym"],
+    )
+    def test_mc_agrees_within_five_sigma(self, f, atoms, a):
+        measure = ProductMeasure(f.q, atoms)
+        exact = prob_value(f, measure, a)
+        draws = 20_000
+        est = mc_estimate(f, measure, a, draws, seed=29)
+        assert 0.0 < exact < 1.0
+        assert abs(est.p_hat - exact) <= 5 * math.sqrt(exact * (1.0 - exact) / draws)
+
+
 class TestMCEstimate:
     def test_constant(self):
         f = QaryFunction.from_table(2, 2, [1, 1, 1, 1])
@@ -774,7 +910,7 @@ class TestNegativeSeeds:
         with pytest.raises(DimensionMismatchError, match="seed must be >= 0"):
             threshold._mc_evaluator(recursive_plurality(3, 3, 2), 0, 10, -1)
 
-    @pytest.mark.parametrize("f", [plurality(3, 21), recursive_plurality(3, 3, 2)],
+    @pytest.mark.parametrize("f", [plurality(3, 21), recursive_plurality(3, 3, 3)],
                              ids=["exact", "mc"])
     def test_jury(self, f):
         with pytest.raises(DimensionMismatchError, match="seed must be >= 0"):
@@ -897,7 +1033,7 @@ class TestScreenedSweep:
             (lambda: graph_property(8, 3, "most_popular_color"), 0, None),
             (lambda: dictator(3, 5, 1), 0, None),
             (lambda: plurality(3, 5).tabulate(), 0, None),
-            (lambda: recursive_plurality(2, 3, 2), 0, 30),
+            (lambda: recursive_plurality(2, 3, 3), 0, 30),
         ],
         ids=["p3-311", "p4-63", "p5-83", "p2-111", "p3-45-smallest", "p4-8-smallest",
              "p3-1", "p3-2-smallest", "most_popular_color", "dictator", "table", "nested-mc"],
@@ -984,7 +1120,7 @@ class TestJuryExperiment:
             (_TWO_OUTCOMES, [0.4, 0.4, 0.2], 3, DimensionMismatchError, "leader 3 outside"),
             (_TWO_OUTCOMES, [0.4, 0.2, 0.4], 2, NoStrictLeaderError, "not a strict leader"),
             (_TWO_OUTCOMES, [0.1, 0.1, 0.8], 2, DimensionMismatchError, "symbol 2 outside"),
-            (recursive_plurality(3, 3, 2), [0.5, 0.3, 0.2], 0, DimensionMismatchError,
+            (recursive_plurality(3, 3, 3), [0.5, 0.3, 0.2], 0, DimensionMismatchError,
              "need at least one sample"),
         ],
         ids=["alphabet", "leader-range", "margin-before-symbol", "symbol", "mc-samples"],
