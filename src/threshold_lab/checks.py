@@ -97,16 +97,27 @@ def _cover_violation(table: np.ndarray, q: int, n: int, a: int, binary: bool) ->
     values as ints either way.
     """
     # x is flagged when f(x) is a source value and f(y) a sink value; at
-    # digit a the cover y is x itself, and no value is both
+    # digit a the cover y is x itself, and no value is both, so only the
+    # slabs b != a are read
     source = table == (1 if binary else a)
     sink = table == 0 if binary else ~source
+    others = [b for b in range(q) if b != a]
     for i in range(n):
-        # axis 1 is coordinate i, so the slice at a holds every x's cover y
-        bad = _axis_view(source, q, n, i) & _axis_view(sink, q, n, i)[:, a : a + 1, :]
+        # axis 1 is coordinate i, so the slab at a holds every x's cover y, and
+        # (high digits, rest) is flagged when some slab b != a holds a source there
+        src, covers = _axis_view(source, q, n, i), _axis_view(sink, q, n, i)[:, a]
+        movable = src[:, others[0]]
+        for b in others[1:]:
+            movable = movable | src[:, b]
+        bad = movable & covers
         if bad.any():
+            # the first violation in (high digits, b, rest) order: the first flagged
+            # high digits, then the first (b, rest) among them
+            high = int(bad.argmax()) // bad.shape[1]
+            b, rest = divmod(int((src[high] & covers[high]).argmax()), bad.shape[1])
             stride = q ** (n - 1 - i)
-            x_idx = int(bad.argmax())
-            y_idx = x_idx + (a - x_idx // stride % q) * stride
+            x_idx = (high * q + b) * stride + rest
+            y_idx = x_idx + (a - b) * stride
             pts = points_of(np.array([x_idx, y_idx]), q, n)
             return {
                 "a": int(a),
@@ -120,11 +131,15 @@ def _cover_violation(table: np.ndarray, q: int, n: int, a: int, binary: bool) ->
 
 
 def check_monotone(f: QaryFunction) -> CheckResult:
-    """Pass iff ``f(x) = a`` propagates along every ``x <=_a y``, for all symbols a."""
+    """Pass iff ``f(x) = a`` propagates along every ``x <=_a y``, for all symbols a.
+
+    At q = 2 anchor 0 decides alone: a violation ``f(x) = a != f(y)`` on the cover
+    ``x -> y`` of coordinate i is one for the other anchor on the cover ``y -> x``.
+    """
     f = f.tabulate()
     if f.codomain != "alphabet" or f.out_q != f.q:
         raise InvalidFunctionError("monotonicity needs codomain = input alphabet")
-    for a in range(f.q):
+    for a in range(1 if f.q == 2 else f.q):
         witness = _cover_violation(f.table, f.q, f.n, a, binary=False)
         if witness is not None:
             return CheckResult(False, witness)

@@ -483,12 +483,13 @@ def _check_symbol(f: QaryFunction, a: int) -> None:
 
 
 def _table_mean(table: np.ndarray, atoms: np.ndarray) -> float:
-    """The package's one product-measure mean, ``sum_x table[x] prod_i atoms[x_i]``
-    for a bool or real table over ``[q]**k``, any k >= 0, one coordinate at a
-    time: coordinate 0 is integrated out of ``table`` itself by ``_axis_mean``'s
-    contraction (a bool table is read as is, never copied to floats), then each
-    next one out of the float table left, so no weight table is built and every
-    sum has ``q`` terms.  A one-entry table is its own mean."""
+    """The package's product-measure mean of a real (or bool) table,
+    ``sum_x table[x] prod_i atoms[x_i]`` over ``[q]**k``, any k >= 0, one
+    coordinate at a time: coordinate 0 is integrated out of ``table`` itself by
+    ``_axis_mean``'s contraction (a bool table is read as is, never copied to
+    floats), then each next one out of the float table left, so no weight table
+    is built and every sum has ``q`` terms.  A one-entry table is its own mean.
+    ``P[f = a]`` of a table is read from its :class:`_Histogram` instead."""
     q = len(atoms)
     v = table
     if v.size > 1:
@@ -498,18 +499,142 @@ def _table_mean(table: np.ndarray, atoms: np.ndarray) -> float:
     return float(v[0])
 
 
+def _peak_multinomial(m: int, q: int) -> int:
+    """The most points of ``[q]**m`` that share one composition: the multinomial
+    coefficient of ``m`` split into ``q`` parts as evenly as they go."""
+    base, extra = divmod(m, q)
+    return math.factorial(m) // (
+        math.factorial(base + 1) ** extra * math.factorial(base) ** (q - extra)
+    )
+
+
+def _binomials(rows: int, columns: int) -> np.ndarray:
+    """``C(x, j)`` at ``[x, j]`` for ``x < rows`` and ``j < columns``, by Pascal's rule
+    down each column: ``C(x, j) = sum_{y < x} C(y, j - 1)``."""
+    binom = np.zeros((rows, columns), dtype=np.int64)
+    binom[:, 0] = 1
+    for j in range(1, columns):
+        np.cumsum(binom[:-1, j - 1], out=binom[1:, j])
+    return binom
+
+
+def _unrank(ranks: np.ndarray, m: int, q: int, binom: np.ndarray) -> np.ndarray:
+    """The nondecreasing ``m``-tuples over ``[q]`` of colex rank ``ranks``, one per row.
+
+    The tuple ``s`` is the combination ``t_j = s_j + j`` of rank
+    ``sum_j C(t_j, j + 1)``, so from the last place down ``t_j`` is the largest t
+    with ``C(t, j + 1)`` at most the rank left.
+    """
+    rest = np.array(ranks, dtype=np.int64)
+    symbols = np.empty((len(rest), m), dtype=np.min_scalar_type(q - 1))
+    for j in range(m - 1, -1, -1):
+        t = np.searchsorted(binom[:, j + 1], rest, side="right") - 1
+        rest -= binom[t, j + 1]
+        symbols[:, j] = t - j
+    return symbols
+
+
+class _Histogram:
+    """``P[f = a] = sum_c h(c) prod_b mu_b**c_b`` from the bool table ``hits = (f == a)``
+    over ``[q]**n``: ``h(c)`` counts the hits whose symbol counts are ``c``, so after
+    one build each measure costs one term per composition of ``n`` into ``q`` parts
+    (at most ``C(n + q - 1, q - 1)``: 22 at (2, 21), 78 at (3, 11)), not a pass over
+    the table.
+
+    The counts are exact integers, built as :func:`_table_mean` integrates, one
+    coordinate at a time, but carrying the composition of the coordinates done so
+    far: after k of them, row ``r`` holds, for each setting of the other ``n - k``,
+    the hits whose first k symbols have the composition of colex rank ``r``, the
+    nondecreasing k-tuple ``s`` of rank ``sum_j C(s_j + j, j + 1)``.  Each level is
+    in the narrowest unsigned dtype that holds its largest multinomial, and the
+    first is ``hits`` itself.  A composition is kept as its ``n`` sorted symbols,
+    never as ``q`` counts, and only where ``h > 0``: ``symbols[i]`` has ``counts[i]``
+    hits.
+
+    Called on an ``(M, q)`` atoms block, it returns ``P[f = a]`` at each row from
+    ``min(n, q)`` factors per composition: ``mu_b**c_b`` for each symbol b when
+    ``q <= n``, read from a table of atom powers in which ``pow(0, 0) = 1`` (so a
+    zero atom drops out where its count is 0 and zeroes the term where it is not),
+    else each sorted symbol's atom.  Rows go in blocks whose float work arrays hold
+    no more entries than the table, and each row's terms are summed alone, so a
+    row's value does not depend on the rows around it.
+    """
+
+    def __init__(self, hits: np.ndarray, q: int, n: int):
+        binom = _binomials(q + n, n + 1) if n > 1 else None
+        counts = hits.reshape(q, -1)  # the colex rank of a one-tuple is its symbol
+        for k in range(1, n):
+            counts = self._next_level(counts, k, q, binom)
+        ranks = np.flatnonzero(counts[:, 0])
+        self.counts = counts[ranks, 0]
+        self.symbols = _unrank(ranks, n, q, binom) if n > 1 else ranks[:, None]
+        if q <= n:
+            self._exponents = np.arange(n + 1)
+            self._factors = [b * (n + 1) + (self.symbols == b).sum(axis=1) for b in range(q)]
+        else:
+            self._exponents = None
+            self._factors = list(self.symbols.T.astype(np.intp))
+        self._weights = self.counts.astype(float)
+        self._rows = max(1, q**n // (len(self.counts) + q * (n + 1)))
+
+    @staticmethod
+    def _next_level(counts: np.ndarray, k: int, q: int, binom: np.ndarray) -> np.ndarray:
+        """Level ``k + 1`` from level ``k``: a row's hits with symbol b at coordinate k
+        move to ``c + e_b``, whose tuple has b inserted after the ``p`` symbols of c
+        that are ``<= b``; its rank is the terms of those p symbols, b's term at
+        place p, and the terms of the others one place later.  For one b, distinct
+        c give distinct ``c + e_b``, so each symbol's slab adds in with one
+        fancy-indexed sum."""
+        symbols = _unrank(np.arange(len(counts)), k, q, binom)
+        j = np.arange(k)
+        before = np.zeros((len(symbols), k + 1), dtype=np.int64)
+        np.cumsum(binom[symbols + j, j + 1], axis=1, out=before[:, 1:])
+        after = np.zeros_like(before)
+        after[:, :k] = np.cumsum(binom[symbols + j + 1, j + 2][:, ::-1], axis=1)[:, ::-1]
+        before, after = before.ravel(), after.ravel()
+        row = np.arange(len(symbols)) * (k + 1)
+        view = counts.reshape(len(counts), q, -1)
+        dtype = np.min_scalar_type(_peak_multinomial(k + 1, q))
+        level = np.zeros((binom[q + k, k + 1], view.shape[2]), dtype=dtype)
+        for b in range(q):
+            p = (symbols <= b).sum(axis=1)
+            level[before[row + p] + binom[b + p, p + 1] + after[row + p]] += view[:, b]
+        return level
+
+    def __call__(self, atoms: np.ndarray) -> np.ndarray:
+        values = np.empty(len(atoms))
+        for start in range(0, len(atoms), self._rows):
+            block = atoms[start : start + self._rows]
+            powers = block
+            if self._exponents is not None:
+                powers = (block[:, :, None] ** self._exponents).reshape(len(block), -1)
+            terms = powers[:, self._factors[0]] * self._weights
+            for factor in self._factors[1:]:
+                terms *= powers[:, factor]
+            # pairwise, by halving the columns: elementwise adds only, so the
+            # order of a row's sum does not depend on the block's shape
+            width = terms.shape[1]
+            while width > 1:
+                half = width // 2
+                terms[:, :half] += terms[:, width - half : width]
+                width -= half
+            values[start : start + len(block)] = terms[:, 0] if width else 0.0
+        return values
+
+
 @dataclasses.dataclass(frozen=True)
 class Evaluator:
     """``P[f = a]`` at a measure, ``prob(measure, stream)``, by a named method:
-    ``table`` (the mean of the dense table, or of the table :func:`_exact_prob`
-    makes of an oracle with no law and at most :data:`SMALL_TABLE_SIZE` points),
-    ``exact:<oracle name>`` (the oracle's ``exact_prob``), both ignoring
-    ``stream``, or ``mc`` (``samples`` draws of the stream ``[seed, stream]``).
-    :meth:`along` reads the same values along a path,
+    ``histogram`` (the :class:`_Histogram` of the dense table, or of the table
+    :func:`_exact_prob` makes of an oracle with no law and at most
+    :data:`SMALL_TABLE_SIZE` points), ``exact:<oracle name>`` (the oracle's
+    ``exact_prob``), both ignoring ``stream``, or ``mc`` (``samples`` draws of the
+    stream ``[seed, stream]``).  :meth:`along` reads the same values along a path,
     through ``path_law(path)`` where the method has one (the oracle's
     ``path_law``).  ``bounds(atoms)``, where the method has one (the oracle's
-    ``prob_bounds``; never ``table`` or ``mc``), encloses ``P[f = a]`` at every
-    row of an ``(M, q)`` atoms array at once, as arrays ``(lo, hi)``."""
+    ``prob_bounds``; the histogram's own value as both ends; never ``mc``),
+    encloses ``P[f = a]`` at every row of an ``(M, q)`` atoms array at once, as
+    arrays ``(lo, hi)``."""
 
     name: str
     prob: Callable[..., float] = dataclasses.field(repr=False)
@@ -532,18 +657,21 @@ class Evaluator:
 
 
 def _exact_prob(f: QaryFunction, a: int) -> Evaluator | None:
-    """The exact evaluator of ``P[f = a]``, resolved in this order: the dense table;
-    else the oracle's ``exact_prob`` (with its ``path_law`` and ``prob_bounds``, if
-    any); else, for an oracle of at most :data:`SMALL_TABLE_SIZE` points, its table,
+    """The exact evaluator of ``P[f = a]``, resolved in this order: the dense table,
+    read through the :class:`_Histogram` of ``f == a`` built here once; else the
+    oracle's ``exact_prob`` (with its ``path_law`` and ``prob_bounds``, if any);
+    else, for an oracle of at most :data:`SMALL_TABLE_SIZE` points, its table,
     tabulated here and read as the first case reads a table; else ``None`` (Monte
-    Carlo only).  Checks ``a`` before any tabulation; the evaluator trusts
-    ``measure.q == f.q``."""
+    Carlo only).  The histogram's ``bounds`` are its exact value at each row, so
+    a sweep decides every measure of a table in one call.  Checks ``a`` before any
+    tabulation; the evaluator trusts ``measure.q == f.q``."""
     _check_symbol(f, a)
     if f.table is None and f.oracle.exact_prob is None and f.q**f.n <= SMALL_TABLE_SIZE:
         f = f.tabulate()
     if f.table is not None:
-        hits = f.table == a
-        return Evaluator("table", lambda measure, stream=None: _table_mean(hits, measure.atoms))
+        law = _Histogram(f.table == a, f.q, f.n)
+        prob = lambda measure, stream=None: float(law(measure.atoms[None])[0])
+        return Evaluator("histogram", prob, bounds=lambda atoms: (law(atoms),) * 2)
     oracle = f.oracle
     if oracle.exact_prob is not None:
         prob = lambda measure, stream=None: float(oracle.exact_prob(measure, a))
@@ -556,9 +684,11 @@ def _exact_prob(f: QaryFunction, a: int) -> Evaluator | None:
 def prob_value(f: QaryFunction, measure: ProductMeasure, a: int) -> float:
     """``P[f = a]`` under the product measure, exact.
 
-    The evaluator is :func:`_exact_prob`'s: a dense table, else the oracle's
-    exact law, else the table of an oracle of at most :data:`SMALL_TABLE_SIZE`
-    points.  A larger oracle without a law must go through Monte Carlo.
+    The evaluator is :func:`_exact_prob`'s: the composition histogram of a dense
+    table, else the oracle's exact law, else the histogram of the table of an
+    oracle of at most :data:`SMALL_TABLE_SIZE` points.  A larger oracle without a
+    law must go through Monte Carlo.  Each call builds the evaluator anew; a
+    caller reading many measures builds it once with :func:`_exact_prob`.
     """
     _check_compatible(f, measure)
     evaluator = _exact_prob(f, a)

@@ -240,7 +240,9 @@ def scan_path(
     Exact mode reads :func:`_exact_prob`'s evaluator: a dense table, an exact
     law, or the table of an oracle of at most ``SMALL_TABLE_SIZE`` points,
     tabulated when the curve is built; a larger oracle without a law raises
-    :class:`TableSizeError`.  A plurality or ``most_popular_color`` curve reads
+    :class:`TableSizeError`.  A table's composition histogram is built with the
+    curve, so each node costs one term per composition, not a pass over the
+    table.  A plurality or ``most_popular_color`` curve reads
     its path law, n + 1 conditional probabilities built on the curve's first
     read.  Monte Carlo mode draws ``samples`` points at a node, from the stream
     ``(seed, node index)``.  Either evaluates a node only when the curve reads it:
@@ -381,7 +383,8 @@ def simplex_sweep(
     else nested Monte Carlo from ``inner_samples`` draws of the stream ``[seed, i]``
     at the i-th measure.  The measures are drawn in blocks of at most
     ``_MC_CHUNK_ENTRIES // q``; where the evaluator has an enclosure ``bounds``
-    (plurality, ``most_popular_color``, dictator), a measure whose ``[lo, hi]`` lies
+    (plurality, ``most_popular_color``, dictator, and a table, whose enclosure is
+    its histogram's exact value at each row), a measure whose ``[lo, hi]`` lies
     inside ``[eps + g, 1 - eps - g]`` is critical and one whose ``[lo, hi]`` lies
     below ``eps - g`` or above ``1 - eps + g`` is not, with ``g = _SCREEN_GUARD``;
     only the rest read the law, so each measure is classified as the law classifies

@@ -46,6 +46,16 @@ def enum_prob(f: QaryFunction, measure: ProductMeasure, a: int) -> float:
     return math.fsum(point_prob(x, measure) for x in points(f.q, f.n) if f(x) == a)
 
 
+def enum_histogram(table: np.ndarray, q: int, n: int, a: int) -> dict:
+    """``{sorted symbols of x: count}`` over the points x with ``table[x] == a``."""
+    counts: dict = {}
+    for x, value in zip(points(q, n), table):
+        if value == a:
+            key = tuple(sorted(x))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def enum_compositions(n: int, q: int) -> np.ndarray:
     """All count vectors of ``n`` items over ``q`` symbols, as an (M, q) array."""
     out = []
@@ -114,6 +124,32 @@ def enum_cover_violation(table: np.ndarray, q: int, n: int, a: int, binary: bool
                     "f_x": f_x.item(),
                     "f_y": f_y.item(),
                 }
+    return None
+
+
+def full_slab_cover_violation(
+    table: np.ndarray, q: int, n: int, a: int, binary: bool
+) -> dict | None:
+    """The library's former cover check: at each coordinate the whole
+    ``(q**i, q, rest)`` source view, the dead slab at digit ``a`` included, ANDed
+    with the covers' slab, and the first flagged entry taken as the witness."""
+    source = table == (1 if binary else a)
+    sink = table == 0 if binary else ~source
+    for i in range(n):
+        bad = _axis_view(source, q, n, i) & _axis_view(sink, q, n, i)[:, a : a + 1, :]
+        if bad.any():
+            stride = q ** (n - 1 - i)
+            x_idx = int(bad.argmax())
+            y_idx = x_idx + (a - x_idx // stride % q) * stride
+            pts = np.stack(np.unravel_index([x_idx, y_idx], (q,) * n), axis=1)
+            return {
+                "a": int(a),
+                "coord": int(i),
+                "x": pts[0].tolist(),
+                "y": pts[1].tolist(),
+                "f_x": int(table[x_idx]),
+                "f_y": int(table[y_idx]),
+            }
     return None
 
 

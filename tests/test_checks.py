@@ -28,7 +28,12 @@ from threshold_lab.cli import main
 from threshold_lab.core import _swap_and_cycle, index_of
 from threshold_lab.families import vertex_action_generators
 
-from oracles import brute_monotone, enum_cover_violation, ix_relabel
+from oracles import (
+    brute_monotone,
+    enum_cover_violation,
+    full_slab_cover_violation,
+    ix_relabel,
+)
 
 
 def reverify_monotone_witness(f, witness):
@@ -106,6 +111,32 @@ class TestCheckMonotone:
             assert _cover_violation(indicator, q, n, a, True) == enum_cover_violation(
                 indicator, q, n, a, True
             )
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 7), st.integers(0, 2**31), st.booleans())
+    def test_slabs_off_the_anchor_equal_the_full_view(self, q, n, seed, from_plurality):
+        # verdicts and witnesses of both predicates as the whole-view AND gave them,
+        # and check_monotone's as its loop over every anchor gave them
+        rng = np.random.default_rng(seed)
+        if from_plurality:
+            table = plurality(q, n).tabulate().table.copy()
+            flips = rng.integers(q**n, size=int(rng.integers(0, 3)))
+            table[flips] = (table[flips] + rng.integers(1, q, size=len(flips))) % q
+        else:
+            table = rng.integers(0, q, size=q**n)
+        witnesses = []
+        for a in range(q):
+            witness = full_slab_cover_violation(table, q, n, a, False)
+            assert _cover_violation(table, q, n, a, False) == witness
+            witnesses.append(witness)
+            indicator = (table == a).astype(np.int64)
+            assert _cover_violation(indicator, q, n, a, True) == full_slab_cover_violation(
+                indicator, q, n, a, True
+            )
+        first = next((w for w in witnesses if w is not None), None)
+        result = check_monotone(QaryFunction.from_table(q, n, table))
+        assert (result.passed, result.witness) == (first is None, first)
 
 
 class TestCheckZeroMonotone:

@@ -38,6 +38,7 @@ from threshold_lab.decomposition import _delta, _noise, delta_i, efron_stein, no
 
 from oracles import (
     enum_expectation,
+    enum_histogram,
     enum_prob,
     ix_relabel,
     points,
@@ -265,9 +266,9 @@ class TestExpectation:
             # P[plurality = 1], as in TestProbValue's test at this size
             want = sum(math.comb(20, k) * p1**k * p0 ** (20 - k) for k in range(11, 21))
             want += math.comb(19, 9) * p1**10 * p0**10
+            # the indicator's mean by contraction, P[f = 1] by composition histogram
             assert abs(expectation(g, mu) - float(want)) <= 2e-15
-            # one contraction serves both, so the indicator's mean is P[f = 1] exactly
-            assert expectation(g, mu) == prob_value(f, mu, 1)
+            assert abs(prob_value(f, mu, 1) - float(want)) <= 2e-15
 
     def test_real_table_against_a_fraction_sum(self, rng):
         q, n = 3, 8
@@ -329,7 +330,10 @@ class TestProbValue:
         if k:
             mu = ProductMeasure(q, atoms)
             f = QaryFunction.from_table(q, k, table, codomain="real" if real else "alphabet")
-            assert (expectation(f, mu) if real else prob_value(f, mu, 1)) == got
+            if real:
+                assert expectation(f, mu) == got
+            else:  # P[f = 1] comes from the composition histogram, not the contraction
+                assert abs(prob_value(f, mu, 1) - want) <= 1e-14
             # a [q]-valued table, every symbol against the enumeration
             f = QaryFunction.from_table(q, k, rng.integers(0, q, q**k))
             a = int(rng.integers(q))
@@ -357,6 +361,102 @@ class TestProbValue:
         f = QaryFunction.from_table(2, 1, [0, 1])
         with pytest.raises(DimensionMismatchError):
             prob_value(f, ProductMeasure.uniform(3), 0)
+
+
+def _histogram_measures(q):
+    """Atoms on ``[q]`` with zero atoms and point masses among them."""
+    weights = st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=q, max_size=q)
+    return weights.filter(lambda w: sum(w) > 0).map(lambda w: np.array(w) / sum(w))
+
+
+class TestHistogram:
+    """``P[f = a]`` of a table from its composition histogram ``h_a``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 8), st.integers(0, 2**32 - 1), st.data())
+    def test_matches_the_contraction(self, q, n, seed, data):
+        rng = np.random.default_rng(seed)
+        table = rng.integers(0, q, q**n)
+        rows = data.draw(st.lists(_histogram_measures(q), min_size=1, max_size=4))
+        point_mass = np.eye(q)[rng.integers(q)]
+        atoms = np.array(rows + [point_mass])
+        for a in range(q):
+            law = core._Histogram(table == a, q, n)
+            want = [core._table_mean(table == a, row) for row in atoms]
+            assert np.abs(law(atoms) - want).max() <= 4e-15
+
+    @pytest.mark.parametrize("q, n", [(2, 9), (3, 6), (4, 4), (5, 3), (3, 1)])
+    def test_counts_are_the_hits_per_composition(self, rng, q, n):
+        table = rng.integers(0, q, q**n)
+        for a in range(q):
+            law = core._Histogram(table == a, q, n)
+            got = {tuple(s): int(c) for s, c in zip(law.symbols.tolist(), law.counts)}
+            assert got == enum_histogram(table, q, n, a)
+            assert int(law.counts.sum()) == int((table == a).sum())
+
+    @pytest.mark.parametrize(
+        "atoms",
+        [[0.5, 0.25, 0.25], [0.125, 0.375, 0.5], [0.0, 0.75, 0.25], [0.2, 0.3, 0.5],
+         [0.0, 0.4, 0.6], [1 / 3, 1 / 3, 1 / 3]],
+    )
+    def test_rational_measure_against_fractions(self, atoms):
+        # dyadic atoms make every power, product and partial sum exact; other
+        # rationals are read as their float's exact value and may end 1 ulp away
+        from threshold_lab import plurality
+
+        q, n = 3, 7
+        table = plurality(q, n).tabulate().table
+        exact = [Fraction(x) for x in atoms]
+        dyadic = all(x.denominator <= 8 for x in exact)
+        for a in range(q):
+            want = sum(
+                math.prod(exact[v] for v in x)
+                for x, value in zip(itertools.product(range(q), repeat=n), table)
+                if value == a
+            )
+            got = core._Histogram(table == a, q, n)(np.array([atoms]))[0]
+            assert abs(Fraction(got) - want) <= (1e-16 if dyadic else 2 * math.ulp(got))
+
+    @pytest.mark.parametrize("q, n", [(32, 4), (1024, 2)])
+    def test_large_alphabets(self, rng, q, n):
+        # mixed-radix codes of q counts in base n + 1 overflow int64 here
+        table = rng.integers(0, q, q**n)
+        atoms = np.vstack([rng.dirichlet(np.ones(q), size=3), np.eye(q)[:1]])
+        atoms[0, rng.integers(q)] = 0.0
+        atoms[0] /= atoms[0].sum()
+        sorted_points = np.sort(all_points(q, n), axis=1)
+        for a in (0, q - 1):
+            law = core._Histogram(table == a, q, n)
+            assert law.symbols.shape == (len(law.counts), n)
+            want, counts = np.unique(sorted_points[table == a], axis=0, return_counts=True)
+            order = np.lexsort(law.symbols.T[::-1])
+            assert np.array_equal(law.symbols[order], want)
+            assert np.array_equal(law.counts[order], counts)
+            want = [core._table_mean(table == a, row) for row in atoms]
+            assert np.abs(law(atoms) - want).max() <= 4e-15
+
+    def test_build_holds_one_int32_table_beside_the_hits(self):
+        from threshold_lab import plurality
+
+        q, n = 2, 18
+        hits = plurality(q, n).tabulate().table == 1
+        tracemalloc.start()
+        try:
+            law = core._Histogram(hits, q, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert int(law.counts.sum()) == int(hits.sum())
+        assert peak <= 4 * q**n
+
+    def test_rows_do_not_depend_on_their_block(self, monkeypatch):
+        # three-row blocks give each row the value it has alone
+        from threshold_lab import plurality
+
+        atoms = SimplexSampler(3, seed=2).draw(10)
+        law = core._Histogram(plurality(3, 6).tabulate().table == 0, 3, 6)
+        monkeypatch.setattr(law, "_rows", 3)
+        assert law(atoms).tolist() == [law(row[None])[0] for row in atoms]
 
 
 class TestConditionalExpectation:

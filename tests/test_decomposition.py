@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -291,12 +292,18 @@ class TestLpNorm:
             lp_norm(g, UNIFORM2, 0.5)
 
     def test_indicator_l1_is_the_table_probability(self):
-        # both are one contraction of the same {0,1} values, so they agree to the bit
+        # the L1 norm contracts the indicator, prob_value reads the composition
+        # histogram: each is checked against the exact sum
         f = plurality(2, 20).tabulate()
         for p in (0.3, 0.45, 0.5, 0.55, 0.7):
             mu = ProductMeasure(2, [1.0 - p, p])
-            for a in (0, 1):
-                assert lp_norm(f.indicator(a), mu, 1.0) == prob_value(f, mu, a)
+            p0, p1 = (Fraction(float(x)) for x in mu.atoms)
+            # more ones than zeros, or a 10-10 tie with a one at coordinate 0
+            ones = sum(math.comb(20, k) * p1**k * p0 ** (20 - k) for k in range(11, 21))
+            ones += math.comb(19, 9) * p1**10 * p0**10
+            for a, want in ((0, (p0 + p1) ** 20 - ones), (1, ones)):
+                assert abs(lp_norm(f.indicator(a), mu, 1.0) - float(want)) <= 2e-15
+                assert abs(prob_value(f, mu, a) - float(want)) <= 2e-15
 
 
 @pytest.mark.parametrize(

@@ -557,7 +557,7 @@ class TestEvaluator:
             (lambda tmp: dictator(3, 1000, 7), [0.8, 0.15, 0.05], "exact:dictator"),
             (lambda tmp: graph_property(8, 3, "most_popular_color"), [0.8, 0.1, 0.1],
              "exact:graph_property"),
-            (lambda tmp: _table_file(plurality(2, 9), tmp), [0.8, 0.2], "table"),
+            (lambda tmp: _table_file(plurality(2, 9), tmp), [0.8, 0.2], "histogram"),
         ],
         ids=["plurality", "dictator", "most_popular_color", "table-file"],
     )
@@ -580,7 +580,7 @@ class TestEvaluator:
     @pytest.mark.parametrize(
         "f, name",
         [
-            (plurality(3, 3).tabulate(), "table"),
+            (plurality(3, 3).tabulate(), "histogram"),
             (plurality(3, 5), "exact:plurality"),
             (dictator(3, 4), "exact:dictator"),
             (graph_property(4, 3, "most_popular_color"), "exact:graph_property"),
@@ -686,12 +686,36 @@ class TestAlong:
         threshold_window(mc, 0.2)
         threshold_window(table, 0.2)
         mc.values, table.values
-        assert along_calls == ["mc", "table"]
+        assert along_calls == ["mc", "histogram"]
         assert sorted(stream[1] for stream in mc_calls) == list(range(5))
         tab = plurality(2, 9).tabulate()
         assert table.values.tolist() == [
             prob_value(tab, table.path.measure_at(t), 0) for t in table.grid
         ]
+
+
+def test_table_scan_builds_one_histogram(monkeypatch):
+    # an 11-node scan of a table reads one histogram at every node, no contraction
+    builds, contractions = [], []
+    build = core._Histogram.__init__
+
+    def counted_build(self, hits, q, n):
+        builds.append((q, n))
+        build(self, hits, q, n)
+
+    def counted_mean(table, atoms):
+        contractions.append(len(table))
+        return mean(table, atoms)
+
+    mean = core._table_mean
+    monkeypatch.setattr(core._Histogram, "__init__", counted_build)
+    monkeypatch.setattr(core, "_table_mean", counted_mean)
+    monkeypatch.setattr(threshold, "_table_mean", counted_mean)
+    f = plurality(2, 15).tabulate()
+    curve = scan_path(f, 0, BASE2, grid_size=11)
+    threshold_window(curve, 0.1)
+    assert len(curve.values) == 11
+    assert builds == [(2, 15)] and contractions == []
 
 
 def _table_file(f, tmp_path):
@@ -754,7 +778,7 @@ class TestSmallOracleTables:
     )
     def test_at_the_bound_is_a_table(self, tabulated, f):
         assert f.q**f.n == core.SMALL_TABLE_SIZE
-        assert core._exact_prob(f, 1).name == "table"
+        assert core._exact_prob(f, 1).name == "histogram"
         assert tabulated == [(f.oracle.name, f.q, f.n)]
 
     @pytest.mark.parametrize(
@@ -784,7 +808,7 @@ class TestSmallOracleTables:
     @settings(max_examples=60, deadline=None)
     @given(f=_small_oracles(), data=st.data())
     def test_prob_is_the_table_mean(self, f, data):
-        # zero atoms included; bit for bit the mean of the tabulated indicator
+        # zero atoms included; against the fsum of the hits' point probabilities
         weights = data.draw(
             st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=f.q,
                      max_size=f.q).filter(lambda w: sum(w) > 0)
@@ -792,10 +816,11 @@ class TestSmallOracleTables:
         measure = ProductMeasure(f.q, np.array(weights) / sum(weights))
         a = data.draw(st.integers(0, f.out_q - 1))
         evaluator = core._exact_prob(f, a)
-        assert evaluator.name == "table"
-        want = core._table_mean(f.tabulate().table == a, measure.atoms)
-        assert evaluator.prob(measure) == want
-        assert prob_value(f, measure, a) == want
+        assert evaluator.name == "histogram"
+        hits = np.flatnonzero(f.tabulate().table == a)
+        want = math.fsum(np.prod(measure.atoms[core.points_of(hits, f.q, f.n)], axis=1))
+        assert abs(evaluator.prob(measure) - want) <= 4e-15
+        assert prob_value(f, measure, a) == evaluator.prob(measure)
 
     def test_small_oracles_are_never_sampled(self, monkeypatch):
         # perfbench's monte-carlo sweeps, a tree jury and an exact antisymmetric window
@@ -1057,6 +1082,17 @@ class TestScreenedSweep:
         got = simplex_sweep(f, 0, eps, SimplexSampler(3, seed=9), 25)
         [(_, streams)] = resolved
         assert streams == _undecided(f, 0, eps, SimplexSampler(3, seed=9).draw(25))
+        want = sweep_by_measure(f, 0, eps, SimplexSampler(3, seed=9), 25)
+        assert _report_bytes(got) == _report_bytes(want)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.2])
+    def test_table_blocks_cross_their_boundary(self, monkeypatch, resolved, eps):
+        # blocks of 2 rows, 25 samples ending on a block of 1; a histogram's value is
+        # its own enclosure, and no row here lies within the guard of either level
+        monkeypatch.setattr(threshold, "_MC_CHUNK_ENTRIES", 7)
+        f = plurality(3, 6).tabulate()
+        got = simplex_sweep(f, 0, eps, SimplexSampler(3, seed=9), 25)
+        assert resolved == [("histogram", [])]
         want = sweep_by_measure(f, 0, eps, SimplexSampler(3, seed=9), 25)
         assert _report_bytes(got) == _report_bytes(want)
 
