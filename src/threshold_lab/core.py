@@ -18,6 +18,7 @@ generators :func:`_swap_and_cycle` and the :class:`Report` base of ``as_dict``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from typing import Callable, Iterable, Sequence
@@ -423,6 +424,14 @@ class QaryFunction:
             values[b * block : (b + 1) * block] = self.batch(points)
         return dataclasses.replace(self, table=_frozen(values), oracle=None)
 
+    @functools.cached_property
+    def _kept_table(self) -> "QaryFunction":
+        """:meth:`tabulate`, made on the first read and kept on this function:
+        :func:`_exact_prob` reads it for an oracle of at most
+        :data:`SMALL_TABLE_SIZE` points and no law, so such a function is
+        tabulated once however many exact evaluators are built on it."""
+        return self.tabulate()
+
     def as_real(self) -> "QaryFunction":
         """Reinterpret alphabet values as real numbers: the tabulated integer
         table, cast to float once by ``__post_init__``; a real function as is."""
@@ -661,13 +670,14 @@ def _exact_prob(f: QaryFunction, a: int) -> Evaluator | None:
     read through the :class:`_Histogram` of ``f == a`` built here once; else the
     oracle's ``exact_prob`` (with its ``path_law`` and ``prob_bounds``, if any);
     else, for an oracle of at most :data:`SMALL_TABLE_SIZE` points, its table,
-    tabulated here and read as the first case reads a table; else ``None`` (Monte
+    tabulated on the first call and kept on ``f`` (:attr:`QaryFunction._kept_table`),
+    and read as the first case reads a table; else ``None`` (Monte
     Carlo only).  The histogram's ``bounds`` are its exact value at each row, so
     a sweep decides every measure of a table in one call.  Checks ``a`` before any
     tabulation; the evaluator trusts ``measure.q == f.q``."""
     _check_symbol(f, a)
     if f.table is None and f.oracle.exact_prob is None and f.q**f.n <= SMALL_TABLE_SIZE:
-        f = f.tabulate()
+        f = f._kept_table
     if f.table is not None:
         law = _Histogram(f.table == a, f.q, f.n)
         prob = lambda measure, stream=None: float(law(measure.atoms[None])[0])
@@ -686,9 +696,10 @@ def prob_value(f: QaryFunction, measure: ProductMeasure, a: int) -> float:
 
     The evaluator is :func:`_exact_prob`'s: the composition histogram of a dense
     table, else the oracle's exact law, else the histogram of the table of an
-    oracle of at most :data:`SMALL_TABLE_SIZE` points.  A larger oracle without a
-    law must go through Monte Carlo.  Each call builds the evaluator anew; a
-    caller reading many measures builds it once with :func:`_exact_prob`.
+    oracle of at most :data:`SMALL_TABLE_SIZE` points, tabulated on the first
+    call and kept on ``f``.  A larger oracle without a law must go through Monte
+    Carlo.  Each call builds the evaluator anew; a caller reading many measures
+    builds it once with :func:`_exact_prob`.
     """
     _check_compatible(f, measure)
     evaluator = _exact_prob(f, a)

@@ -40,47 +40,90 @@ def _check_tie_break(tie_break: str) -> None:
 
 
 # gates up to this width count their inputs one column at a time, wider ones
-# each symbol in one reduction.  The two cross near 9-10 on 2000-row uint8
-# flat rows, 13-15 on 10000-row ones, 12 on int64 tree levels and 17-19 on
-# uint8 tree levels; on tabulate's one-byte blocks the column count leads by
-# at most 17% at every width up to 24.  12 bounds the worst loss either way.
-_COLUMN_COUNT_MAX_ARITY = 12
+# in one reduction per symbol (at q = 2, one sum).  Timed on one-byte points
+# (2-core x86-64), the two cross near 10 on 2000-row flat rows at q >= 3 and
+# near 22 at q = 2, near 20-32 on 10000-row flat rows and on 2000-row tree
+# levels, and stay within 12% of each other at every width up to 128 on
+# tabulate's column-major blocks.  20 keeps the worst measured loss either way
+# under 1.7x.
+_COLUMN_COUNT_MAX_ARITY = 20
 
 
 def _gate_winners(Y: np.ndarray, q: int, arity: int, tie_break: str) -> np.ndarray:
-    """The int64 winner of each ``arity``-wide gate of each row of ``Y``: gate
-    g of row r reads ``Y[r, g*arity:(g+1)*arity]``.
+    """The winner of each ``arity``-wide gate of each row of ``Y``, in the
+    narrowest unsigned dtype that holds ``q - 1``: gate g of row r reads
+    ``Y[r, g*arity:(g+1)*arity]``.
 
-    Under ``smallest_index`` only a strictly larger count moves the winner, so
-    a tie keeps the smallest symbol.  Under ``first_occurrence`` the first
-    input column holding a tied top symbol wins.
+    Each gate is counted once.  At q = 2 the count of ones is the plain sum of
+    the inputs, and the winner is ``ones > arity // 2``: a tie at even arity
+    goes to 0.  Under ``first_occurrence`` the first input is counted twice, so
+    a tie goes to it; both symbols tie, so it holds a top symbol.  At q >= 3
+    only symbols 1..q-1 are counted, and symbol 0's count is ``arity`` minus
+    their sum.  Under ``smallest_index`` only a strictly larger count moves the
+    winner, so a tie keeps the smallest symbol.  Under ``first_occurrence`` a
+    tied gate takes its first input whose symbol is at the top count.  Each
+    gate marks its top symbols as bits of one unsigned word up to q = 64, so
+    an input reads its bit with one shift; past 64 symbols the words stack and
+    each input first gathers its word.
     """
     counter = np.min_scalar_type(arity)
-    # the j-th input of every gate is the strided slice Y[:, j::arity]
-    if arity <= _COLUMN_COUNT_MAX_ARITY:
-        counts = np.zeros((q, Y.shape[0], Y.shape[1] // arity), dtype=counter)
-        for v in range(q):
-            for j in range(arity):
-                counts[v] += Y[:, j::arity] == v
-    else:
-        gates = Y.reshape(Y.shape[0], -1, arity)
-        counts = np.stack([np.add.reduce(gates == v, axis=2, dtype=counter) for v in range(q)])
-    top = counts[0]
-    winners = np.zeros(top.shape, dtype=np.int64)
+    rows, n_gates = Y.shape[0], Y.shape[1] // arity
+    wide = arity > _COLUMN_COUNT_MAX_ARITY
+    gates = Y.reshape(rows, n_gates, arity) if wide else None
+
+    def tally(v=None):
+        # per gate, the sum of the inputs (v None) or the count of symbol v
+        if wide:
+            return np.add.reduce(gates if v is None else gates == v, axis=2, dtype=counter)
+        total = np.zeros((rows, n_gates), dtype=counter)
+        for j in range(arity):
+            x = Y[:, j::arity]  # the j-th input of every gate
+            np.add(total, x if v is None else x == v, out=total, casting="unsafe")
+        return total
+
+    if q == 2:
+        ones = tally()
+        if tie_break == "first_occurrence" and arity % 2 == 0:
+            # an even arity is below the counter's (odd) maximum, so arity + 1 fits
+            np.add(ones, Y[:, ::arity], out=ones, casting="unsafe")
+        return (ones > arity // 2).view(np.uint8)
+    symbol = np.min_scalar_type(q - 1)
+    counts = [tally(v) for v in range(1, q)]
+    counts.insert(0, arity - sum(counts))
+    top = counts[0].copy()
+    winners = np.zeros((rows, n_gates), dtype=symbol)
     for v in range(1, q):
-        np.copyto(winners, v, where=counts[v] > top)
-        top = np.maximum(top, counts[v])
+        # every winner so far is below v, so the max moves it to v exactly
+        # where v's count beats every smaller symbol's
+        np.maximum(winners, (counts[v] > top) * symbol.type(v), out=winners)
+        np.maximum(top, counts[v], out=top)
     if tie_break == "smallest_index":
         return winners
-    at_top = counts == top
-    unresolved = at_top.sum(axis=0, dtype=counter) > 1
+    # a gate's top symbols as bits: bit v % width of word v // width is set
+    # where v's count is the top count
+    word = np.min_scalar_type((1 << min(q, 64)) - 1)
+    width = 8 * word.itemsize
+    masks = np.zeros((-(-q // width), rows, n_gates), dtype=word)
+    # at most arity symbols reach the top count, so the counter holds the ties
+    tied = np.zeros((rows, n_gates), dtype=counter)
+    for v, count in enumerate(counts):
+        at_top = count == top
+        tied += at_top
+        masks[v // width] |= at_top * word.type(1 << v % width)
+    pending = (tied > 1).astype(word)
+    # a tied gate's winner is rebuilt as the sum of its one first top input
+    winners *= pending == 0
     for j in range(arity):
-        if not unresolved.any():
+        if not pending.any():
             break
-        column = Y[:, j::arity]
-        first = np.take_along_axis(at_top, column[None], axis=0)[0] & unresolved
-        np.copyto(winners, column, where=first)
-        unresolved &= ~first
+        x = Y[:, j::arity].astype(word, copy=False)  # the j-th input of every gate
+        if len(masks) == 1:
+            first = (masks[0] >> x) & pending
+        else:
+            mask = np.take_along_axis(masks, (x // width)[None], axis=0)[0]
+            first = (mask >> x % width) & pending
+        np.add(winners, first * x, out=winners, casting="unsafe")
+        pending ^= first
     return winners
 
 
@@ -95,7 +138,7 @@ def plurality_winners(X: np.ndarray, q: int, tie_break: str = "first_occurrence"
     """
     _check_tie_break(tie_break)
     X = np.asarray(X)
-    return _gate_winners(X, q, X.shape[1], tie_break)[:, 0]
+    return _gate_winners(X, q, X.shape[1], tie_break)[:, 0].astype(np.int64)
 
 
 def plurality(q: int, n: int, tie_break: str = "first_occurrence") -> QaryFunction:
@@ -134,7 +177,7 @@ def recursive_plurality(
         Y = np.asarray(X)
         for _ in range(depth):
             Y = _gate_winners(Y, q, arity, tie_break)
-        return Y[:, 0]
+        return Y[:, 0].astype(np.int64)
 
     oracle = Oracle(
         name="recursive_plurality",
@@ -236,21 +279,20 @@ def antisym_majority(n: int) -> QaryFunction:
     if n < 1:
         raise DimensionMismatchError("need n >= 1 (input length 2n)")
 
+    # the narrowest signed dtype that holds -n..n: unsigned sums would wrap below zero
+    total = np.min_scalar_type(-n - 1)
+
     def batch(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X)
         x, y = X[:, :n], X[:, n:]
-        # int64 sums: uint8 sums would come out unsigned and wrap below zero
-        diff = x.sum(axis=1, dtype=np.int64) - y.sum(axis=1, dtype=np.int64)
+        diff = x.sum(axis=1, dtype=total) - y.sum(axis=1, dtype=total)
         out = (diff > 0).astype(np.int64)
-        tie = diff == 0
-        if tie.any():
-            unequal = x != y
-            has_diff = unequal.any(axis=1)
-            j = unequal.argmax(axis=1)
-            rows = np.arange(X.shape[0])
-            x_first = x[rows, j] > y[rows, j]
-            out[tie & has_diff] = x_first[tie & has_diff]
-            out[tie & ~has_diff] = x[tie & ~has_diff, 0]
+        tie = np.flatnonzero(diff == 0)
+        if tie.size:
+            # on bits, x_j > y_j at the first differing j is x_j itself, and
+            # argmax finds no difference at j = 0 on identical blocks
+            xt, yt = x[tie], y[tie]
+            out[tie] = xt[np.arange(tie.size), (xt != yt).argmax(axis=1)]
         return out
 
     oracle = Oracle(name="antisym_majority", params={"n": n}, batch=batch)

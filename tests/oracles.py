@@ -269,6 +269,28 @@ def int64_plurality_winners(X: np.ndarray, q: int, tie_break: str) -> np.ndarray
     return np.where(tied, first, n + 1).argmin(axis=1)
 
 
+def enum_plurality(x, q: int, tie_break: str) -> int:
+    """The plurality winner of one point by counting each symbol: a tie goes to
+    the smallest tied symbol or to the tied symbol that occurs first."""
+    counts = [list(x).count(v) for v in range(q)]
+    tied = [v for v in range(q) if counts[v] == max(counts)]
+    if tie_break == "smallest_index":
+        return tied[0]
+    return next(v for v in x if v in tied)
+
+
+def enum_antisym_majority(x, n: int) -> int:
+    """1 when the first block of bits out-sums the second; on equal sums the
+    first coordinate where the blocks differ decides, else coordinate 0."""
+    left, right = list(x[:n]), list(x[n:])
+    if sum(left) != sum(right):
+        return int(sum(left) > sum(right))
+    for u, w in zip(left, right):
+        if u != w:
+            return int(u > w)
+    return int(left[0])
+
+
 def reshape_recursive_plurality(X: np.ndarray, q: int, arity: int, tie_break: str) -> np.ndarray:
     """Tree plurality by reshaping each level to ``(N * gates, arity)`` rows,
     the library's former kernel."""

@@ -43,7 +43,9 @@ from threshold_lab.families import (
 )
 
 from oracles import (
+    enum_antisym_majority,
     enum_compositions,
+    enum_plurality,
     enum_prob,
     int64_plurality_winners,
     points,
@@ -732,12 +734,7 @@ class TestOracleRegistry:
 def test_plurality_winners_matches_scalar_rule(rng):
     X = rng.integers(0, 3, size=(200, 5))
     winners = plurality_winners(X, 3)
-    for row, w in zip(X, winners):
-        counts = [list(row).count(v) for v in range(3)]
-        best = max(counts)
-        tied = [v for v in range(3) if counts[v] == best]
-        first = min(tied, key=lambda v: list(row).index(v))
-        assert w == first
+    assert winners.tolist() == [enum_plurality(row, 3, "first_occurrence") for row in X.tolist()]
 
 
 def _symbol_rows(rng, q, n, rows=300):
@@ -759,6 +756,28 @@ def test_plurality_winners_match_the_int64_kernel(rng, q, tie_break):
         assert (got == want).all()
 
 
+@pytest.mark.parametrize(
+    "q, n", [(9, 18), (33, 33), (64, 128), (65, 65), (256, 256), (257, 257), (256, 512), (300, 300)]
+)
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+def test_plurality_winners_with_many_tied_symbols(rng, q, n, tie_break):
+    # top symbols are bits of one two- or eight-byte word at q = 9, 33 and 64,
+    # and of several words past q = 64.  The first rows hold every symbol
+    # n // q times, so all q tie; 256 and 257 tied symbols overflow a one-byte
+    # tie count.  Random rows tie fewer symbols.
+    reversed_row = np.arange(n - 1, -1, -1) % q
+    X = np.concatenate([
+        reversed_row[None],
+        rng.permuted(np.tile(reversed_row, (20, 1)), axis=1),
+        rng.integers(0, q, size=(100, n)),
+    ])
+    for dtype in (np.uint16, np.int64):
+        got = plurality_winners(X.astype(dtype), q, tie_break)
+        want = int64_plurality_winners(X, q, tie_break)
+        assert got.dtype == np.int64 and (got == want).all()
+    assert got[0] == (reversed_row[0] if tie_break == "first_occurrence" else 0)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
 @pytest.mark.parametrize(
@@ -773,6 +792,77 @@ def test_recursive_plurality_matches_the_reshape_kernel(rng, q, tie_break, arity
     got = f.batch(X)
     assert got.dtype == want.dtype
     assert (got == want).all()
+
+
+@st.composite
+def _gate_cases(draw):
+    """Points for every plurality gate kernel: q 2-5, gates on both sides of
+    ``_COLUMN_COUNT_MAX_ARITY`` and past 255 inputs (a two-byte counter), depth
+    1-3, both tie breaks, one- and two-byte and int64 symbols in C and F order.
+    Rows draw from a random prefix of the symbols, which makes ties common, and
+    every constant row is added; at q = 2 and even arity, so are rows with a
+    tie at every first-level gate."""
+    q = draw(st.integers(2, 5))
+    arity = draw(st.sampled_from(
+        [2, 3, 4, 5, 8, _COLUMN_COUNT_MAX_ARITY, _COLUMN_COUNT_MAX_ARITY + 1, 256, 300]
+    ))
+    depth = draw(st.integers(1, 3 if arity <= _COLUMN_COUNT_MAX_ARITY + 1 else 1))
+    tie_break = draw(st.sampled_from(TIE_BREAKS))
+    dtype = draw(st.sampled_from([np.uint8, np.uint16, np.int64]))
+    order = draw(st.sampled_from("CF"))
+    rows = draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = arity**depth
+    parts = [
+        rng.integers(0, q, size=(rows, n)) % rng.integers(1, q + 1, size=(rows, 1)),
+        np.repeat(np.arange(q)[:, None], n, axis=1),
+    ]
+    if q == 2 and arity % 2 == 0:
+        half = np.tile(np.repeat([0, 1], arity // 2), (rows, n // arity, 1))
+        parts.append(rng.permuted(half, axis=2).reshape(rows, n))
+    X = np.concatenate(parts).astype(dtype)
+    return q, arity, depth, tie_break, np.asarray(X, order=order)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_gate_cases())
+def test_gate_kernel_matches_the_int64_kernels(case):
+    q, arity, depth, tie_break, X = case
+    got = recursive_plurality(q, arity, depth, tie_break).batch(X)
+    want = reshape_recursive_plurality(X, q, arity, tie_break)
+    assert got.dtype == np.int64 and (got == want).all()
+    got = plurality_winners(X, q, tie_break)
+    want = int64_plurality_winners(X, q, tie_break)
+    assert got.dtype == np.int64 and (got == want).all()
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("q, n_max", [(2, 12), (3, 7), (4, 5)])
+def test_plurality_tables_follow_the_counting_rule(q, n_max, tie_break):
+    for n in range(1, n_max + 1):
+        table = plurality(q, n, tie_break).tabulate().table
+        assert table.tolist() == [enum_plurality(x, q, tie_break) for x in points(q, n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 60, 61, 127, 128])
+def test_antisym_batch_follows_the_pointwise_rule(rng, n):
+    # tied sums by permuting the first block into the second, or copying it;
+    # 127 and 128 ones are the widest sums of one- and two-byte signed counters
+    X = rng.integers(0, 2, size=(100, 2 * n))
+    first = X[:, :n]
+    ones, zeros = np.ones((1, n), dtype=X.dtype), np.zeros((1, n), dtype=X.dtype)
+    points = np.concatenate([
+        X,
+        np.concatenate([first, rng.permuted(first, axis=1)], axis=1),
+        np.concatenate([first, first], axis=1),
+        np.block([[ones, zeros], [zeros, ones], [ones, ones], [zeros, zeros]]),
+    ])
+    want = [enum_antisym_majority(x, n) for x in points.tolist()]
+    f = antisym_majority(n)
+    for dtype in (np.uint8, np.int64):
+        for order in "CF":
+            got = f.batch(np.asarray(points.astype(dtype), order=order))
+            assert got.dtype == np.int64 and got.tolist() == want
 
 
 FAMILIES = [

@@ -822,6 +822,14 @@ class TestSmallOracleTables:
         assert abs(evaluator.prob(measure) - want) <= 4e-15
         assert prob_value(f, measure, a) == evaluator.prob(measure)
 
+    def test_prob_value_tabulates_once(self, tabulated):
+        f = graph_property(5, 3, "max_clique_color")
+        measures = [ProductMeasure(3, atoms) for atoms in SimplexSampler(3, seed=12).draw(20)]
+        got = [prob_value(f, measure, 1) for measure in measures]
+        assert tabulated == [("graph_property", 3, 10)]
+        table = f.tabulate()
+        assert got == [prob_value(table, measure, 1) for measure in measures]
+
     def test_small_oracles_are_never_sampled(self, monkeypatch):
         # perfbench's monte-carlo sweeps, a tree jury and an exact antisymmetric window
         monkeypatch.setattr(
