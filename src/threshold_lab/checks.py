@@ -31,6 +31,13 @@ class CheckResult:
     def __bool__(self) -> bool:
         return self.passed
 
+    def as_dict(self) -> dict:
+        """``passed`` and ``witness``, and ``group_transitive`` where the check sets it."""
+        doc = {"passed": self.passed, "witness": self.witness}
+        if self.group_transitive is not None:
+            doc["group_transitive"] = self.group_transitive
+        return doc
+
 
 @dataclasses.dataclass(frozen=True)
 class SymmetryGroup:
@@ -44,6 +51,8 @@ class SymmetryGroup:
     generators: tuple
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise DimensionMismatchError(f"a group acts on n >= 1 coordinates, got n = {self.n}")
         gens = []
         for g in self.generators:
             g = np.asarray(g, dtype=np.int64)
@@ -74,7 +83,9 @@ class SymmetryGroup:
 
     @classmethod
     def cyclic(cls, n: int) -> "SymmetryGroup":
-        return cls(n, (list(range(1, n)) + [0],))
+        """The cycle ``j -> j + 1 mod n``, the last of :func:`_swap_and_cycle`'s
+        generators (at n = 2 the cycle is the swap)."""
+        return cls(n, (_swap_and_cycle(n)[-1],))
 
 
 def leq_a(x: Sequence[int], y: Sequence[int], a: int) -> bool:

@@ -100,13 +100,12 @@ def _load_function(args) -> QaryFunction:
 
 
 def _load_measure(args, q: int) -> ProductMeasure:
-    if args.measure and args.atoms:
+    if args.measure and args.atoms is not None:
         raise UsageError("--measure takes no --atoms")
     if args.measure:
         return fileio.load_measure(args.measure)
-    if args.atoms:
-        atoms = np.array([float(v) for v in args.atoms.split(",")])
-        return ProductMeasure(len(atoms), atoms)
+    if args.atoms is not None:
+        return ProductMeasure(len(args.atoms), args.atoms)
     return ProductMeasure.uniform(q)
 
 
@@ -130,26 +129,18 @@ def _symmetry_group(args, f: QaryFunction) -> SymmetryGroup | None:
 
 def _cmd_check(args) -> None:
     f = _load_function(args).tabulate()
-    verdicts = {}
+    results = {}
     if f.codomain == "alphabet" and f.out_q == f.q:
-        result = check_monotone(f)
-        verdicts["monotone"] = {"passed": result.passed, "witness": result.witness}
-        result = check_fair(f)
-        verdicts["fair"] = {"passed": result.passed, "witness": result.witness}
+        results["monotone"] = check_monotone(f)
+        results["fair"] = check_fair(f)
     if f.is_binary():
-        result = check_zero_monotone(f)
-        verdicts["zero_monotone"] = {"passed": result.passed, "witness": result.witness}
+        results["zero_monotone"] = check_zero_monotone(f)
     group = _symmetry_group(args, f)
     if group is not None:
-        result = check_symmetric(f, group)
-        verdicts["symmetric"] = {
-            "passed": result.passed,
-            "witness": result.witness,
-            "group_transitive": result.group_transitive,
-        }
-    if not verdicts:
+        results["symmetric"] = check_symmetric(f, group)
+    if not results:
         raise UsageError("no applicable checks for this function")
-    _emit_json(args, {"checks": verdicts})
+    _emit_json(args, {"checks": {name: r.as_dict() for name, r in results.items()}})
 
 
 def _cmd_decompose(args) -> None:
@@ -168,11 +159,18 @@ def _cmd_influences(args) -> None:
     _emit_json(args, doc)
 
 
+#: Smallest atom of a ``verify`` corpus measure (the bounds degrade as ``1/alpha``).
+_VERIFY_ATOM_FLOOR = 1e-3
+
+
 def _verify_one(suite: str, q: int, n: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     atoms = rng.dirichlet(np.ones(q))
-    while atoms.min() < 1e-3:
-        atoms = rng.dirichlet(np.ones(q))
+    if atoms.min() < _VERIFY_ATOM_FLOOR:
+        # a second draw mapped affinely onto {every atom >= floor}, where it is
+        # uniform, as the first draw is when it clears the floor
+        floor = _VERIFY_ATOM_FLOOR
+        atoms = floor + (1.0 - q * floor) * rng.dirichlet(np.ones(q))
     measure = ProductMeasure(q, atoms)
     table = rng.standard_normal(q**n)
     g = QaryFunction.from_table(q, n, table, codomain="real")
@@ -191,6 +189,9 @@ def _verify_one(suite: str, q: int, n: int, seed: int) -> dict:
 def _cmd_verify(args) -> None:
     if args.trials < 1 or args.qmax < 2 or args.nmax < 1:
         raise UsageError("verify needs --trials >= 1, --qmax >= 2 and --nmax >= 1")
+    if args.qmax * _VERIFY_ATOM_FLOOR > 1:
+        raise UsageError(f"verify needs --qmax <= {1 / _VERIFY_ATOM_FLOOR:.0f}, the most "
+                         f"symbols whose measures can have every atom >= {_VERIFY_ATOM_FLOOR}")
     rng = np.random.default_rng(args.seed)
     results = []
     for _ in range(args.trials):
@@ -269,15 +270,10 @@ def _cmd_mcgarvey(args) -> None:
 def _cmd_saari(args) -> None:
     c0 = fileio.load_choice_function(args.choice)
     profile = saari_search(c0, max_profile_size=args.budget)
-    if profile is None:
-        _emit_json(args, {"realizable": False, "budget": args.budget, "strict": True})
-        return
-    doc = fileio.profile_to_dict(profile)
-    doc["realizable"] = True
-    doc["budget"] = args.budget
-    doc["strict"] = True
-    doc["total_weight"] = profile.total_weight
-    _emit(args, fileio.dumps(doc))
+    doc = {"realizable": profile is not None, "budget": args.budget, "strict": True}
+    if profile is not None:  # a profile document; a report otherwise
+        doc.update(fileio.profile_to_dict(profile), total_weight=profile.total_weight)
+    _emit_json(args, doc)
 
 
 def _cmd_indeterminacy(args) -> None:
@@ -302,6 +298,14 @@ def _seed(text: str) -> int:
     return value
 
 
+def _atoms(text: str) -> tuple:
+    """``--atoms``: comma-separated numbers; anything else is a usage error."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number list: {text!r}") from None
+
+
 #: Every option once: name (without ``--``) -> ``add_argument`` keywords.
 _OPTIONS = {
     "function": {"help": "function JSON file"},
@@ -319,7 +323,7 @@ _OPTIONS = {
     "seed": {"type": _seed, "default": 0},
     "group": {"choices": ("cyclic", "full", "graph"), "help": "symmetry group"},
     "measure": {"help": "measure JSON file"},
-    "atoms": {"help": "comma-separated atoms"},
+    "atoms": {"type": _atoms, "help": "comma-separated atoms"},
     "suite": {"choices": ("hyper", "level", "talagrand"), "required": True},
     "trials": {"type": int, "default": 200},
     "qmax": {"type": int, "default": 4},
@@ -397,16 +401,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (json.JSONDecodeError, OSError) as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
-        return 2
-    except ThresholdLabError as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
-        return 1
+    except (ThresholdLabError, json.JSONDecodeError, OSError) as exc:
+        # a domain error exits 1; a file that cannot be read or parsed is a usage error
+        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        return 1 if isinstance(exc, ThresholdLabError) else 2
 
 
 if __name__ == "__main__":

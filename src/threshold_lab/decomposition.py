@@ -62,6 +62,10 @@ from .core import (
     subset_mask,
 )
 
+#: Slack every verifier grants its inequality, ``lhs <= rhs + VERIFY_TOL``: the
+#: two sides are separately rounded norms.
+VERIFY_TOL = 1e-9
+
 
 def _as_real_table(f: QaryFunction, measure: ProductMeasure) -> QaryFunction:
     if f.codomain != "real":
@@ -349,10 +353,9 @@ class NormInequalityReport(Report):
     ok: bool
 
 
-def verify_hypercontractivity(
-    g: QaryFunction, measure: ProductMeasure, tol: float = 1e-9
-) -> NormInequalityReport:
-    """Check ``||T_sigma g||_2 <= ||g||_{3/2}`` at the safe noise rate."""
+def verify_hypercontractivity(g: QaryFunction, measure: ProductMeasure) -> NormInequalityReport:
+    """Check ``||T_sigma g||_2 <= ||g||_{3/2}`` at the safe noise rate, within
+    :data:`VERIFY_TOL`."""
     g = _as_real_table(g, measure)
     measure.require_positive("hypercontractivity check")
     sigma = hypercontractive_sigma(measure.min_atom())
@@ -362,7 +365,7 @@ def verify_hypercontractivity(
     noised = _noise(g, measure, sigma)
     noised **= 2.0
     lhs = _table_mean(noised, measure.atoms) ** 0.5
-    return NormInequalityReport(sigma=sigma, lhs=lhs, rhs=rhs, ok=lhs <= rhs + tol)
+    return NormInequalityReport(sigma=sigma, lhs=lhs, rhs=rhs, ok=lhs <= rhs + VERIFY_TOL)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -373,28 +376,23 @@ class LevelBoundReport(Report):
     ok: bool
 
 
-def verify_level_bound(
-    g: QaryFunction, measure: ProductMeasure, k: int, tol: float = 1e-9
-) -> LevelBoundReport:
-    """Check that level-k mass is at most ``(6/alpha^2)**k * ||g||_{3/2}^2``.
+def verify_level_bound(g: QaryFunction, measure: ProductMeasure, k: int) -> LevelBoundReport:
+    """Check that level-k mass is at most ``(6/alpha^2)**k * ||g||_{3/2}^2``,
+    within :data:`VERIFY_TOL`.
 
     Requires a mean-zero ``g``; the bound follows from hypercontractivity at
     squared noise rate ``alpha^2/6``.
     """
-    return _level_bounds(g, measure, [k], tol)[0]
+    return _level_bounds(g, measure, [k])[0]
 
 
-def verify_level_bounds(
-    g: QaryFunction, measure: ProductMeasure, tol: float = 1e-9
-) -> list[LevelBoundReport]:
-    """:func:`verify_level_bound` at every level ``k = 1..n``, in order, from
-    one pass of the subset-norm kernel."""
-    return _level_bounds(g, measure, range(1, g.n + 1), tol)
+def verify_level_bounds(g: QaryFunction, measure: ProductMeasure) -> list[LevelBoundReport]:
+    """:func:`verify_level_bound` at every level ``k = 1..n``, in order, within
+    :data:`VERIFY_TOL`, from one pass of the subset-norm kernel."""
+    return _level_bounds(g, measure, range(1, g.n + 1))
 
 
-def _level_bounds(
-    g: QaryFunction, measure: ProductMeasure, levels, tol: float
-) -> list[LevelBoundReport]:
+def _level_bounds(g: QaryFunction, measure: ProductMeasure, levels) -> list[LevelBoundReport]:
     g = _as_real_table(g, measure)
     measure.require_positive("level bound check")
     if abs(expectation(g, measure)) > 1e-9:
@@ -410,7 +408,7 @@ def _level_bounds(
     for k in levels:
         lhs = float(norms[sizes == k].sum())
         rhs = (6.0 / alpha**2) ** k * l32_sq
-        reports.append(LevelBoundReport(k=k, lhs=lhs, rhs=rhs, ok=lhs <= rhs + tol))
+        reports.append(LevelBoundReport(k=k, lhs=lhs, rhs=rhs, ok=lhs <= rhs + VERIFY_TOL))
     return reports
 
 

@@ -42,7 +42,8 @@ class FileFormatError(ThresholdLabError):
 @contextlib.contextmanager
 def _reading(doc: dict, schema: str, kind: str):
     """Check that ``doc`` is a ``schema`` document, then turn a missing field
-    (``KeyError``) or a malformed one (``TypeError``, ``ValueError``) into a FileFormatError."""
+    (``KeyError``) or a malformed one (``TypeError``, ``ValueError``, or
+    ``AttributeError`` from a container of the wrong JSON type) into a FileFormatError."""
     found = doc.get("schema") if isinstance(doc, dict) else None
     if found != schema:
         raise FileFormatError(f"expected a {schema} document, got schema {found!r}")
@@ -50,7 +51,7 @@ def _reading(doc: dict, schema: str, kind: str):
         yield
     except KeyError as exc:
         raise FileFormatError(f"{kind} document missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, AttributeError) as exc:
         raise FileFormatError(f"{kind} document has a malformed field: {exc}") from None
 
 
@@ -65,23 +66,12 @@ def _integer(value, field: str) -> int:
 
 
 def function_to_dict(f: QaryFunction) -> dict:
+    doc = {"schema": FUNCTION_SCHEMA, "q": f.q, "n": f.n}
     if f.table is not None:
-        table = f.table.tolist()
-        return {
-            "schema": FUNCTION_SCHEMA,
-            "q": f.q,
-            "n": f.n,
-            "codomain": f.codomain,
-            "out_q": f.out_q,
-            "table": table,
-        }
-    return {
-        "schema": FUNCTION_SCHEMA,
-        "q": f.q,
-        "n": f.n,
-        "oracle": f.oracle.name,
-        "params": f.oracle.params,
-    }
+        doc.update(codomain=f.codomain, out_q=f.out_q, table=f.table.tolist())
+    else:
+        doc.update(oracle=f.oracle.name, params=f.oracle.params)
+    return doc
 
 
 def function_from_dict(doc: dict) -> QaryFunction:
@@ -102,12 +92,13 @@ def function_from_dict(doc: dict) -> QaryFunction:
                         f"but {doc['oracle']} with these params has {field}={built}"
                     )
             return f
+        out_q = doc.get("out_q")
         return QaryFunction.from_table(
             q=_integer(doc["q"], "q"),
             n=_integer(doc["n"], "n"),
             values=doc["table"],
             codomain=doc.get("codomain", "alphabet"),
-            out_q=doc.get("out_q"),
+            out_q=None if out_q is None else _integer(out_q, "out_q"),
         )
 
 

@@ -17,8 +17,10 @@ import numpy as np
 
 from .core import (
     DimensionMismatchError,
+    Report,
     ThresholdLabError,
     _categorical,
+    _check_range,
     subset_mask,
     subset_members,
 )
@@ -168,6 +170,8 @@ class Tournament:
     def from_pairs(cls, m: int, pairs) -> "Tournament":
         beats = np.zeros((m, m), dtype=bool)
         for winner, loser in pairs:
+            for a in (winner, loser):
+                _check_range(a, m, "alternative")
             beats[int(winner), int(loser)] = True
         return cls(m, beats)
 
@@ -338,29 +342,22 @@ def saari_search(
 
 
 @dataclasses.dataclass(frozen=True)
-class IndeterminacyReport:
-    """Agreement rates between sampled plurality outcomes and the target choices."""
+class IndeterminacyReport(Report):
+    """Agreement rates between sampled plurality outcomes and the target choices.
+
+    Keys are those the report's document prints: ``per_subset`` is keyed by
+    the decimal string of each subset mask (``"5"`` for ``{0, 2}``), ``weights``
+    by the comma-joined ranking (``"2,0,1"``).
+    """
 
     m: int
     n_voters: int
     trials: int
     seed: int
-    per_subset: dict  # mask -> empirical P[c(S) = c0(S)]
+    per_subset: dict  # empirical P[c(S) = c0(S)]
     min_subset: float
     joint: float
-    weights: dict  # ranking tuple -> sampling probability
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n_voters": self.n_voters,
-            "trials": self.trials,
-            "seed": self.seed,
-            "per_subset": {str(k): v for k, v in self.per_subset.items()},
-            "min_subset": self.min_subset,
-            "joint": self.joint,
-            "weights": {",".join(map(str, k)): v for k, v in self.weights.items()},
-        }
+    weights: dict  # sampling probability
 
 
 def indeterminacy_experiment(
@@ -395,7 +392,7 @@ def indeterminacy_experiment(
     if n_voters == 1:
         agree_matrix = top_table == np.array([[c0.get(mask)] for mask in masks])
         per_subset = {
-            mask: float(probs[agree_matrix[row]].sum())
+            str(mask): float(probs[agree_matrix[row]].sum())
             for row, mask in enumerate(masks)
         }
         joint = float(probs[agree_matrix.all(axis=0)].sum())
@@ -408,7 +405,7 @@ def indeterminacy_experiment(
             tops = top_table[row][draws]
             winners = plurality_winners(tops, c0.m, "first_occurrence")
             agree = winners == c0.get(mask)
-            per_subset[mask] = float(agree.mean())
+            per_subset[str(mask)] = float(agree.mean())
             agree_all &= agree
         joint = float(agree_all.mean())
     return IndeterminacyReport(
@@ -419,7 +416,7 @@ def indeterminacy_experiment(
         per_subset=per_subset,
         min_subset=min(per_subset.values()),
         joint=joint,
-        weights={r: float(p) for r, p in zip(rankings, probs)},
+        weights={",".join(map(str, r)): float(p) for r, p in zip(rankings, probs)},
     )
 
 

@@ -121,7 +121,7 @@ def test_criterion_02_influence_identities(es_corpus):
 def test_criterion_03_hypercontractivity(hyper_corpus):
     violations = 0
     for g, mu in hyper_corpus:
-        rep = verify_hypercontractivity(g, mu, tol=1e-9)
+        rep = verify_hypercontractivity(g, mu)
         if not rep.ok:
             violations += 1
     assert violations == 0
@@ -134,7 +134,7 @@ def test_criterion_04_level_bound_and_cauchy_schwarz(hyper_corpus):
         mean = float(outer_product_weights(mu, g.n) @ g.table)
         centered = QaryFunction.from_table(g.q, g.n, g.table - mean, codomain="real")
         for k in range(1, g.n + 1):
-            if not verify_level_bound(centered, mu, k, tol=1e-9).ok:
+            if not verify_level_bound(centered, mu, k).ok:
                 violations += 1
         l1 = lp_norm(centered, mu, 1.0)
         l32 = lp_norm(centered, mu, 1.5)

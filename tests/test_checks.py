@@ -240,6 +240,17 @@ class TestCheckSymmetric:
         # the identity alone is not transitive for n >= 2
         assert not SymmetryGroup(3, (list(range(3)),)).is_transitive()
 
+    @pytest.mark.parametrize("build", [SymmetryGroup.cyclic, SymmetryGroup.full_symmetric])
+    def test_no_group_on_zero_coordinates(self, build):
+        # an empty permutation passes the permutation check, and is_transitive indexes past it
+        with pytest.raises(DimensionMismatchError, match="n >= 1"):
+            build(0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_cyclic_generator_is_the_shift(self, n):
+        [g] = SymmetryGroup.cyclic(n).generators
+        assert g.tolist() == [(j + 1) % n for j in range(n)]
+
     def test_transitivity_is_the_orbit_over_the_whole_group(self):
         # brute force on random small generator sets: every element of the
         # generated group, by composing generators, then the images of 0

@@ -44,7 +44,7 @@ PARSED = [
     (
         ["decompose", "--family", "dictator", "--q", "2", "--n", "2", "--atoms", "0.5,0.5"],
         {**_COMMON, **_FUNCTION, "command": "decompose", "family": "dictator", "q": 2, "n": 2,
-         "measure": None, "atoms": "0.5,0.5"},
+         "measure": None, "atoms": (0.5, 0.5)},
     ),
     (
         ["influences", "--function", "f.json", "--measure", "m.json"],
@@ -79,7 +79,7 @@ PARSED = [
         ["jury", "--family", "plurality", "--q", "3", "--n", "501", "--atoms",
          "0.45,0.275,0.275", "--leader", "1"],
         {**_COMMON, **_FUNCTION, "command": "jury", "family": "plurality", "q": 3, "n": 501,
-         "measure": None, "atoms": "0.45,0.275,0.275", "leader": 1, "samples": 10_000,
+         "measure": None, "atoms": (0.45, 0.275, 0.275), "leader": 1, "samples": 10_000,
          "seed": 0},
     ),
     (
@@ -635,6 +635,37 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: verify needs --trials >= 1, --qmax >= 2 and --nmax >= 1\n"
 
+    @pytest.mark.parametrize("command", ["jury", "decompose"])
+    @pytest.mark.parametrize("atoms", ["0.5,abc", ""])
+    def test_malformed_atoms_is_a_usage_error(self, capsys, command, atoms):
+        # "" must not fall back to the uniform measure; valid --atoms keep
+        # their bytes in the pinned jury and decompose runs
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--family", "plurality", "--q", "3", "--n", "5", "--atoms", atoms])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        [line] = [line for line in err.splitlines() if "error:" in line]
+        assert line.endswith(f"error: argument --atoms: invalid number list: {atoms!r}")
+
+    # in a subprocess under a timeout, as redrawing each measure until every atom
+    # clears 1e-3 would take ~1e46 draws at q = 300 and never end past q = 1000
+    @pytest.mark.parametrize("qmax,code", [("1000", 0), ("1001", 2)])
+    def test_verify_at_many_symbols_ends(self, qmax, code):
+        src = os.path.dirname(os.path.dirname(threshold_lab.__file__))
+        result = subprocess.run(
+            [sys.executable, "-m", "threshold_lab.cli", "verify", "--suite", "hyper",
+             "--trials", "4", "--qmax", qmax, "--nmax", "1"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == code, result.stderr
+        if code:
+            assert result.stderr == (
+                "error: verify needs --qmax <= 1000, the most symbols whose measures can "
+                "have every atom >= 0.001\n"
+            )
+        else:
+            assert json.loads(result.stdout)["violations"] == 0
+
     def test_schema_mismatch_is_exit_one(self, tmp_path, capsys):
         measure = str(tmp_path / "mu.json")
         fileio.save_measure(ProductMeasure(2, [0.5, 0.5]), measure)
@@ -670,9 +701,20 @@ class TestExitCodes:
               "--atoms", "nan,0.2,0.3", "--samples", "10"], None),
             (["influences", "--family", "plurality", "--q", "2", "--n", "3",
               "--atoms", "nan,0.5"], None),
+            (["saari", "--choice", "{doc}"],
+             {"schema": fileio.CHOICE_SCHEMA, "m": 2, "choices": [1, 2]}),
+            (["saari", "--choice", "{doc}"],
+             {"schema": fileio.CHOICE_SCHEMA, "m": 2, "choices": "abc"}),
+            (["mcgarvey", "--tournament", "{doc}"],
+             {"schema": fileio.TOURNAMENT_SCHEMA, "m": 3, "pairs": [[0, 5]]}),
+            (["mcgarvey", "--tournament", "{doc}"],
+             {"schema": fileio.TOURNAMENT_SCHEMA, "m": 3, "pairs": [[0, -1]]}),
+            (["check", "--function", "{doc}"],
+             {"schema": fileio.FUNCTION_SCHEMA, "q": 2, "n": 1, "table": [0, 1], "out_q": 2.5}),
         ],
         ids=["non-triangular-graph", "null-q", "mask-x", "string-table", "fractional-table",
-             "nan-jury", "nan-influences"],
+             "nan-jury", "nan-influences", "choices-array", "choices-string", "pair-past-m",
+             "negative-pair", "fractional-out-q"],
     )
     def test_invalid_input_is_one_typed_error(self, tmp_path, capsys, argv, doc):
         path = tmp_path / "doc.json"

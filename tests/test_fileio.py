@@ -248,6 +248,44 @@ class TestSchemaValidation:
         with pytest.raises(fileio.FileFormatError, match="malformed field"):
             loader(doc)
 
+    # each reader's container field as another JSON type: an array or a string
+    # where an object belongs, an object or a string where an array does
+    @pytest.mark.parametrize(
+        "loader, doc",
+        [
+            (fileio.function_from_dict, {"schema": fileio.FUNCTION_SCHEMA, "oracle": "plurality",
+                                         "params": [3, 5]}),
+            (fileio.function_from_dict, {"schema": fileio.FUNCTION_SCHEMA, "q": 2, "n": 1,
+                                         "table": {"0": 0, "1": 1}}),
+            (fileio.measure_from_dict, {"schema": fileio.MEASURE_SCHEMA, "q": 2,
+                                        "atoms": {"0": 0.5, "1": 0.5}}),
+            (fileio.profile_from_dict, {"schema": fileio.PROFILE_SCHEMA, "m": 2,
+                                        "orders": {"ranking": [0, 1]}}),
+            (fileio.profile_from_dict, {"schema": fileio.PROFILE_SCHEMA, "m": 2,
+                                        "orders": [[0, 1]]}),
+            (fileio.choice_function_from_dict, {"schema": fileio.CHOICE_SCHEMA, "m": 2,
+                                                "choices": [1, 2]}),
+            (fileio.choice_function_from_dict, {"schema": fileio.CHOICE_SCHEMA, "m": 2,
+                                                "choices": "abc"}),
+            (fileio.tournament_from_dict, {"schema": fileio.TOURNAMENT_SCHEMA, "m": 2,
+                                           "pairs": {"0": 1}}),
+            (fileio.tournament_from_dict, {"schema": fileio.TOURNAMENT_SCHEMA, "m": 2,
+                                           "pairs": "ab"}),
+        ],
+        ids=["params-array", "table-object", "atoms-object", "orders-object", "orders-arrays",
+             "choices-array", "choices-string", "pairs-object", "pairs-string"],
+    )
+    def test_container_of_another_json_type(self, loader, doc):
+        with pytest.raises(fileio.FileFormatError, match="malformed field"):
+            loader(doc)
+
+    def test_out_q_is_read_as_an_integer(self):
+        doc = {"schema": fileio.FUNCTION_SCHEMA, "q": 2, "n": 1, "table": [0, 1], "out_q": 2.5}
+        with pytest.raises(fileio.FileFormatError, match="out_q must be an integer, got 2.5"):
+            fileio.function_from_dict(doc)
+        f = fileio.function_from_dict({**doc, "out_q": 2.0})
+        assert f.out_q == 2 and type(f.out_q) is int
+
     def test_integral_floats_still_read(self):
         measure = fileio.measure_from_dict(
             {"schema": fileio.MEASURE_SCHEMA, "q": 2.0, "atoms": [0.5, 0.5]}

@@ -183,6 +183,12 @@ class TestMcGarvey:
                 if t.beats[a, b]:
                     assert pairwise_margin(profile, a, b) == 2
 
+    @pytest.mark.parametrize("loser", [5, -1])
+    def test_pairs_outside_the_alternatives_refused(self, loser):
+        # unchecked, 5 would index past the matrix and -1 wrap round to alternative 2
+        with pytest.raises(DimensionMismatchError, match=f"alternative {loser} outside"):
+            Tournament.from_pairs(3, [(0, 1), (1, 2), (2, 0), (0, loser)])
+
     def test_random_tournaments(self, rng):
         for _ in range(50):
             m = int(rng.integers(2, 7))
@@ -293,7 +299,7 @@ class TestIndeterminacy:
                 w for r, w in weights.items()
                 if LinearOrder(3, r).top_of(mask) == c0.get(mask)
             ) / total
-            assert rep.per_subset[mask] == pytest.approx(closed, abs=1e-12)
+            assert rep.per_subset[str(mask)] == pytest.approx(closed, abs=1e-12)
         joint_closed = sum(
             w for r, w in weights.items()
             if all(
