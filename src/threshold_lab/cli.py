@@ -19,6 +19,7 @@ import numpy as np
 from . import fileio
 from .checks import SymmetryGroup, check_fair, check_monotone, check_symmetric, check_zero_monotone
 from .core import (
+    MAX_TABLE_SIZE,
     DimensionMismatchError,
     InvalidFunctionError,
     ProductMeasure,
@@ -192,6 +193,11 @@ def _cmd_verify(args) -> None:
     if args.qmax * _VERIFY_ATOM_FLOOR > 1:
         raise UsageError(f"verify needs --qmax <= {1 / _VERIFY_ATOM_FLOOR:.0f}, the most "
                          f"symbols whose measures can have every atom >= {_VERIFY_ATOM_FLOOR}")
+    # an --nmax of at least the cap's bit length is past it at every q >= 2, and
+    # refusing it first keeps qmax**nmax small
+    if args.nmax >= MAX_TABLE_SIZE.bit_length() or args.qmax**args.nmax > MAX_TABLE_SIZE:
+        raise UsageError(f"verify needs --qmax ** --nmax <= {MAX_TABLE_SIZE}, the "
+                         "exact-computation cap on its largest table")
     rng = np.random.default_rng(args.seed)
     results = []
     for _ in range(args.trials):

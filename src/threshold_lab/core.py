@@ -268,10 +268,10 @@ class Oracle:
     optional ``exact_prob(measure, a)`` computes ``P[f = a]`` exactly from
     structure (the family laws of :mod:`.laws`, e.g. plurality's Poissonized
     counts), enabling exact threshold scans at sizes far beyond the table cap.
-    An optional ``path_law(path, a)``, given only beside ``exact_prob``, returns
-    ``G(t) = P[f = a]`` along a :class:`MeasurePath` anchored at ``a`` as one
-    callable of ``t`` (plurality's, from n + 1 conditional probabilities), which
-    exact curves read in place of ``exact_prob`` at each ``path.measure_at(t)``.
+    An optional ``path_law(path)``, given only beside ``exact_prob``, returns
+    ``G(t) = P[f = path.anchor]`` along a :class:`MeasurePath` as one callable of
+    ``t`` (plurality's, from n + 1 conditional probabilities), which exact curves
+    read in place of ``exact_prob`` at each ``path.measure_at(t)``.
     An optional ``prob_bounds(atoms, a)``, also given only beside ``exact_prob``,
     returns arrays ``(lo, hi)`` with ``lo[i] <= P[f = a] <= hi[i]`` at the measure
     of each row of an ``(M, q)`` atoms array (plurality's Chernoff bounds,
@@ -283,7 +283,7 @@ class Oracle:
     params: dict
     batch: Callable[[np.ndarray], np.ndarray]
     exact_prob: Callable[[ProductMeasure, int], float] | None = None
-    path_law: Callable[[MeasurePath, int], Callable[[float], float]] | None = None
+    path_law: Callable[[MeasurePath], Callable[[float], float]] | None = None
     prob_bounds: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]] | None = None
 
 
@@ -638,12 +638,12 @@ class Evaluator:
     :func:`_exact_prob` makes of an oracle with no law and at most
     :data:`SMALL_TABLE_SIZE` points), ``exact:<oracle name>`` (the oracle's
     ``exact_prob``), both ignoring ``stream``, or ``mc`` (``samples`` draws of the
-    stream ``[seed, stream]``).  :meth:`along` reads the same values along a path,
-    through ``path_law(path)`` where the method has one (the oracle's
-    ``path_law``).  ``bounds(atoms)``, where the method has one (the oracle's
-    ``prob_bounds``; the histogram's own value as both ends; never ``mc``),
-    encloses ``P[f = a]`` at every row of an ``(M, q)`` atoms array at once, as
-    arrays ``(lo, hi)``."""
+    stream ``[seed, stream]``).  :meth:`along` reads the same values along a path
+    anchored at ``a``, through ``path_law(path)`` where the method has one (the
+    oracle's ``path_law``).  ``bounds(atoms)``, where the method has one (the
+    oracle's ``prob_bounds``; the histogram's own value as both ends; never
+    ``mc``), encloses ``P[f = a]`` at every row of an ``(M, q)`` atoms array at
+    once, as arrays ``(lo, hi)``."""
 
     name: str
     prob: Callable[..., float] = dataclasses.field(repr=False)
@@ -685,9 +685,8 @@ def _exact_prob(f: QaryFunction, a: int) -> Evaluator | None:
     oracle = f.oracle
     if oracle.exact_prob is not None:
         prob = lambda measure, stream=None: float(oracle.exact_prob(measure, a))
-        path_law = None if oracle.path_law is None else lambda path: oracle.path_law(path, a)
         bounds = None if oracle.prob_bounds is None else lambda atoms: oracle.prob_bounds(atoms, a)
-        return Evaluator(f"exact:{oracle.name}", prob, path_law=path_law, bounds=bounds)
+        return Evaluator(f"exact:{oracle.name}", prob, path_law=oracle.path_law, bounds=bounds)
     return None
 
 

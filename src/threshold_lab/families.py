@@ -8,9 +8,9 @@ exact law ``P[f = a]``, where it has one, lives in :mod:`.laws`, and its
 oracle's ``exact_prob`` names it; plurality's, by Poissonized counts, works at
 every (q, n), far beyond the table cap.  Plurality's oracle, and through it the
 ``most_popular_color`` property's, also names the law's path law as
-``path_law``, which exact curves read once per path.  Plurality's and dictator's
-oracles name their law's closed-form enclosure as ``prob_bounds``, which sweeps
-read before the law.
+``path_law(path)``, the curve of ``P[f = path.anchor]`` along the path, which
+exact curves read once per path.  Plurality's and dictator's oracles name their
+law's closed-form enclosure as ``prob_bounds``, which sweeps read before the law.
 """
 
 from __future__ import annotations

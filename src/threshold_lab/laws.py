@@ -1,11 +1,11 @@
 """Exact laws ``P[f = a]`` of the built-in families, each called as its family
 oracle's ``exact_prob(measure, a)`` and named ``exact:<oracle name>`` by
 :func:`.core._exact_prob`.  Plurality also has a path law, its oracle's
-``path_law(path, a)``: the whole curve ``t -> P[f = a]`` along a path anchored at
-``a``, from n + 1 conditional probabilities (:class:`_PluralityPath`).  Each law's
-``bounds(atoms, a)``, its oracle's ``prob_bounds``, encloses ``P[f = a]`` at every
-row of an ``(M, q)`` atoms array in closed form: dictator's is the atom itself,
-plurality's a pair of Chernoff bounds.  A leaf module: it imports only
+``path_law(path)``: the whole curve ``t -> P[f = path.anchor]`` along a path,
+from n + 1 conditional probabilities (:class:`_PluralityPath`).  Each law's
+``bounds(atoms, a)``, its oracle's ``prob_bounds``, encloses ``P[f = a]`` at
+every row of an ``(M, q)`` atoms array in closed form: dictator's is the atom
+itself, plurality's a pair of Chernoff bounds.  A leaf module: it imports only
 ``.core``, numpy and the stdlib."""
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from .core import (
-    DimensionMismatchError,
     MeasurePath,
     ProductMeasure,
     _check_compatible,
@@ -145,15 +144,10 @@ class _PluralityExact:
         lo = np.where(leads, np.maximum(0.0, 1.0 - tails.sum(axis=1)), 0.0)
         return lo, hi
 
-    def along(self, path: MeasurePath, a: int) -> _PluralityPath:
-        """The path law ``t -> P[plurality = a]`` along ``path``, anchored at ``a``."""
+    def along(self, path: MeasurePath) -> _PluralityPath:
+        """The path law ``t -> P[plurality = path.anchor]`` along ``path``."""
         _check_compatible(self, path.base)
-        if path.anchor != a:
-            raise DimensionMismatchError(
-                f"the plurality path law reads P[f = anchor]; got symbol {a} "
-                f"on a path anchored at {path.anchor}"
-            )
-        return _PluralityPath(self, path.base, a)
+        return _PluralityPath(self, path.base, path.anchor)
 
 
 def _product(factors: list[np.ndarray]) -> np.ndarray:

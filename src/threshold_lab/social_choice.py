@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 
 from .core import (
+    MAX_TABLE_SIZE,
     DimensionMismatchError,
     Report,
+    TableSizeError,
     ThresholdLabError,
     _categorical,
     _check_range,
@@ -116,6 +119,8 @@ class ChoiceFunction:
     choices: dict  # mask -> alternative
 
     def __post_init__(self) -> None:
+        if self.m < 1:
+            raise DimensionMismatchError(f"a choice function needs m >= 1 alternatives, got {self.m}")
         cleaned = {}
         for mask in nonempty_subsets(self.m):
             if mask not in self.choices:
@@ -191,7 +196,7 @@ def is_rational(c: ChoiceFunction) -> LinearOrder | None:
     """A linear order generating ``c`` by maximization, if one exists.
 
     Tries the order induced by the pairwise choices (sorted by pairwise win
-    count) and verifies it against every subset.
+    count) and keeps it if its choice function, the top of every subset, is ``c``.
     """
     m = c.m
     wins = [0] * m
@@ -201,12 +206,8 @@ def is_rational(c: ChoiceFunction) -> LinearOrder | None:
             wins[winner] += 1
     if sorted(wins) != list(range(m)):
         return None  # pairwise relation is not a linear order
-    ranking = sorted(range(m), key=lambda a: -wins[a])
-    order = LinearOrder(m, tuple(ranking))
-    for mask in nonempty_subsets(m):
-        if c.get(mask) != order.top_of(mask):
-            return None
-    return order
+    order = LinearOrder(m, tuple(sorted(range(m), key=lambda a: -wins[a])))
+    return order if ChoiceFunction.from_order(order).choices == c.choices else None
 
 
 def _top_sequence(profile: VoterProfile, mask: int):
@@ -231,18 +232,6 @@ def plurality_choice(
     return int(plurality_winners(voters, profile.m, tie_break)[0])
 
 
-def plurality_margins(profile: VoterProfile, mask: int, target: int) -> dict:
-    """Top-count of ``target`` minus the top-count of every other member."""
-    counts = np.zeros(profile.m, dtype=np.int64)
-    for top, weight in _top_sequence(profile, mask):
-        counts[top] += weight
-    return {
-        b: int(counts[target] - counts[b])
-        for b in subset_members(mask)
-        if b != target
-    }
-
-
 def mcgarvey_profile(tournament: Tournament) -> VoterProfile:
     """A profile whose strict pairwise majority relation equals the tournament.
 
@@ -265,14 +254,12 @@ def mcgarvey_profile(tournament: Tournament) -> VoterProfile:
 
 
 def majority_relation(profile: VoterProfile) -> np.ndarray:
-    """Strict pairwise majority matrix of a profile (ties leave both False)."""
-    m = profile.m
-    margin = np.zeros((m, m), dtype=np.int64)
+    """Strict pairwise majority matrix of a profile (ties leave both False): each
+    order adds its weight wherever its rank positions put ``a`` before ``b``."""
+    margin = np.zeros((profile.m, profile.m), dtype=np.int64)
     for order, weight in profile.orders:
-        for a in range(m):
-            for b in range(m):
-                if a != b and order.prefers(a, b):
-                    margin[a, b] += weight
+        rank = np.argsort(order.ranking)  # rank[a]: a's position in the order
+        margin += weight * (rank[:, None] < rank[None, :])
     return margin > margin.T
 
 
@@ -287,13 +274,24 @@ def saari_search(
 
     Solved as an exact integer program minimizing the number of voters,
     requiring the target to win every subset strictly (so no tie break is
-    ever consulted).  Returns ``None`` when no profile of any size exists;
+    ever consulted): one constraint row per subset ``S`` and rival ``b``, the
+    strict margin ``#tops(S) = c0(S)`` minus ``#tops(S) = b`` as a linear form in
+    the weights.  The rounded solution is checked against the same rows, each
+    at least 1.  Returns ``None`` when no profile of any size exists;
     raises :class:`SearchBudgetExceededError` when the minimal realizing
-    profile exceeds the budget.
+    profile exceeds the budget, and :class:`TableSizeError`, before any order
+    is built, when the ``m! * (2**m - 1)`` table of tops exceeds
+    :data:`MAX_TABLE_SIZE` (so m <= 8).
     """
     from scipy.optimize import LinearConstraint, milp  # deferred: scipy is slow to import
 
     m = c0.m
+    size = math.factorial(m) * ((1 << m) - 1)
+    if size > MAX_TABLE_SIZE:
+        raise TableSizeError(
+            f"saari_search at m = {m} tabulates {m}! orders' tops on 2**{m} - 1 subsets, "
+            f"{size} entries, past the exact-computation cap {MAX_TABLE_SIZE}"
+        )
     orders = all_orders(m)
     k = len(orders)
     if m == 1:
@@ -330,15 +328,11 @@ def saari_search(
             f"minimal realizing profile has {total} voters, budget {max_profile_size}",
             minimal_size=total,
         )
+    # each row of the matrix is one strict margin, a count of voters far below 2^53
+    if (matrix @ weights < 1).any():
+        raise ThresholdLabError("integer rounding broke a strict margin")
     chosen = [(orders[j], int(w)) for j, w in enumerate(weights) if w > 0]
-    profile = VoterProfile(m, tuple(chosen))
-    for mask in nonempty_subsets(m):
-        if len(subset_members(mask)) < 2:
-            continue
-        margins = plurality_margins(profile, mask, c0.get(mask))
-        if min(margins.values()) < 1:
-            raise ThresholdLabError("integer rounding broke a strict margin")
-    return profile
+    return VoterProfile(m, tuple(chosen))
 
 
 @dataclasses.dataclass(frozen=True)

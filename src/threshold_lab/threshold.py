@@ -56,11 +56,10 @@ class NoStrictLeaderError(ThresholdLabError):
 
 
 def _monotone_real(f: QaryFunction, path: MeasurePath) -> QaryFunction:
-    """``f`` as a real table, after checking that it is {0,1}-valued, on the
-    path's alphabet and monotone along its anchor, where Russo's formula holds."""
+    """``f`` as a real table, after checking that it is on the path's alphabet and,
+    through :func:`anchored_monotone_violation`, {0,1}-valued and monotone along
+    the path's anchor, where Russo's formula holds."""
     f = f.tabulate()
-    if not f.is_binary():
-        raise InvalidFunctionError("this operation needs a {0,1}-valued table")
     _check_compatible(f, path.base)
     witness = anchored_monotone_violation(f, path.anchor)
     if witness is not None:

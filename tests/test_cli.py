@@ -9,8 +9,15 @@ import numpy as np
 import pytest
 
 import threshold_lab
-from threshold_lab import ChoiceFunction, ProductMeasure, QaryFunction, Tournament, dictator
-from threshold_lab import decomposition, fileio, plurality, threshold
+from threshold_lab import (
+    ChoiceFunction,
+    LinearOrder,
+    ProductMeasure,
+    QaryFunction,
+    Tournament,
+    dictator,
+)
+from threshold_lab import decomposition, fileio, plurality, social_choice, threshold
 from threshold_lab.cli import _SUBCOMMANDS, REPORT_SCHEMA, build_parser, main
 from threshold_lab.decomposition import influence_report, talagrand_report
 
@@ -666,6 +673,17 @@ class TestExitCodes:
         else:
             assert json.loads(result.stdout)["violations"] == 0
 
+    # 2**60 entries would be a 1 EiB draw, 3**16 a 344 MB one
+    @pytest.mark.parametrize("qmax,nmax", [(2, 60), (2, 25), (3, 16), (1000, 3)])
+    def test_verify_past_the_table_cap_is_a_usage_error(self, capsys, qmax, nmax):
+        rc, out, err = run(capsys, "verify", "--suite", "hyper", "--trials", "1",
+                           "--qmax", str(qmax), "--nmax", str(nmax), "--seed", "7")
+        assert (rc, out) == (2, "")
+        assert err == (
+            "error: verify needs --qmax ** --nmax <= 16777216, the exact-computation cap "
+            "on its largest table\n"
+        )
+
     def test_schema_mismatch_is_exit_one(self, tmp_path, capsys):
         measure = str(tmp_path / "mu.json")
         fileio.save_measure(ProductMeasure(2, [0.5, 0.5]), measure)
@@ -711,10 +729,15 @@ class TestExitCodes:
              {"schema": fileio.TOURNAMENT_SCHEMA, "m": 3, "pairs": [[0, -1]]}),
             (["check", "--function", "{doc}"],
              {"schema": fileio.FUNCTION_SCHEMA, "q": 2, "n": 1, "table": [0, 1], "out_q": 2.5}),
+            (["saari", "--choice", "{doc}"],
+             {"schema": fileio.CHOICE_SCHEMA, "m": 0, "choices": {}}),
+            (["indeterminacy", "--choice", "{doc}", "--voters", "3"],
+             {"schema": fileio.CHOICE_SCHEMA, "m": 0, "choices": {}}),
         ],
         ids=["non-triangular-graph", "null-q", "mask-x", "string-table", "fractional-table",
              "nan-jury", "nan-influences", "choices-array", "choices-string", "pair-past-m",
-             "negative-pair", "fractional-out-q"],
+             "negative-pair", "fractional-out-q", "saari-no-alternatives",
+             "indeterminacy-no-alternatives"],
     )
     def test_invalid_input_is_one_typed_error(self, tmp_path, capsys, argv, doc):
         path = tmp_path / "doc.json"
@@ -729,6 +752,21 @@ class TestExitCodes:
             return {cls.__name__}.union(*(names(sub) for sub in cls.__subclasses__()))
 
         assert json.loads(err)["error"] in names(threshold_lab.ThresholdLabError)
+
+    def test_saari_past_the_table_cap_is_refused_at_once(self, tmp_path, capsys, monkeypatch):
+        def no_orders(m):
+            raise AssertionError("built the orders")
+
+        monkeypatch.setattr(social_choice, "all_orders", no_orders)
+        path = tmp_path / "c9.json"
+        fileio.save_choice_function(ChoiceFunction.from_order(LinearOrder(9, range(9))), str(path))
+        rc, out, err = run(capsys, "saari", "--choice", str(path))
+        assert (rc, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "TableSizeError",
+            "message": "saari_search at m = 9 tabulates 9! orders' tops on 2**9 - 1 subsets, "
+            "185431680 entries, past the exact-computation cap 16777216",
+        }
 
 
 class TestVerifyCommand:

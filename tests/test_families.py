@@ -335,7 +335,7 @@ class TestPluralityPathLaw:
     @given(_path_law_cases())
     def test_matches_the_table(self, case):
         f, table, path, ts = case
-        G = f.oracle.path_law(path, path.anchor)
+        G = f.oracle.path_law(path)
         for t in ts:
             want = prob_value(table, path.measure_at(t), path.anchor)
             assert abs(G(t) - want) <= 1e-13, (t, G(t), want)
@@ -349,7 +349,7 @@ class TestPluralityPathLaw:
         for _ in range(3):
             a = int(rng.integers(q))
             for atoms in (np.ones(q), rng.dirichlet(np.ones(q)), np.eye(q)[(a + 1) % q]):
-                G = law(_path(q, a, atoms), a)
+                G = law(_path(q, a, atoms))
                 H = G.conditional
                 assert ((0.0 <= H) & (H <= 1.0)).all()
                 assert np.diff(H).min() >= -1e-15
@@ -364,14 +364,14 @@ class TestPluralityPathLaw:
         f = plurality(q, n, tie_break)
         a = int(rng.integers(q))
         path = _path(q, a, rng.dirichlet(np.ones(q)))
-        G = f.oracle.path_law(path, a)
+        G = f.oracle.path_law(path)
         for t in np.linspace(0.0, 1.0, 21):
             assert abs(G(t) - f.oracle.exact_prob(path.measure_at(t), a)) <= 1e-11
 
     def test_binomial_tail_at_3051_voters(self):
         # P[Bin(n, t) > n/2] exactly, at dyadic t near 1/2 so the integers stay small
         n = 3051
-        G = plurality(2, n).oracle.path_law(_path(2, 0, [0.0, 1.0]), 0)
+        G = plurality(2, n).oracle.path_law(_path(2, 0, [0.0, 1.0]))
         for t in (63 / 128, 1 / 2, 33 / 64):
             p, r = Fraction(t).numerator, Fraction(t).denominator - Fraction(t).numerator
             tail = sum(math.comb(n, c) * p**c * r ** (n - c) for c in range(n // 2 + 1, n + 1))
@@ -380,13 +380,9 @@ class TestPluralityPathLaw:
     def test_most_popular_color_reads_the_plurality_law(self):
         f = graph_property(8, 3, "most_popular_color")
         path = _path(3, 1, [0.2, 0.0, 0.8])
-        G = f.oracle.path_law(path, 1)
-        want = plurality(3, 28, "smallest_index").oracle.path_law(path, 1)
+        G = f.oracle.path_law(path)
+        want = plurality(3, 28, "smallest_index").oracle.path_law(path)
         assert [G(t) for t in (0.3, 0.5)] == [want(t) for t in (0.3, 0.5)]
-
-    def test_refuses_a_symbol_off_the_anchor(self):
-        with pytest.raises(DimensionMismatchError):
-            plurality(3, 5).oracle.path_law(_path(3, 0, [0.0, 0.5, 0.5]), 1)
 
 
 @st.composite
@@ -475,7 +471,7 @@ class TestEnclosure:
         assert evaluator.bounds(atoms) == f.oracle.prob_bounds(atoms, 0)
 
     def test_builds_nothing_before_the_first_read(self):
-        G = plurality(3, 301).oracle.path_law(_path(3, 0, [0.0, 0.5, 0.5]), 0)
+        G = plurality(3, 301).oracle.path_law(_path(3, 0, [0.0, 0.5, 0.5]))
         assert "conditional" not in vars(G)
         G(0.4)
         assert "conditional" in vars(G)

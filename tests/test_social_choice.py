@@ -1,4 +1,5 @@
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from threshold_lab import (
     DimensionMismatchError,
     InvalidFunctionError,
     LinearOrder,
+    TableSizeError,
+    ThresholdLabError,
     Tournament,
     VoterProfile,
     borda_choice,
@@ -21,6 +24,7 @@ from threshold_lab import (
     plurality_choice,
     saari_search,
 )
+from threshold_lab import social_choice
 from threshold_lab.core import _categorical
 from threshold_lab.social_choice import nonempty_subsets, subset_mask, subset_members
 
@@ -35,6 +39,10 @@ def cyclic_choice_m3():
         0b111: 0,
     }
     return ChoiceFunction(3, choices)
+
+
+def _no_orders(m):
+    raise AssertionError("built the orders")
 
 
 def pairwise_margin(profile, a, b):
@@ -67,6 +75,11 @@ class TestChoiceFunction:
     def test_requires_all_subsets(self):
         with pytest.raises(DimensionMismatchError):
             ChoiceFunction(2, {0b01: 0, 0b10: 1})
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_needs_an_alternative(self, m):
+        with pytest.raises(DimensionMismatchError, match=f"needs m >= 1 alternatives, got {m}"):
+            ChoiceFunction(m, {})
 
     def test_from_order_is_rational(self):
         order = LinearOrder(3, (1, 2, 0))
@@ -197,6 +210,32 @@ class TestMcGarvey:
             assert np.array_equal(majority_relation(profile), t.beats)
 
 
+class TestMajorityRelation:
+    def test_weighted_tie_leaves_both_false(self):
+        # 0 and 1 split 3 : 3; 2 loses to both
+        profile = VoterProfile.from_rankings(3, [(0, 1, 2), (1, 0, 2), (2, 0, 1)], [2, 3, 1])
+        assert majority_relation(profile).tolist() == [
+            [False, False, True],
+            [False, False, True],
+            [False, False, False],
+        ]
+
+    def test_weighted_profiles_match_pairwise_counts(self, rng):
+        ties = 0
+        for _ in range(200):
+            m = int(rng.integers(2, 6))
+            rankings = [tuple(rng.permutation(m)) for _ in range(int(rng.integers(1, 7)))]
+            weights = rng.integers(1, 5, size=len(rankings)).tolist()
+            profile = VoterProfile.from_rankings(m, rankings, weights)
+            want = np.zeros((m, m), dtype=bool)
+            for a, b in itertools.permutations(range(m), 2):
+                margin = pairwise_margin(profile, a, b)
+                want[a, b] = margin > 0
+                ties += margin == 0
+            assert np.array_equal(majority_relation(profile), want)
+        assert ties > 0  # the draws reach tied pairs
+
+
 class TestSaariSearch:
     def test_two_alternatives_single_voter(self):
         c = ChoiceFunction(2, {0b01: 0, 0b10: 1, 0b11: 0})
@@ -223,6 +262,24 @@ class TestSaariSearch:
         assert profile is not None
         for mask in nonempty_subsets(3):
             assert plurality_choice(profile, mask) == cyclic_choice_m3().get(mask)
+
+    def test_rounding_that_breaks_a_margin_is_refused(self, monkeypatch):
+        import scipy.optimize
+
+        # one voter, ranking 0 > 1 > 2, cannot realize the cycle
+        solution = types.SimpleNamespace(status=0, success=True, message="", x=np.eye(6)[0])
+        monkeypatch.setattr(scipy.optimize, "milp", lambda **_: solution)
+        with pytest.raises(ThresholdLabError, match="integer rounding broke a strict margin"):
+            saari_search(cyclic_choice_m3())
+
+    def test_refuses_nine_alternatives_before_building_an_order(self, monkeypatch):
+        monkeypatch.setattr(social_choice, "all_orders", _no_orders)
+        c9 = ChoiceFunction.from_order(LinearOrder(9, range(9)))
+        with pytest.raises(TableSizeError, match=r"m = 9 tabulates 9! orders' tops"):
+            saari_search(c9)
+        # m = 8 is inside the cap: it gets as far as building the orders
+        with pytest.raises(AssertionError, match="built the orders"):
+            saari_search(ChoiceFunction.from_order(LinearOrder(8, range(8))))
 
     def test_budget_exhaustion_raises(self):
         from threshold_lab.social_choice import SearchBudgetExceededError

@@ -643,7 +643,7 @@ class TestAlong:
         assert along_calls == []
         values = curve.values
         assert along_calls == ["exact:plurality"] and calls == []
-        G = plurality(3, 21).oracle.path_law(curve.path, 0)
+        G = plurality(3, 21).oracle.path_law(curve.path)
         assert values.tolist() == [G(t) for t in curve.grid]
 
     def test_window_with_its_refinement(self, along_calls):
