@@ -89,12 +89,14 @@ def subset_members(mask) -> list[int]:
 
 def subset_mask(subset):
     """The bitmask of ``subset``: an int or NumPy integer mask as is, else the
-    bits of the elements of an iterable."""
+    bits of the elements of an iterable, each refused if negative."""
     if isinstance(subset, (int, np.integer)):
         return subset
     mask = 0
-    for j in subset:
-        mask |= 1 << int(j)
+    for j in map(int, subset):
+        if j < 0:
+            raise DimensionMismatchError(f"subset element {j} is negative")
+        mask |= 1 << j
     return mask
 
 
@@ -204,6 +206,8 @@ class ProductMeasure:
 
     @classmethod
     def uniform(cls, q: int) -> "ProductMeasure":
+        if q < 1:
+            raise DimensionMismatchError("alphabet size must be >= 1")
         return cls(q, np.full(q, 1.0 / q))
 
     def min_atom(self) -> float:
@@ -264,27 +268,27 @@ class Oracle:
     holds ``q - 1`` (``uint8`` up to q = 256), Monte Carlo in C order and
     ``tabulate`` column-major (each coordinate one contiguous column), so
     ``batch`` must not assume int64 (``x.sum(axis=1) - y.sum(axis=1)`` on
-    ``uint8`` rows, for one, wraps around zero) nor C-contiguous rows.  An
-    optional ``exact_prob(measure, a)`` computes ``P[f = a]`` exactly from
-    structure (the family laws of :mod:`.laws`, e.g. plurality's Poissonized
-    counts), enabling exact threshold scans at sizes far beyond the table cap.
-    An optional ``path_law(path)``, given only beside ``exact_prob``, returns
-    ``G(t) = P[f = path.anchor]`` along a :class:`MeasurePath` as one callable of
-    ``t`` (plurality's, from n + 1 conditional probabilities), which exact curves
-    read in place of ``exact_prob`` at each ``path.measure_at(t)``.
-    An optional ``prob_bounds(atoms, a)``, also given only beside ``exact_prob``,
-    returns arrays ``(lo, hi)`` with ``lo[i] <= P[f = a] <= hi[i]`` at the measure
-    of each row of an ``(M, q)`` atoms array (plurality's Chernoff bounds,
-    dictator's exact atoms), which sweeps read before the law.  All three are
-    fields, so an oracle rebuilt by ``dataclasses.replace`` keeps them.
+    ``uint8`` rows, for one, wraps around zero) nor C-contiguous rows.
+
+    An optional ``law`` is the family's exact law from :mod:`.laws`:
+    ``law(measure, a)`` is ``P[f = a]``, at sizes far beyond the table cap;
+    ``law.bounds(atoms, a)`` encloses it at each row of an ``(M, q)`` atoms array
+    as arrays ``(lo, hi)``, which sweeps read first; and ``law.along(path)``, where
+    the law has one, is the curve ``t -> P[f = path.anchor]``, which exact curves
+    read once per path.  ``exact_prob`` is the law unless given apart from it: an
+    oracle with no law gives its own, and ``dataclasses.replace`` may swap it
+    alone, keeping the law.
     """
 
     name: str
     params: dict
     batch: Callable[[np.ndarray], np.ndarray]
     exact_prob: Callable[[ProductMeasure, int], float] | None = None
-    path_law: Callable[[MeasurePath], Callable[[float], float]] | None = None
-    prob_bounds: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]] | None = None
+    law: Callable[[ProductMeasure, int], float] | None = None
+
+    def __post_init__(self) -> None:
+        if self.exact_prob is None:
+            object.__setattr__(self, "exact_prob", self.law)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -570,13 +574,13 @@ class _Histogram:
     """
 
     def __init__(self, hits: np.ndarray, q: int, n: int):
-        binom = _binomials(q + n, n + 1) if n > 1 else None
+        binom = _binomials(q + n, n + 1)
         counts = hits.reshape(q, -1)  # the colex rank of a one-tuple is its symbol
         for k in range(1, n):
             counts = self._next_level(counts, k, q, binom)
         ranks = np.flatnonzero(counts[:, 0])
         self.counts = counts[ranks, 0]
-        self.symbols = _unrank(ranks, n, q, binom) if n > 1 else ranks[:, None]
+        self.symbols = _unrank(ranks, n, q, binom)
         if q <= n:
             self._exponents = np.arange(n + 1)
             self._factors = [b * (n + 1) + (self.symbols == b).sum(axis=1) for b in range(q)]
@@ -639,17 +643,18 @@ class Evaluator:
     :data:`SMALL_TABLE_SIZE` points), ``exact:<oracle name>`` (the oracle's
     ``exact_prob``), both ignoring ``stream``, or ``mc`` (``samples`` draws of the
     stream ``[seed, stream]``).  :meth:`along` reads the same values along a path
-    anchored at ``a``, through ``path_law(path)`` where the method has one (the
-    oracle's ``path_law``).  ``bounds(atoms)``, where the method has one (the
-    oracle's ``prob_bounds``; the histogram's own value as both ends; never
+    anchored at ``a``, through ``curve(path)`` where the method has one (the
+    oracle law's ``along``).  ``bounds(atoms)``, where the method has one (the
+    oracle law's ``bounds``; the histogram's own value as both ends; never
     ``mc``), encloses ``P[f = a]`` at every row of an ``(M, q)`` atoms array at
     once, as arrays ``(lo, hi)``."""
 
     name: str
+    a: int
     prob: Callable[..., float] = dataclasses.field(repr=False)
     samples: int | None = None
     seed: int | None = None
-    path_law: Callable[[MeasurePath], Callable[[float], float]] | None = dataclasses.field(
+    curve: Callable[[MeasurePath], Callable[[float], float]] | None = dataclasses.field(
         default=None, repr=False
     )
     bounds: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = dataclasses.field(
@@ -657,36 +662,42 @@ class Evaluator:
     )
 
     def along(self, path: MeasurePath) -> Callable[..., float]:
-        """``G(t, stream)``: ``P[f = a]`` at ``path.measure_at(t)``, from the path law
-        if there is one (it ignores ``stream``), else from ``prob``."""
-        if self.path_law is not None:
-            law = self.path_law(path)
-            return lambda t, stream=None: law(t)
+        """``G(t, stream)``: ``P[f = a]`` at ``path.measure_at(t)``, from ``curve`` if
+        there is one (it ignores ``stream``), else from ``prob``.  Refuses a path
+        anchored at another symbol than ``a``."""
+        if path.anchor != self.a:
+            raise DimensionMismatchError(
+                f"path anchored at {path.anchor}, but the evaluator reads P[f = {self.a}]"
+            )
+        if self.curve is not None:
+            G = self.curve(path)
+            return lambda t, stream=None: G(t)
         return lambda t, stream=None: self.prob(path.measure_at(t), stream)
 
 
 def _exact_prob(f: QaryFunction, a: int) -> Evaluator | None:
     """The exact evaluator of ``P[f = a]``, resolved in this order: the dense table,
     read through the :class:`_Histogram` of ``f == a`` built here once; else the
-    oracle's ``exact_prob`` (with its ``path_law`` and ``prob_bounds``, if any);
-    else, for an oracle of at most :data:`SMALL_TABLE_SIZE` points, its table,
-    tabulated on the first call and kept on ``f`` (:attr:`QaryFunction._kept_table`),
-    and read as the first case reads a table; else ``None`` (Monte
-    Carlo only).  The histogram's ``bounds`` are its exact value at each row, so
-    a sweep decides every measure of a table in one call.  Checks ``a`` before any
-    tabulation; the evaluator trusts ``measure.q == f.q``."""
+    oracle's ``exact_prob``, with the ``bounds`` and ``along`` of its ``law`` if it
+    has one; else, for an oracle of at most :data:`SMALL_TABLE_SIZE` points, its
+    table, tabulated on the first call and kept on ``f``
+    (:attr:`QaryFunction._kept_table`), and read as the first case reads a table;
+    else ``None`` (Monte Carlo only).  The histogram's ``bounds`` are its exact
+    value at each row, so a sweep decides every measure of a table in one call.
+    Checks ``a`` before any tabulation; the evaluator trusts ``measure.q == f.q``."""
     _check_symbol(f, a)
     if f.table is None and f.oracle.exact_prob is None and f.q**f.n <= SMALL_TABLE_SIZE:
         f = f._kept_table
     if f.table is not None:
         law = _Histogram(f.table == a, f.q, f.n)
         prob = lambda measure, stream=None: float(law(measure.atoms[None])[0])
-        return Evaluator("histogram", prob, bounds=lambda atoms: (law(atoms),) * 2)
-    oracle = f.oracle
+        return Evaluator("histogram", a, prob, bounds=lambda atoms: (law(atoms),) * 2)
+    oracle, law = f.oracle, f.oracle.law
     if oracle.exact_prob is not None:
         prob = lambda measure, stream=None: float(oracle.exact_prob(measure, a))
-        bounds = None if oracle.prob_bounds is None else lambda atoms: oracle.prob_bounds(atoms, a)
-        return Evaluator(f"exact:{oracle.name}", prob, path_law=oracle.path_law, bounds=bounds)
+        bounds = None if law is None else lambda atoms: law.bounds(atoms, a)
+        curve = getattr(law, "along", None)
+        return Evaluator(f"exact:{oracle.name}", a, prob, curve=curve, bounds=bounds)
     return None
 
 
@@ -833,6 +844,7 @@ class MeasurePath:
     @classmethod
     def from_measure(cls, measure: ProductMeasure, anchor: int) -> tuple["MeasurePath", float]:
         """Decompose ``measure`` as the path point at ``t = measure(anchor)``."""
+        _check_range(anchor, measure.q, "anchor")
         t = float(measure.atoms[anchor])
         if t >= 1.0:
             raise DegenerateMeasureError(

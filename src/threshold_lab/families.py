@@ -4,13 +4,9 @@ antisymmetric majority, dictators.
 Families are pure oracles with vectorized evaluators; small instances
 tabulate on demand.  One gate routine finds every plurality winner: flat
 plurality, each tree level and the most-popular-colour property.  A family's
-exact law ``P[f = a]``, where it has one, lives in :mod:`.laws`, and its
-oracle's ``exact_prob`` names it; plurality's, by Poissonized counts, works at
-every (q, n), far beyond the table cap.  Plurality's oracle, and through it the
-``most_popular_color`` property's, also names the law's path law as
-``path_law(path)``, the curve of ``P[f = path.anchor]`` along the path, which
-exact curves read once per path.  Plurality's and dictator's oracles name their
-law's closed-form enclosure as ``prob_bounds``, which sweeps read before the law.
+exact law ``P[f = a]``, where it has one, is its oracle's ``law``, from
+:mod:`.laws`: plurality's, by Poissonized counts, works at every (q, n), far
+beyond the table cap, and the ``most_popular_color`` property shares it.
 """
 
 from __future__ import annotations
@@ -146,14 +142,11 @@ def plurality(q: int, n: int, tie_break: str = "first_occurrence") -> QaryFuncti
     _check_tie_break(tie_break)
     if q < 2 or n < 1:
         raise DimensionMismatchError("need q >= 2 and n >= 1")
-    law = _PluralityExact(q, n, tie_break)
     oracle = Oracle(
         name="plurality",
         params={"q": q, "n": n, "tie_break": tie_break},
         batch=lambda X: plurality_winners(X, q, tie_break),
-        exact_prob=law,
-        path_law=law.along,
-        prob_bounds=law.bounds,
+        law=_PluralityExact(q, n, tie_break),
     )
     return QaryFunction.from_oracle(q, n, oracle)
 
@@ -304,13 +297,11 @@ def dictator(q: int, n: int, coord: int = 0) -> QaryFunction:
     if q < 2 or n < 1:
         raise DimensionMismatchError("need q >= 2 and n >= 1")
     _check_range(coord, n, "coordinate")
-    law = _DictatorExact(q)
     oracle = Oracle(
         name="dictator",
         params={"q": q, "n": n, "coord": coord},
         batch=lambda X: np.asarray(X)[:, coord].astype(np.int64),
-        exact_prob=law,
-        prob_bounds=law.bounds,
+        law=_DictatorExact(q),
     )
     return QaryFunction.from_oracle(q, n, oracle)
 

@@ -1,12 +1,11 @@
-"""Exact laws ``P[f = a]`` of the built-in families, each called as its family
-oracle's ``exact_prob(measure, a)`` and named ``exact:<oracle name>`` by
-:func:`.core._exact_prob`.  Plurality also has a path law, its oracle's
-``path_law(path)``: the whole curve ``t -> P[f = path.anchor]`` along a path,
-from n + 1 conditional probabilities (:class:`_PluralityPath`).  Each law's
-``bounds(atoms, a)``, its oracle's ``prob_bounds``, encloses ``P[f = a]`` at
+"""Exact laws ``P[f = a]`` of the built-in families, each its family oracle's
+``law`` and named ``exact:<oracle name>`` by :func:`.core._exact_prob`.  A law is
+called as ``law(measure, a)``.  Its ``bounds(atoms, a)`` encloses ``P[f = a]`` at
 every row of an ``(M, q)`` atoms array in closed form: dictator's is the atom
-itself, plurality's a pair of Chernoff bounds.  A leaf module: it imports only
-``.core``, numpy and the stdlib."""
+itself, plurality's a pair of Chernoff bounds.  Plurality's ``along(path)`` is the
+whole curve ``t -> P[f = path.anchor]``, from n + 1 conditional probabilities
+(:class:`_PluralityPath`).  A leaf module: it imports only ``.core``, numpy and
+the stdlib."""
 
 from __future__ import annotations
 

@@ -42,6 +42,17 @@ def nonempty_subsets(m: int):
     return range(1, 1 << m)
 
 
+def _subset(m: int, subset) -> int:
+    """The bitmask of ``subset``, refused unless it is a nonempty subset of the
+    alternatives ``[0, m)``."""
+    mask = subset_mask(subset)
+    if not 0 < mask < 1 << m:
+        raise DimensionMismatchError(
+            f"subset mask {mask} is not a nonempty subset of the alternatives [0, {m})"
+        )
+    return mask
+
+
 @dataclasses.dataclass(frozen=True)
 class LinearOrder:
     """A strict ranking of the ``m`` alternatives, best first."""
@@ -99,8 +110,9 @@ class VoterProfile:
     @classmethod
     def from_rankings(cls, m: int, rankings, weights=None) -> "VoterProfile":
         rankings = list(rankings)
-        if weights is None:
-            weights = [1] * len(rankings)
+        weights = [1] * len(rankings) if weights is None else list(weights)
+        if len(weights) != len(rankings):
+            raise DimensionMismatchError(f"{len(rankings)} rankings but {len(weights)} weights")
         return cls(m, tuple((LinearOrder(m, r), w) for r, w in zip(rankings, weights)))
 
     def order_weights(self) -> dict:
@@ -140,7 +152,7 @@ class ChoiceFunction:
         object.__setattr__(self, "choices", cleaned)
 
     def get(self, subset) -> int:
-        return self.choices[subset_mask(subset)]
+        return self.choices[_subset(self.m, subset)]
 
     @classmethod
     def from_order(cls, order: LinearOrder) -> "ChoiceFunction":
@@ -223,9 +235,7 @@ def plurality_choice(
     Depends only on the individual tops (independence of rejected
     alternatives) and always returns some voter's top (Pareto).
     """
-    mask = subset_mask(subset)
-    if mask == 0:
-        raise DimensionMismatchError("subset must be nonempty")
+    mask = _subset(profile.m, subset)
     tops, weights = zip(*_top_sequence(profile, mask))
     # the voter sequence: each listed voter's top repeated by its weight
     voters = np.repeat(tops, weights)[None, :]
@@ -376,6 +386,10 @@ def indeterminacy_experiment(
         profile = saari_search(c0)
         if profile is None:
             raise ThresholdLabError("no realizing profile exists for this choice function")
+    elif profile.m != c0.m:
+        raise DimensionMismatchError(
+            f"profile on {profile.m} alternatives, choice function on {c0.m}"
+        )
     agg = profile.order_weights()
     rankings = sorted(agg)
     probs = np.array([agg[r] for r in rankings], dtype=float)
@@ -422,9 +436,7 @@ def outdegree_choice(
     Ties in out-degree are broken by the fixed order, realizing a
     single-valued rule from the pairwise-majority correspondence.
     """
-    members = subset_members(subset_mask(subset))
-    if not members:
-        raise DimensionMismatchError("subset must be nonempty")
+    members = subset_members(_subset(profile.m, subset))
     beats = majority_relation(profile)
     out_degree = {a: sum(bool(beats[a, b]) for b in members if b != a) for a in members}
     best = max(out_degree.values())
@@ -439,10 +451,8 @@ def borda_choice(profile: VoterProfile, subset) -> int:
     member whose first appearance as some voter's top is earliest, then to
     the smaller index.
     """
-    mask = subset_mask(subset)
+    mask = _subset(profile.m, subset)
     members = subset_members(mask)
-    if not members:
-        raise DimensionMismatchError("subset must be nonempty")
     score = {a: 0 for a in members}
     for order, weight in profile.orders:
         restricted = [a for a in order.ranking if a in score]

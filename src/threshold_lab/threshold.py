@@ -175,7 +175,7 @@ def _mc_evaluator(f: QaryFunction, a: int, samples: int, seed) -> Evaluator:
     _check_seed(seed)
     _check_symbol(f, a)
     prob = lambda measure, i: mc_estimate(f, measure, a, samples, [seed, i]).p_hat
-    return Evaluator("mc", prob, samples, seed)
+    return Evaluator("mc", a, prob, samples, seed)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -15,6 +15,7 @@ from threshold_lab import (
     ProductMeasure,
     QaryFunction,
     Tournament,
+    VoterProfile,
     dictator,
 )
 from threshold_lab import decomposition, fileio, plurality, social_choice, threshold
@@ -752,6 +753,17 @@ class TestExitCodes:
             return {cls.__name__}.union(*(names(sub) for sub in cls.__subclasses__()))
 
         assert json.loads(err)["error"] in names(threshold_lab.ThresholdLabError)
+
+    def test_indeterminacy_refuses_a_profile_on_other_alternatives(self, tmp_path, capsys):
+        choice, profile = tmp_path / "c3.json", tmp_path / "p4.json"
+        fileio.save_choice_function(ChoiceFunction.from_order(LinearOrder(3, range(3))), str(choice))
+        fileio.save_profile(VoterProfile.from_rankings(4, [(0, 1, 2, 3)]), str(profile))
+        rc, out, err = run(capsys, "indeterminacy", "--choice", str(choice), "--profile", str(profile))
+        assert (rc, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "DimensionMismatchError",
+            "message": "profile on 4 alternatives, choice function on 3",
+        }
 
     def test_saari_past_the_table_cap_is_refused_at_once(self, tmp_path, capsys, monkeypatch):
         def no_orders(m):

@@ -48,6 +48,11 @@ from oracles import (
 
 
 class TestProductMeasure:
+    @pytest.mark.parametrize("q", [0, -2])
+    def test_uniform_refuses_an_empty_alphabet(self, q):
+        with pytest.raises(DimensionMismatchError, match="alphabet size must be >= 1"):
+            ProductMeasure.uniform(q)
+
     def test_atoms_validated(self):
         with pytest.raises(DegenerateMeasureError):
             ProductMeasure(2, [0.5, 0.6])
@@ -576,6 +581,11 @@ class TestMeasurePath:
         path, t = MeasurePath.from_measure(mu, anchor=1)
         assert t == pytest.approx(0.5)
         assert np.allclose(path.measure_at(t).atoms, mu.atoms)
+
+    @pytest.mark.parametrize("anchor", [-1, 2, 5])
+    def test_from_measure_refuses_an_anchor_outside_the_alphabet(self, anchor):
+        with pytest.raises(DimensionMismatchError, match=rf"anchor {anchor} outside \[0, 2\)"):
+            MeasurePath.from_measure(ProductMeasure(2, [0.5, 0.5]), anchor)
 
 
 class TestPermuteInputSymbols:

@@ -78,6 +78,12 @@ class TestEfronStein:
         assert np.allclose(d.component([1]), 0.0)
         assert np.allclose(d.component([0, 1]), xor_indicator.table - 0.5)
 
+    @pytest.mark.parametrize("subset", [[-1], [0, -3]])
+    def test_component_refuses_a_negative_coordinate(self, xor_indicator, subset):
+        d = efron_stein(xor_indicator, UNIFORM2)
+        with pytest.raises(DimensionMismatchError, match=f"subset element {min(subset)} is negative"):
+            d.component(subset)
+
     def test_defining_properties_on_corpus(self, small_corpus):
         for f, _, mu in small_corpus[:30]:
             d = efron_stein(f, mu)

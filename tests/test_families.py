@@ -335,7 +335,7 @@ class TestPluralityPathLaw:
     @given(_path_law_cases())
     def test_matches_the_table(self, case):
         f, table, path, ts = case
-        G = f.oracle.path_law(path)
+        G = f.oracle.law.along(path)
         for t in ts:
             want = prob_value(table, path.measure_at(t), path.anchor)
             assert abs(G(t) - want) <= 1e-13, (t, G(t), want)
@@ -345,7 +345,7 @@ class TestPluralityPathLaw:
     )
     @pytest.mark.parametrize("tie_break", TIE_BREAKS)
     def test_conditional_law_is_a_nondecreasing_probability(self, rng, q, n, tie_break):
-        law = plurality(q, n, tie_break).oracle.path_law
+        law = plurality(q, n, tie_break).oracle.law.along
         for _ in range(3):
             a = int(rng.integers(q))
             for atoms in (np.ones(q), rng.dirichlet(np.ones(q)), np.eye(q)[(a + 1) % q]):
@@ -364,14 +364,14 @@ class TestPluralityPathLaw:
         f = plurality(q, n, tie_break)
         a = int(rng.integers(q))
         path = _path(q, a, rng.dirichlet(np.ones(q)))
-        G = f.oracle.path_law(path)
+        G = f.oracle.law.along(path)
         for t in np.linspace(0.0, 1.0, 21):
             assert abs(G(t) - f.oracle.exact_prob(path.measure_at(t), a)) <= 1e-11
 
     def test_binomial_tail_at_3051_voters(self):
         # P[Bin(n, t) > n/2] exactly, at dyadic t near 1/2 so the integers stay small
         n = 3051
-        G = plurality(2, n).oracle.path_law(_path(2, 0, [0.0, 1.0]))
+        G = plurality(2, n).oracle.law.along(_path(2, 0, [0.0, 1.0]))
         for t in (63 / 128, 1 / 2, 33 / 64):
             p, r = Fraction(t).numerator, Fraction(t).denominator - Fraction(t).numerator
             tail = sum(math.comb(n, c) * p**c * r ** (n - c) for c in range(n // 2 + 1, n + 1))
@@ -380,8 +380,8 @@ class TestPluralityPathLaw:
     def test_most_popular_color_reads_the_plurality_law(self):
         f = graph_property(8, 3, "most_popular_color")
         path = _path(3, 1, [0.2, 0.0, 0.8])
-        G = f.oracle.path_law(path)
-        want = plurality(3, 28, "smallest_index").oracle.path_law(path)
+        G = f.oracle.law.along(path)
+        want = plurality(3, 28, "smallest_index").oracle.law.along(path)
         assert [G(t) for t in (0.3, 0.5)] == [want(t) for t in (0.3, 0.5)]
 
 
@@ -405,13 +405,13 @@ def _enclosure_cases(draw):
 
 
 class TestEnclosure:
-    """``prob_bounds(atoms, a)`` encloses ``P[f = a]`` at every row of ``atoms``."""
+    """``law.bounds(atoms, a)`` encloses ``P[f = a]`` at every row of ``atoms``."""
 
     @settings(max_examples=150, deadline=None)
     @given(_enclosure_cases())
     def test_plurality_encloses_the_table(self, case):
         f, table, a, atoms = case
-        lo, hi = f.oracle.prob_bounds(atoms, a)
+        lo, hi = f.oracle.law.bounds(atoms, a)
         assert ((0.0 <= lo) & (lo <= hi) & (hi <= 1.0)).all()
         for row, low, high in zip(atoms, lo, hi):
             # the table's mean rounds: at (4 colours, K4) and a near point mass it
@@ -423,7 +423,7 @@ class TestEnclosure:
     def test_decides_point_masses_and_empty_symbols(self, tie_break):
         f = plurality(4, 7, tie_break)
         atoms = np.vstack([np.eye(4), [[0.0, 0.5, 0.5, 0.0]]])
-        lo, hi = f.oracle.prob_bounds(atoms, 0)
+        lo, hi = f.oracle.law.bounds(atoms, 0)
         assert lo.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
         assert hi[:4].tolist() == [1.0, 0.0, 0.0, 0.0]
         assert hi[4] == pytest.approx(0.5**7, rel=1e-14)  # P[N_1 = 0], a's rival left empty
@@ -431,25 +431,25 @@ class TestEnclosure:
     def test_is_a_chernoff_bound_on_each_rival(self):
         # mu_a leads, so lo is 1 minus the two tails; hi is 1 with no rival at or above mu_a
         atoms = np.array([[0.5, 0.3, 0.2]])
-        lo, hi = plurality(3, 40).oracle.prob_bounds(atoms, 0)
+        lo, hi = plurality(3, 40).oracle.law.bounds(atoms, 0)
         tails = [(1 - (math.sqrt(0.5) - math.sqrt(b)) ** 2) ** 40 for b in (0.3, 0.2)]
         assert hi[0] == 1.0 and lo[0] == pytest.approx(1 - sum(tails), abs=1e-15)
         # a trailing symbol's hi is its tail against the leader, the least of the two
-        lo, hi = plurality(3, 40).oracle.prob_bounds(atoms, 2)
+        lo, hi = plurality(3, 40).oracle.law.bounds(atoms, 2)
         assert lo[0] == 0.0
         assert hi[0] == pytest.approx((1 - (math.sqrt(0.2) - math.sqrt(0.5)) ** 2) ** 40)
 
     def test_most_popular_color_has_the_plurality_enclosure(self):
         atoms = np.random.default_rng(3).dirichlet(np.ones(3), size=20)
-        got = graph_property(8, 3, "most_popular_color").oracle.prob_bounds(atoms, 1)
-        want = plurality(3, 28, "smallest_index").oracle.prob_bounds(atoms, 1)
+        got = graph_property(8, 3, "most_popular_color").oracle.law.bounds(atoms, 1)
+        want = plurality(3, 28, "smallest_index").oracle.law.bounds(atoms, 1)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
     def test_dictator_is_its_law_bit_for_bit(self, rng):
         f = dictator(4, 6, 2)
         atoms = np.vstack([rng.dirichlet(np.ones(4), size=50), np.eye(4)])
         for a in range(4):
-            lo, hi = f.oracle.prob_bounds(atoms, a)
+            lo, hi = f.oracle.law.bounds(atoms, a)
             law = [f.oracle.exact_prob(ProductMeasure(4, row), a) for row in atoms]
             assert lo.tolist() == hi.tolist() == law
 
@@ -457,7 +457,7 @@ class TestEnclosure:
     def test_refuses_a_symbol_outside_the_alphabet(self, f):
         for a in (-1, 3):
             with pytest.raises(DimensionMismatchError, match=rf"symbol {a} outside \[0, 3\)"):
-                f.oracle.prob_bounds(np.full((2, 3), 1 / 3), a)
+                f.oracle.law.bounds(np.full((2, 3), 1 / 3), a)
 
     def test_a_replaced_oracle_keeps_its_enclosure(self):
         # a benchmark tracer wraps exact_prob by dataclasses.replace
@@ -465,13 +465,19 @@ class TestEnclosure:
         wrapped = dataclasses.replace(
             f.oracle, exact_prob=lambda measure, a: f.oracle.exact_prob(measure, a)
         )
-        assert wrapped.prob_bounds is f.oracle.prob_bounds
+        assert wrapped.law is f.oracle.law
         evaluator = core._exact_prob(QaryFunction.from_oracle(3, 311, wrapped), 0)
         atoms = np.full((1, 3), 1 / 3)
-        assert evaluator.bounds(atoms) == f.oracle.prob_bounds(atoms, 0)
+        assert evaluator.bounds(atoms) == f.oracle.law.bounds(atoms, 0)
+
+    def test_an_oracle_holds_one_law(self):
+        fields = [field.name for field in dataclasses.fields(Oracle)]
+        assert fields == ["name", "params", "batch", "exact_prob", "law"]
+        for f in (plurality(3, 5), dictator(3, 2), graph_property(4, 3, "most_popular_color")):
+            assert f.oracle.law is not None and f.oracle.exact_prob is f.oracle.law
 
     def test_builds_nothing_before_the_first_read(self):
-        G = plurality(3, 301).oracle.path_law(_path(3, 0, [0.0, 0.5, 0.5]))
+        G = plurality(3, 301).oracle.law.along(_path(3, 0, [0.0, 0.5, 0.5]))
         assert "conditional" not in vars(G)
         G(0.4)
         assert "conditional" in vars(G)

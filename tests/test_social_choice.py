@@ -61,10 +61,20 @@ class TestLinearOrderAndProfile:
         order = LinearOrder(4, (2, 0, 3, 1))
         assert order.top_of(subset_mask((0, 1, 3))) == 0
 
+    def test_subset_mask_refuses_a_negative_element(self):
+        with pytest.raises(DimensionMismatchError, match="subset element -1 is negative"):
+            subset_mask([-1])
+
     def test_profile_weights(self):
         profile = VoterProfile.from_rankings(2, [(0, 1), (1, 0)], [3, 2])
         assert profile.total_weight == 5
         assert profile.order_weights() == {(0, 1): 3, (1, 0): 2}
+
+    @pytest.mark.parametrize("rankings,weights", [([(0, 1), (1, 0)], [3]), ([(0, 1)], [3, 4])])
+    def test_from_rankings_refuses_unequal_lengths(self, rankings, weights):
+        message = f"{len(rankings)} rankings but {len(weights)} weights"
+        with pytest.raises(DimensionMismatchError, match=message):
+            VoterProfile.from_rankings(2, rankings, weights)
 
 
 class TestChoiceFunction:
@@ -376,6 +386,42 @@ class TestIndeterminacy:
     def test_runs_search_when_no_profile_given(self):
         rep = indeterminacy_experiment(cyclic_choice_m3(), 50, 20, seed=2)
         assert 0.0 <= rep.min_subset <= 1.0
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_refuses_a_profile_on_other_alternatives(self, m):
+        c0 = ChoiceFunction.from_order(LinearOrder(3, (0, 1, 2)))
+        profile = VoterProfile.from_rankings(m, [tuple(range(m))])
+        message = f"profile on {m} alternatives, choice function on 3"
+        with pytest.raises(DimensionMismatchError, match=message):
+            indeterminacy_experiment(c0, 5, 5, profile=profile)
+
+
+_TWO = VoterProfile.from_rankings(2, [(0, 1)])
+
+#: each rule on a subset of the two alternatives of ``_TWO``
+_SUBSET_RULES = {
+    "plurality": lambda subset: plurality_choice(_TWO, subset),
+    "outdegree": lambda subset: outdegree_choice(_TWO, subset, LinearOrder(2, (0, 1))),
+    "borda": lambda subset: borda_choice(_TWO, subset),
+    "choice_function": lambda subset: ChoiceFunction(2, {1: 0, 2: 1, 3: 0}).get(subset),
+}
+
+
+class TestSubsetsOfTheAlternatives:
+    """Every rule reads a nonempty subset of ``[0, m)`` and refuses any other."""
+
+    @pytest.mark.parametrize("rule", _SUBSET_RULES)
+    @pytest.mark.parametrize("subset", [0, (), 4, 8, 12, -1, (0, 2), np.uint8(8)])
+    def test_refuses_a_subset_outside_the_alternatives(self, rule, subset):
+        with pytest.raises(
+            DimensionMismatchError, match=r"is not a nonempty subset of the alternatives \[0, 2\)"
+        ):
+            _SUBSET_RULES[rule](subset)
+
+    @pytest.mark.parametrize("rule", _SUBSET_RULES)
+    def test_refuses_a_negative_member(self, rule):
+        with pytest.raises(DimensionMismatchError, match="subset element -1 is negative"):
+            _SUBSET_RULES[rule]((0, -1))
 
 
 class TestOutdegreeChoice:

@@ -35,7 +35,7 @@ from threshold_lab import (
     simplex_sweep,
     threshold_window,
 )
-from threshold_lab import core, fileio, threshold
+from threshold_lab import core, fileio, laws, threshold
 from threshold_lab.threshold import NoStrictLeaderError, critical_bound_shape
 
 from oracles import (
@@ -619,7 +619,7 @@ def along_calls(monkeypatch):
 def _traced(f):
     """``f`` with its oracle's ``exact_prob`` wrapped in a plain function counting its
     calls in ``calls``, swapped in by ``dataclasses.replace`` as a tracer does: the
-    oracle keeps its other fields, its ``path_law`` too."""
+    oracle keeps its other fields, its ``law`` too."""
     calls = []
     exact = f.oracle.exact_prob
 
@@ -643,7 +643,7 @@ class TestAlong:
         assert along_calls == []
         values = curve.values
         assert along_calls == ["exact:plurality"] and calls == []
-        G = plurality(3, 21).oracle.path_law(curve.path)
+        G = plurality(3, 21).oracle.law.along(curve.path)
         assert values.tolist() == [G(t) for t in curve.grid]
 
     def test_window_with_its_refinement(self, along_calls):
@@ -662,7 +662,7 @@ class TestAlong:
     def test_tracing_keeps_the_path_law(self):
         f = plurality(4, 61)
         traced, calls = _traced(f)
-        assert traced.oracle.path_law is f.oracle.path_law
+        assert traced.oracle.law is f.oracle.law
         base = ProductMeasure(4, [1 / 3, 1 / 3, 1 / 3, 0.0])
         windows = [threshold_window(scan_path(g, 3, base), 0.1) for g in (f, traced)]
         assert windows[0] == windows[1] and calls == []
@@ -670,7 +670,7 @@ class TestAlong:
     def test_plain_oracles_read_exact_prob_at_each_measure(self, along_calls):
         # _spied builds its Oracle from four fields, so it has no path law
         f, calls = _spied(plurality(3, 45))
-        assert f.oracle.path_law is None
+        assert f.oracle.law is None
         curve = scan_path(f, 0, self.BASE3, grid_size=21)
         threshold_window(curve, 0.1)
         read, nodes = len(calls), len(curve._nodes)
@@ -692,6 +692,30 @@ class TestAlong:
         assert table.values.tolist() == [
             prob_value(tab, table.path.measure_at(t), 0) for t in table.grid
         ]
+
+
+class TestEvaluatorAnchor:
+    """An evaluator reads ``P[f = a]`` for the symbol it was built for, so a path
+    anchored at another symbol is refused before any path law is built."""
+
+    PATH = MeasurePath(1, ProductMeasure(3, [0.5, 0.0, 0.5]))
+    EVALUATORS = {
+        "law": lambda: core._exact_prob(plurality(3, 7), 0),
+        "histogram": lambda: core._exact_prob(plurality(3, 7).tabulate(), 0),
+        "mc": lambda: threshold._mc_evaluator(plurality(3, 7), 0, 10, 0),
+    }
+
+    @pytest.mark.parametrize("kind", EVALUATORS)
+    def test_refuses_a_path_anchored_at_another_symbol(self, monkeypatch, kind):
+        def no_path_law(self, path):
+            raise AssertionError("built a path law")
+
+        monkeypatch.setattr(laws._PluralityExact, "along", no_path_law)
+        evaluator = self.EVALUATORS[kind]()
+        with pytest.raises(
+            DimensionMismatchError, match=r"path anchored at 1, but the evaluator reads P\[f = 0\]"
+        ):
+            evaluator.along(self.PATH)
 
 
 def test_table_scan_builds_one_histogram(monkeypatch):
@@ -1042,7 +1066,7 @@ def _report_bytes(report):
 def _undecided(f, a, eps, atoms):
     """The rows of ``atoms`` whose enclosure, widened by the guard, does not decide
     ``eps <= P[f = a] <= 1 - eps``."""
-    lo, hi = f.oracle.prob_bounds(atoms, a)
+    lo, hi = f.oracle.law.bounds(atoms, a)
     g = threshold._SCREEN_GUARD
     decided = ((lo >= eps + g) & (hi <= 1 - eps - g)) | (hi < eps - g) | (lo > 1 - eps + g)
     return np.flatnonzero(~decided).tolist()
