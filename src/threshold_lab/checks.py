@@ -206,11 +206,13 @@ def check_fair(f: QaryFunction) -> CheckResult:
         raise InvalidFunctionError("fairness needs codomain = input alphabet")
     for pi in _swap_and_cycle(f.q):
         if f.q == 2:
-            # the swap is the only generator, and index(pi x) = 2**n - 1 - index(x)
-            relabeled_inputs = f.table[::-1]
+            # the swap is the only generator: index(pi x) = 2**n - 1 - index(x)
+            # and pi(v) = v ^ 1, one pass in the table's own dtype
+            relabeled_inputs, relabeled_outputs = f.table[::-1], f.table ^ 1
         else:
             relabeled_inputs = f.table[_relabel_index(pi, f.n)]
-        relabeled_outputs = pi[f.table]
+            # pi in the table's own dtype, so the relabeled table is as narrow
+            relabeled_outputs = np.take(pi.astype(f.table.dtype), f.table)
         bad = relabeled_inputs != relabeled_outputs
         if bad.any():
             x_idx = int(np.flatnonzero(bad)[0])

@@ -236,6 +236,22 @@ class ProductMeasure:
         return ProductMeasure(self.q, atoms / atoms.sum())
 
 
+def _alphabet_dtype(out_q: int) -> np.dtype:
+    """The dtype of an alphabet table: the narrowest unsigned one that holds
+    ``out_q - 1`` (``uint8`` up to 256 symbols), ``uint64`` at most."""
+    return np.min_scalar_type(min(out_q, 1 << 64) - 1)
+
+
+def _check_alphabet(values: np.ndarray, out_q: int) -> None:
+    """Refuse ``values`` unless each is a whole number in ``[0, out_q)``, read in
+    their own dtype, so that the cast to :func:`_alphabet_dtype` after it cannot
+    wrap (257 stored as 1, or -1 as 255).  A NaN fails the range test."""
+    if values.size and not (values.min() >= 0 and values.max() < out_q):
+        raise InvalidFunctionError(f"alphabet values must lie in [0, {out_q})")
+    if values.dtype.kind == "f" and not np.array_equal(values, np.trunc(values)):
+        raise InvalidFunctionError("alphabet values must be integers")
+
+
 def _frozen(table: np.ndarray) -> np.ndarray:
     """``table``, which a derivation has just built, made read-only, so that
     :class:`QaryFunction` adopts it instead of copying it."""
@@ -268,7 +284,10 @@ class Oracle:
     holds ``q - 1`` (``uint8`` up to q = 256), Monte Carlo in C order and
     ``tabulate`` column-major (each coordinate one contiguous column), so
     ``batch`` must not assume int64 (``x.sum(axis=1) - y.sum(axis=1)`` on
-    ``uint8`` rows, for one, wraps around zero) nor C-contiguous rows.
+    ``uint8`` rows, for one, wraps around zero) nor C-contiguous rows.  Its
+    values may come in any numeric dtype: :meth:`QaryFunction.tabulate` checks
+    each block of them in that dtype before it stores them in the table's
+    narrower one.
 
     An optional ``law`` is the family's exact law from :mod:`.laws`:
     ``law(measure, a)`` is ``P[f = a]``, at sizes far beyond the table cap;
@@ -299,9 +318,14 @@ class QaryFunction:
     ``oracle`` is set.  ``out_q`` is the size of an alphabet codomain (``q``
     when not given) and ``None`` for a real one.  Instances are immutable and
     safe to share across threads.  ``__post_init__`` casts every table into a
-    read-only array of its own: it adopts a read-only array that owns its
-    memory and copies anything else, so a derived function is its source
-    through ``dataclasses.replace`` with a fresh table made :func:`_frozen`.
+    read-only array of its own: float64 for a real table, and for an alphabet
+    one the narrowest unsigned dtype that holds ``out_q - 1``
+    (:func:`_alphabet_dtype`: ``uint8`` up to 256 symbols, then ``uint16``),
+    which :meth:`batch` on a table returns too, so callers widen the values
+    before subtracting them.  It adopts a read-only array of that dtype that
+    owns its memory and copies anything else, so a derived function is its
+    source through ``dataclasses.replace`` with a fresh table made
+    :func:`_frozen`.
     """
 
     q: int
@@ -340,14 +364,8 @@ class QaryFunction:
                 raise InvalidFunctionError("table values must be finite")
             copy = table.flags.writeable or table.base is not None
             if self.codomain == "alphabet":
-                if table.size and (table.min() < 0 or table.max() >= self.out_q):
-                    raise InvalidFunctionError(
-                        f"alphabet values must lie in [0, {self.out_q})"
-                    )
-                cast = table.astype(np.int64, copy=copy)
-                if table.dtype.kind == "f" and not np.array_equal(cast, table):
-                    raise InvalidFunctionError("alphabet values must be integers")
-                table = cast
+                _check_alphabet(table, self.out_q)
+                table = table.astype(_alphabet_dtype(self.out_q), copy=copy)
             else:
                 table = table.astype(float, copy=copy)
             table.setflags(write=False)
@@ -389,7 +407,7 @@ class QaryFunction:
         """Evaluate on an ``(N, n)`` array of points.
 
         Integer points reach the oracle in their own dtype, unwidened; any
-        other input is cast to int64 first.
+        other input is cast to int64 first.  A table answers in its own dtype.
         """
         points = np.asarray(points)
         if points.dtype.kind not in "iu":
@@ -403,13 +421,15 @@ class QaryFunction:
         return self.oracle.batch(points)
 
     def tabulate(self) -> "QaryFunction":
-        """Materialize a dense table (subject to the size cap)."""
+        """Materialize a dense table (subject to the size cap), each block of the
+        oracle's values range-checked by :func:`_check_alphabet` before it is
+        stored narrow."""
         if self.table is not None:
             return self
         q, n = self.q, self.n
         size = table_size(q, n)
-        dtype = np.int64 if self.codomain == "alphabet" else float
-        values = np.empty(size, dtype=dtype)
+        alphabet = self.codomain == "alphabet"
+        values = np.empty(size, dtype=_alphabet_dtype(self.out_q) if alphabet else float)
         # blocks of q**low points share their high digits; the point buffer
         # stays within _TABULATE_COORDS coordinates at the size cap
         rows = max(1, _TABULATE_COORDS // n)
@@ -425,7 +445,10 @@ class QaryFunction:
         points.setflags(write=False)
         for b, digits in enumerate(itertools.product(range(q), repeat=high)):
             columns[:high] = np.array(digits, dtype=columns.dtype)[:, None]
-            values[b * block : (b + 1) * block] = self.batch(points)
+            batch = np.asarray(self.batch(points))
+            if alphabet:  # before the store narrows it
+                _check_alphabet(batch, self.out_q)
+            values[b * block : (b + 1) * block] = batch
         return dataclasses.replace(self, table=_frozen(values), oracle=None)
 
     @functools.cached_property

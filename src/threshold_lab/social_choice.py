@@ -434,8 +434,14 @@ def outdegree_choice(
     """Pick the subset member beating the most others by strict majority.
 
     Ties in out-degree are broken by the fixed order, realizing a
-    single-valued rule from the pairwise-majority correspondence.
+    single-valued rule from the pairwise-majority correspondence.  The order
+    must rank the profile's ``m`` alternatives.
     """
+    if fixed_tie_order.m != profile.m:
+        raise DimensionMismatchError(
+            f"tie order ranks {fixed_tie_order.m} alternatives, "
+            f"but the profile has {profile.m}"
+        )
     members = subset_members(_subset(profile.m, subset))
     beats = majority_relation(profile)
     out_degree = {a: sum(bool(beats[a, b]) for b in members if b != a) for a in members}

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshold_lab import (
+    CheckResult,
     DimensionMismatchError,
     InvalidFunctionError,
     ProductMeasure,
@@ -23,16 +25,21 @@ from threshold_lab import (
     plurality,
     prob_value,
 )
+from threshold_lab import core
 from threshold_lab.checks import _cover_violation
 from threshold_lab.cli import main
-from threshold_lab.core import _swap_and_cycle, index_of
+from threshold_lab.core import _Histogram, _swap_and_cycle, index_of
 from threshold_lab.families import vertex_action_generators
 
 from oracles import (
     brute_monotone,
     enum_cover_violation,
+    enum_histogram,
+    enum_prob,
     full_slab_cover_violation,
     ix_relabel,
+    points,
+    random_positive_measure,
 )
 
 
@@ -362,3 +369,90 @@ class TestCheckFair:
                 assert w["symbol_permutation"] == pi.tolist()
                 assert index_of(w["x"], q) == bad[0]
                 assert w["f_pi_x"] == ix_relabel(f.table, q, n, pi)[bad[0]]
+
+
+def _enum_symmetry_violation(table, q, n, sigma):
+    """First ``x`` in index order with ``f(x_sigma) != f(x)``, by enumeration."""
+    pts = list(points(q, n))
+    position = {x: k for k, x in enumerate(pts)}
+    for k, x in enumerate(pts):
+        f_x_sigma = table[position[tuple(x[s] for s in sigma)]]
+        if f_x_sigma != table[k]:
+            return {"permutation": list(sigma), "x": list(x), "f_x": table[k], "f_x_sigma": f_x_sigma}
+    return None
+
+
+class TestNarrowTables:
+    """Alphabet tables are stored in one or two bytes per entry; every check and
+    every probability reads them as the enumeration reads the int64 values."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.6, 0.95, 1.0]),
+        st.sampled_from([None, 256, 300]),
+    )
+    def test_checks_and_probabilities_match_the_enumeration(self, q, n, seed, zeros, out_q):
+        rng = np.random.default_rng(seed)
+        symbols = out_q or q
+        values = rng.integers(0, symbols, size=q**n)
+        values[rng.random(q**n) < zeros] = 0
+        f = QaryFunction.from_table(q, n, values, out_q=out_q)
+        assert f.table.dtype == (np.uint16 if symbols > 256 else np.uint8)
+        wide = values.tolist()
+        if out_q is None:
+            anchors = range(1 if q == 2 else q)
+            violations = (enum_cover_violation(values, q, n, a, False) for a in anchors)
+            first = next((w for w in violations if w is not None), None)
+            assert check_monotone(f) == CheckResult(first is None, first)
+            fair = CheckResult(True)
+            for pi in _swap_and_cycle(q):
+                relabeled = ix_relabel(values, q, n, pi)
+                bad = np.flatnonzero(relabeled != pi[values])
+                if bad.size:
+                    x = [int(v) for v in np.unravel_index(bad[0], (q,) * n)]
+                    fair = CheckResult(False, {
+                        "symbol_permutation": pi.tolist(), "x": x,
+                        "f_pi_x": int(relabeled[bad[0]]), "pi_f_x": int(pi[values[bad[0]]]),
+                    })
+                    break
+            assert check_fair(f) == fair
+        else:
+            for check in (check_monotone, check_fair):
+                with pytest.raises(InvalidFunctionError):
+                    check(f)
+        group = SymmetryGroup.full_symmetric(n)
+        violations = (_enum_symmetry_violation(wide, q, n, g.tolist()) for g in group.generators)
+        first = next((w for w in violations if w is not None), None)
+        result = check_symmetric(f, group)
+        assert (result.passed, result.witness) == (first is None, first)
+        mu = random_positive_measure(q, rng)
+        for a in {0, symbols - 1, *np.unique(values[:3]).tolist()}:
+            law = _Histogram(f.table == a, q, n)
+            got = {tuple(s): int(c) for s, c in zip(law.symbols.tolist(), law.counts)}
+            assert got == enum_histogram(values, q, n, a)
+            assert abs(prob_value(f, mu, a) - enum_prob(f, mu, a)) <= 1e-14
+
+    def test_tabulate_and_check_fair_hold_one_and_two_bytes_per_entry(self, monkeypatch):
+        # blocks of 1024 points keep the point buffer at 16 KiB; an int64 table
+        # alone would take 8 bytes per entry
+        monkeypatch.setattr(core, "_TABULATE_COORDS", 16 * 1024)
+        f = plurality(2, 16)
+        size = f.q**f.n
+        tracemalloc.start()
+        try:
+            tab = f.tabulate()
+            _, built = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            result = check_fair(tab)
+            _, checked = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.passed
+        # the one-byte table, the point buffer and the batch's work on one block
+        assert built <= size + (48 << 10)
+        # check_fair's relabeled table and its mask, one byte per entry each
+        assert checked - held <= 2 * size + (4 << 10)

@@ -734,7 +734,9 @@ class TestDerivedTables:
         assert peak <= 9 * size + (1 << 16)
 
     def test_adopts_only_a_read_only_array_that_owns_its_memory(self):
-        owned = np.arange(8) % 2
+        # an alphabet table is kept in the narrowest unsigned dtype, so only
+        # a uint8 array can be adopted as is
+        owned = (np.arange(8) % 2).astype(np.uint8)
         owned.setflags(write=False)
         assert QaryFunction.from_table(2, 3, owned).table is owned
         view = np.repeat(owned, 2)[::2]
@@ -779,7 +781,7 @@ class TestTabulate:
         monkeypatch.setattr(core, "_TABULATE_COORDS", max(1, budget) * f.n)
         expected = [f(x) for x in points(f.q, f.n)]
         tab = f.tabulate()
-        assert tab.table.dtype == (np.int64 if f.codomain == "alphabet" else np.float64)
+        assert tab.table.dtype == (np.uint8 if f.codomain == "alphabet" else np.float64)
         assert tab.table.tolist() == expected
 
     def test_blocks_at_the_default_budget(self):
@@ -839,6 +841,34 @@ class TestTabulate:
         f = QaryFunction.from_oracle(2, 3, Oracle(name="writer", params={}, batch=batch))
         with pytest.raises(ValueError):
             f.tabulate()
+
+    @pytest.mark.parametrize("value, out_q", [(257, 3), (-1, 256), (2**63 - 1, 2)])
+    def test_refuses_a_value_the_narrow_table_would_wrap(self, value, out_q):
+        # stored unchecked in uint8, 257 would read as 1 and -1 as 255
+        constant = Oracle("constant", {}, lambda X: np.full(len(X), value, dtype=np.int64))
+        f = QaryFunction.from_oracle(2, 2, constant, out_q=out_q)
+        with pytest.raises(InvalidFunctionError, match=rf"\[0, {out_q}\)"):
+            f.tabulate()
+
+    def test_refuses_a_fractional_batch_value(self):
+        half = Oracle("half", {}, lambda X: X[:, 0] / 2)
+        with pytest.raises(InvalidFunctionError, match="must be integers"):
+            QaryFunction.from_oracle(3, 2, half).tabulate()
+
+    def test_three_hundred_symbols_keep_their_values(self, tmp_path):
+        from threshold_lab import dictator, fileio
+
+        tab = dictator(300, 1).tabulate()
+        assert tab.table.dtype == np.uint16
+        assert tab.table.tolist() == list(range(300))
+        built = QaryFunction.from_table(300, 1, range(300))
+        assert built.table.dtype == np.uint16 and np.array_equal(built.table, tab.table)
+        fileio.save_function(tab, tmp_path / "d.json")
+        loaded = fileio.load_function(tmp_path / "d.json")
+        assert loaded.out_q == 300 and loaded.table.tolist() == list(range(300))
+        # no numpy integer holds more than uint64, whatever out_q says
+        huge = QaryFunction.from_table(2, 1, np.array([0, 2**64 - 1], np.uint64), out_q=2**70)
+        assert huge.table.dtype == np.uint64 and huge.table.tolist() == [0, 2**64 - 1]
 
 
 def test_oracle_batch_and_scalar_agree(rng):

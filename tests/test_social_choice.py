@@ -445,6 +445,16 @@ class TestOutdegreeChoice:
             mask = int(rng.integers(1, 16))
             assert outdegree_choice(profile, mask, tie_order) in subset_members(mask)
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_refuses_a_tie_order_of_other_alternatives(self, m):
+        # unchecked, 2 alternatives end in tuple.index's ValueError and 4 answer
+        # silently from an order of other alternatives
+        profile = mcgarvey_profile(Tournament.from_pairs(3, [(0, 1), (1, 2), (2, 0)]))
+        with pytest.raises(
+            DimensionMismatchError, match=f"tie order ranks {m} alternatives, but the profile has 3"
+        ):
+            outdegree_choice(profile, 7, LinearOrder(m, tuple(range(m))))
+
 
 class TestBordaChoice:
     def test_single_voter(self):
