@@ -259,17 +259,22 @@ def _frozen(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _relabel_index(perm: np.ndarray, n: int) -> np.ndarray:
-    """``index(perm(x))`` at every index of ``x``, ``perm`` acting on each symbol.
+def _relabel_symbols(table: np.ndarray, perm: np.ndarray, q: int, n: int) -> np.ndarray:
+    """The table of ``x -> f(perm(x))``, ``perm`` acting on each input symbol, in
+    the table's dtype.
 
-    Appending digit ``k`` to every index so far gives the indices that follow
-    it by ``k``, so each coordinate is one outer sum and no index is decoded.
+    One ``np.take`` of ``perm`` along each axis of the ``(q,) * n`` tensor in
+    turn, so every pass copies runs of ``q**(n-1-k)`` entries and no index table
+    is built; each pass writes a fresh flat array, and the last one is returned.
+    ``mode="clip"`` never clips a permutation of ``[q)`` and spares ``take`` the
+    buffered copy it makes of ``out`` under the default ``"raise"``.
     """
-    q = len(perm)
-    index = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        index = np.add.outer(index * q, perm).ravel()
-    return index
+    shape = (q,) * n
+    for k in range(n):
+        relabeled = np.empty(table.size, dtype=table.dtype)
+        np.take(table.reshape(shape), perm, axis=k, out=relabeled.reshape(shape), mode="clip")
+        table = relabeled
+    return table
 
 
 @dataclasses.dataclass(frozen=True)
@@ -423,7 +428,15 @@ class QaryFunction:
     def tabulate(self) -> "QaryFunction":
         """Materialize a dense table (subject to the size cap), each block of the
         oracle's values range-checked by :func:`_check_alphabet` before it is
-        stored narrow."""
+        stored narrow.
+
+        The oracle sees blocks of ``q**low`` points that share their high digits,
+        one contiguous column per coordinate.  The low columns are the same in
+        every block and are written once, in long contiguous runs and with no
+        index temporary: the first period of column k (``q`` runs of
+        ``q**(n-1-k)`` equal digits) by one broadcast store, then the rest of the
+        column by copies of its filled part, doubling each time.
+        """
         if self.table is not None:
             return self
         q, n = self.q, self.n
@@ -440,7 +453,14 @@ class QaryFunction:
         high = n - low
         # one contiguous column of one-byte digits per coordinate (up to q = 256)
         columns = np.empty((n, block), dtype=np.min_scalar_type(q - 1))
-        columns[high:] = np.indices((q,) * low, dtype=columns.dtype).reshape(low, block)
+        for k in range(high, n):
+            column, run = columns[k], q ** (n - 1 - k)
+            period = run * q
+            column[:period].reshape(q, run)[...] = np.arange(q, dtype=columns.dtype)[:, None]
+            while period < block:
+                step = min(period, block - period)
+                column[period : period + step] = column[:step]
+                period += step
         points = columns.T
         points.setflags(write=False)
         for b, digits in enumerate(itertools.product(range(q), repeat=high)):
@@ -487,7 +507,7 @@ def permute_input_symbols(f: QaryFunction, perm: Sequence[int]) -> QaryFunction:
     if sorted(perm.tolist()) != list(range(f.q)):
         raise DimensionMismatchError(f"perm must be a permutation of [{f.q})")
     tab = f.tabulate()
-    return dataclasses.replace(tab, table=_frozen(tab.table[_relabel_index(perm, f.n)]))
+    return dataclasses.replace(tab, table=_frozen(_relabel_symbols(tab.table, perm, f.q, f.n)))
 
 
 def _check_compatible(f: QaryFunction, measure: ProductMeasure | SimplexSampler) -> None:
@@ -746,7 +766,14 @@ def prob_value(f: QaryFunction, measure: ProductMeasure, a: int) -> float:
 
 
 def _axis_view(table: np.ndarray, q: int, n: int, i: int) -> np.ndarray:
-    """``table`` as ``(q**i, q, q**(n-1-i))``, coordinate ``i`` in the middle."""
+    """``table`` as ``(q**i, q, q**(n-1-i))``, coordinate ``i`` in the middle.
+
+    NumPy runs one inner loop per contiguous run of the last axis, here
+    ``q**(n-1-i)`` entries: long for the first coordinates and as short as one
+    entry for the last.  A pass over every coordinate that must stay fast reads
+    the last few on a copy of the table with them moved in front, as
+    :func:`.checks._cover_violation` does.
+    """
     return table.reshape(q**i, q, q ** (n - 1 - i))
 
 

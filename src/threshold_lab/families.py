@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
-import itertools
 
 import numpy as np
 
@@ -209,9 +208,6 @@ def vertex_action_generators(vertices: int) -> list[np.ndarray]:
 
 GRAPH_PROPERTIES = ("most_popular_color", "max_clique_color", "min_independent_set_color")
 
-# rows x subsets bound on the colour counts a clique or independent-set batch holds at once
-_GRAPH_COUNT_ENTRIES = 1 << 20
-
 
 def graph_property(vertices: int, q: int, property_kind: str) -> QaryFunction:
     """Color-valued monotone property of a q-edge-colored complete graph.
@@ -235,27 +231,38 @@ def graph_property(vertices: int, q: int, property_kind: str) -> QaryFunction:
         plur = plurality(q, n, "smallest_index").oracle
         oracle = dataclasses.replace(plur, name="graph_property", params=params)
         return QaryFunction.from_oracle(q, n, oracle)
-    vertex_ids = range(vertices)
-    # column s of ``inside`` marks the edges within subset s of two or more vertices:
-    # a clique of colour c has all of them in colour c, an independent set none
-    subsets = [s for k in range(2, vertices + 1) for s in itertools.combinations(vertex_ids, k)]
-    sizes = np.array([len(s) for s in subsets], dtype=np.min_scalar_type(vertices))
-    inside = np.array([[u in s and w in s for s in subsets] for u, w in edges], dtype=np.float32)
-    wanted = inside.sum(axis=0) if property_kind == "max_clique_color" else 0.0
-    rows = max(1, _GRAPH_COUNT_ENTRIES // len(subsets))
+    # an edge's row marks the points where it can lie in the subset: in colour c
+    # for a clique, out of it for an independent set
+    member = np.equal if property_kind == "max_clique_color" else np.not_equal
+    position = {edge: k for k, edge in enumerate(edges)}
 
     def batch(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X)
-        score = np.ones((X.shape[0], q), dtype=sizes.dtype)  # singletons: clique and independent
-        for lo in range(0, X.shape[0], rows):
-            block = X[lo : lo + rows]
-            for c in range(q):
-                # a subset's edge count in colour c, exact in float32 (at most C(v, 2))
-                hit = (block == c).astype(np.float32) @ inside == wanted
-                np.max(hit * sizes, axis=1, initial=1, out=score[lo : lo + rows, c])
+        # singletons are cliques and independent sets; both kinds are hereditary,
+        # so a colour's score is 1 plus the number of sizes k >= 2 that some
+        # k-subset of vertices reaches
+        score = np.ones((q, X.shape[0]), dtype=np.min_scalar_type(vertices))
+        rows = np.empty((n, X.shape[0]), dtype=bool)  # one contiguous row per edge
+        found = np.empty(X.shape[0], dtype=bool)
+        for c in range(q):
+            member(X.T, c, out=rows)
+            level = {edge: rows[k] for k, edge in enumerate(edges)}  # subsets of size 2
+            while level:
+                found[...] = False
+                for row in level.values():
+                    found |= row
+                if not found.any():
+                    break
+                score[c] += found
+                # S + (v,) is S, S with its last vertex s swapped for v, and the edge (s, v)
+                level = {
+                    s + (v,): level[s] & level[s[:-1] + (v,)] & rows[position[s[-1], v]]
+                    for s in level
+                    for v in range(s[-1] + 1, vertices)
+                }
         if property_kind == "max_clique_color":
-            return score.argmax(axis=1)
-        return score.argmin(axis=1)
+            return score.argmax(axis=0)
+        return score.argmin(axis=0)
 
     oracle = Oracle(name="graph_property", params=params, batch=batch)
     return QaryFunction.from_oracle(q, n, oracle)

@@ -25,7 +25,7 @@ from threshold_lab import (
     plurality,
     prob_value,
 )
-from threshold_lab import core
+from threshold_lab import checks, core
 from threshold_lab.checks import _cover_violation
 from threshold_lab.cli import main
 from threshold_lab.core import _Histogram, _swap_and_cycle, index_of
@@ -111,11 +111,11 @@ class TestCheckMonotone:
         else:
             table = rng.integers(0, q, size=q**n)
         for a in range(q):
-            assert _cover_violation(table, q, n, a, False) == enum_cover_violation(
+            assert _cover_violation(table, q, n, [a], False) == enum_cover_violation(
                 table, q, n, a, False
             )
             indicator = (table == a).astype(np.int64)
-            assert _cover_violation(indicator, q, n, a, True) == enum_cover_violation(
+            assert _cover_violation(indicator, q, n, [a], True) == enum_cover_violation(
                 indicator, q, n, a, True
             )
 
@@ -135,10 +135,10 @@ class TestCheckMonotone:
         witnesses = []
         for a in range(q):
             witness = full_slab_cover_violation(table, q, n, a, False)
-            assert _cover_violation(table, q, n, a, False) == witness
+            assert _cover_violation(table, q, n, [a], False) == witness
             witnesses.append(witness)
             indicator = (table == a).astype(np.int64)
-            assert _cover_violation(indicator, q, n, a, True) == full_slab_cover_violation(
+            assert _cover_violation(indicator, q, n, [a], True) == full_slab_cover_violation(
                 indicator, q, n, a, True
             )
         first = next((w for w in witnesses if w is not None), None)
@@ -456,3 +456,109 @@ class TestNarrowTables:
         assert built <= size + (48 << 10)
         # check_fair's relabeled table and its mask, one byte per entry each
         assert checked - held <= 2 * size + (4 << 10)
+
+
+#: Sizes at which the cover check reads its last coordinates on the rotated copy
+#: (q**n of at least 64 entries up to q**L, and up to 2**14 beyond it).
+ROTATED_SIZES = st.one_of(
+    st.tuples(st.just(2), st.integers(7, 14)),
+    st.tuples(st.just(3), st.integers(4, 9)),
+    st.tuples(st.just(4), st.integers(3, 6)),
+)
+
+
+def _ix_fair_result(values, q, n):
+    """check_fair's result from the ``np.ix_`` relabelling, as the enumeration reads it."""
+    for pi in _swap_and_cycle(q):
+        relabeled = ix_relabel(values, q, n, pi)
+        bad = np.flatnonzero(relabeled != pi[values])
+        if bad.size:
+            x = [int(v) for v in np.unravel_index(bad[0], (q,) * n)]
+            return CheckResult(False, {
+                "symbol_permutation": pi.tolist(), "x": x,
+                "f_pi_x": int(relabeled[bad[0]]), "pi_f_x": int(pi[values[bad[0]]]),
+            })
+    return CheckResult(True)
+
+
+class TestLongRuns:
+    """The cover check and check_fair at the sizes where their passes read the
+    table in long runs: the last coordinates on a rotated copy, input symbols
+    relabelled axis by axis."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ROTATED_SIZES, st.integers(0, 2**31), st.integers(1, 6), st.booleans())
+    def test_flips_in_the_last_coordinates(self, size, seed, depth, tiled):
+        # a table of the last `depth` coordinates alone breaks covers only there;
+        # a flipped plurality table breaks them wherever its flips reach
+        q, n = size
+        rng = np.random.default_rng(seed)
+        depth = min(depth, n)
+        if tiled:
+            table = np.tile(rng.integers(0, q, size=q**depth), q ** (n - depth))
+        else:
+            table = plurality(q, n).tabulate().table.copy()
+            flips = q**n - 1 - rng.integers(q**depth, size=int(rng.integers(1, 4)))
+            table[flips] = (table[flips] + rng.integers(1, q, size=len(flips))) % q
+        witnesses = []
+        for a in range(q):
+            witness = full_slab_cover_violation(table, q, n, a, False)
+            assert _cover_violation(table, q, n, [a], False) == witness
+            witnesses.append(witness)
+            indicator = (table == a).astype(np.int64)
+            assert _cover_violation(indicator, q, n, [a], True) == full_slab_cover_violation(
+                indicator, q, n, a, True
+            )
+        first = next((w for w in witnesses if w is not None), None)
+        assert _cover_violation(table, q, n, range(q), False) == first
+        assert check_fair(QaryFunction.from_table(q, n, table)) == _ix_fair_result(table, q, n)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_fair_maps_outputs_across_blocks(self, monkeypatch, block, rng):
+        # a flipped entry anywhere: the first failing index lies in any block
+        monkeypatch.setattr(checks, "_MAP_BLOCK", block)
+        for q in (3, 4):
+            for n in range(1, 5):
+                table = plurality(q, n).tabulate().table.copy()
+                k = rng.integers(q**n)
+                table[k] = (table[k] + 1) % q
+                f = QaryFunction.from_table(q, n, table)
+                assert check_fair(f) == _ix_fair_result(table, q, n)
+
+    @pytest.mark.parametrize("check", [check_monotone, check_zero_monotone])
+    def test_cover_check_holds_at_most_3_3_bytes_per_entry(self, check):
+        # the mask, its rotated copy (or the table's) and a spare of 1/q byte per entry
+        f = plurality(2, 16).tabulate()
+        tracemalloc.start()
+        try:
+            held, _ = tracemalloc.get_traced_memory()
+            check(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 3.3 * f.table.size
+
+    def test_check_fair_holds_at_most_4_bytes_per_entry_at_q3(self):
+        # two one-byte tables while relabelling, then one and a block of the map
+        f = plurality(3, 10).tabulate()
+        tracemalloc.start()
+        try:
+            held, _ = tracemalloc.get_traced_memory()
+            result = check_fair(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.passed
+        assert peak - held <= 4 * f.table.size
+
+    @pytest.mark.parametrize("q", [256, 300])
+    def test_fair_at_the_widest_alphabets(self, q):
+        # one-byte symbols up to 256, two-byte past it: no map wraps around
+        f = dictator(q, 2, 1).tabulate()
+        assert f.table.dtype == (np.uint8 if q == 256 else np.uint16)
+        assert check_fair(f).passed
+        table = f.table.copy()
+        table[[5, -1]] = [3, 0]
+        g = QaryFunction.from_table(q, 2, table)
+        assert check_fair(g) == _ix_fair_result(table.astype(np.int64), q, 2)
+        assert not check_fair(g).passed

@@ -28,7 +28,7 @@ from threshold_lab.core import (
     Oracle,
     _axis_mean,
     _axis_view,
-    _relabel_index,
+    _relabel_symbols,
     _table_index,
     all_points,
     index_of,
@@ -603,8 +603,8 @@ class TestPermuteInputSymbols:
 
 
 class TestDigitBuilders:
-    """The digit-wise relabelling index against the ``np.ix_`` form it
-    replaced, compared with ``==``."""
+    """The axis-by-axis relabelling against the ``np.ix_`` form it replaced,
+    compared with ``==``."""
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_relabelling_bitwise(self, q, rng):
@@ -613,7 +613,7 @@ class TestDigitBuilders:
             for perm in itertools.permutations(range(q)):
                 perm = np.array(perm)
                 expected = ix_relabel(f.table, q, n, perm)
-                assert np.array_equal(f.table[_relabel_index(perm, n)], expected)
+                assert np.array_equal(_relabel_symbols(f.table, perm, q, n), expected)
                 assert np.array_equal(permute_input_symbols(f, perm).table, expected)
 
 
@@ -662,7 +662,7 @@ DERIVATIONS = {
         None,
         lambda f, values, mu: permute_input_symbols(f, np.roll(np.arange(f.q), 1)),
         lambda f, values, mu: _spelled_out(
-            f, f.codomain, f.table[_relabel_index(np.roll(np.arange(f.q), 1), f.n)]
+            f, f.codomain, ix_relabel(f.table, f.q, f.n, np.roll(np.arange(f.q), 1))
         ),
     ),
     "conditional_expectation": (

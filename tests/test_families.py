@@ -555,16 +555,17 @@ class TestGraphProperty:
         assert f.tabulate().table.tolist() == want
 
     @pytest.mark.parametrize("kind", ["max_clique_color", "min_independent_set_color"])
-    def test_batch_across_row_chunks(self, rng, monkeypatch, kind):
-        # 26 subsets of K5 and a bound of 60 entries: chunks of two rows
-        whole = graph_property(5, 3, kind)
-        monkeypatch.setattr(families, "_GRAPH_COUNT_ENTRIES", 60)
-        chunked = graph_property(5, 3, kind)
-        X = rng.integers(0, 3, size=(101, 10)).astype(np.uint8)
+    @pytest.mark.parametrize("rows", [101, 2000])
+    def test_batch_on_random_rows_in_both_layouts(self, rng, kind, rows):
+        # the batch reads one row per edge, whether the points come in rows (as
+        # Monte Carlo draws them) or in columns (as tabulate passes them)
+        f = graph_property(5, 3, kind)
+        X = rng.integers(0, 3, size=(rows, 10)).astype(np.uint8)
         want = [brute_graph_property(x, 5, 3, kind) for x in X]
-        for f in (whole, chunked):
-            for points_dtype in (np.uint8, np.int64):
-                got = f.batch(X.astype(points_dtype))
+        for points_dtype in (np.uint8, np.int64):
+            points = X.astype(points_dtype)
+            for layout in (points, np.asfortranarray(points)):
+                got = f.batch(layout)
                 assert got.dtype == np.int64 and got.tolist() == want
 
 
