@@ -42,15 +42,7 @@ class _PluralityExact:
     def __init__(self, q: int, n: int, tie_break: str):
         self.q, self.n, self.tie_break = q, n, tie_break
         self._counts = np.arange(n + 1.0)
-        # an accurate log-gamma: a cumulative sum of logs drifts by 4e-11 at n = 3051
-        self._log_factorials = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
-
-    @functools.cached_property
-    def _gauss_legendre(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``ceil(q/2)`` nodes and weights on [0, 1], made on first use so that
-        building the oracle leaves ``numpy.polynomial`` unimported."""
-        nodes, weights = np.polynomial.legendre.leggauss((self.q + 1) // 2)
-        return (nodes + 1) / 2, weights / 2
+        self._log_factorials = _log_factorials(n)
 
     def _poisson_pmf(self, rates: np.ndarray, top: int) -> np.ndarray:
         """``Poisson(rate)(j)`` for j = 0..``top`` on a new last axis, with every
@@ -71,7 +63,7 @@ class _PluralityExact:
         others = np.arange(self.q - 1)
         others[a:] += 1
         if self.tie_break == "first_occurrence":
-            nodes, weights = self._gauss_legendre
+            nodes, weights = _gauss_legendre((self.q + 1) // 2)
             return others, np.repeat(nodes[:, None], self.q - 1, axis=1), weights
         return others, (others > a)[None, :].astype(float), np.ones(1)
 
@@ -147,6 +139,35 @@ class _PluralityExact:
         """The path law ``t -> P[plurality = path.anchor]`` along ``path``."""
         _check_compatible(self, path.base)
         return _PluralityPath(self, path.base, path.anchor)
+
+
+#: ``log(j!)`` for j below its length, grown on demand and never written: an
+#: accurate log-gamma, where a cumulative sum of logs drifts by 4e-11 at n = 3051
+_LOG_FACTORIALS = np.zeros(0)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """``log(j!)`` for j = 0..n, a read-only view of the shared table.  Threads
+    that grow it at once each compute the same values: a race repeats work only."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if len(table) <= n:
+        grown = [math.lgamma(j + 1.0) for j in range(len(table), max(n + 1, 2 * len(table)))]
+        table = np.concatenate([table, grown])
+        table.setflags(write=False)
+        _LOG_FACTORIALS = table
+    return table[: n + 1]
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` Gauss-Legendre nodes and weights on [0, 1], read-only, made on
+    first use so that building an oracle leaves ``numpy.polynomial`` unimported."""
+    nodes, weights = np.polynomial.legendre.leggauss(count)
+    nodes, weights = (nodes + 1) / 2, weights / 2
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _product(factors: list[np.ndarray]) -> np.ndarray:
@@ -231,20 +252,28 @@ class _PluralityPath:
         return H
 
     @functools.cached_property
-    def _binomial(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The counts ``c`` from ``ceil(n/q)`` on, below which ``H`` is 0, ``H`` there,
-        and ``log C(n, c)``."""
+    def _binomial(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The counts ``c`` from ``ceil(n/q)`` on, below which ``H`` is 0, and
+        ``n - c``, both as floats, ``H`` there and ``log C(n, c)``: read-only."""
         n, log_factorials = self.law.n, self.law._log_factorials
         c = np.arange(-(-n // self.law.q), n + 1)
-        return c, self.conditional[c], log_factorials[n] - log_factorials[c] - log_factorials[n - c]
+        terms = (
+            c.astype(float),
+            (n - c).astype(float),
+            self.conditional[c],
+            log_factorials[n] - log_factorials[c] - log_factorials[n - c],
+        )
+        for array in terms:
+            array.setflags(write=False)
+        return terms
 
     def __call__(self, t: float) -> float:
         if t == 0.0:
             return float(self.conditional[0])
         if t == 1.0:
             return float(self.conditional[-1])
-        c, H, log_choose = self._binomial
-        weights = np.exp(log_choose + c * math.log(t) + (self.law.n - c) * math.log1p(-t))
+        c, rest, H, log_choose = self._binomial
+        weights = np.exp(log_choose + c * math.log(t) + rest * math.log1p(-t))
         # the rounding of the log-weights can carry the sum past 1
         return min(1.0, float(weights @ H))
 

@@ -364,6 +364,71 @@ class IndeterminacyReport(Report):
     weights: dict  # sampling probability
 
 
+#: voter draws per block of trials: a block's uniforms and its tally's indices, 8
+#: bytes an entry each, stay near 0.5 MB
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _draw_blocks(
+    rng: np.random.Generator, probs: np.ndarray, trials: int, n_voters: int, block: int
+):
+    """The draws of one ``_categorical(rng, probs, (trials, n_voters))`` call, in
+    blocks of ``block`` whole trials.  The blocks take one uniform per entry in
+    row order, so they leave ``rng`` where that call does."""
+    for start in range(0, trials, block):
+        yield _categorical(rng, probs, (min(block, trials - start), n_voters))
+
+
+def _sampled_agreement(
+    rng: np.random.Generator,
+    probs: np.ndarray,
+    top_table: np.ndarray,
+    targets: np.ndarray,
+    n_voters: int,
+    trials: int,
+) -> tuple[list[int], int]:
+    """How many of ``trials`` electorates of ``n_voters`` orders drawn with
+    ``probs`` have plurality on subset ``s`` pick ``targets[s]``, per subset, and
+    on every subset at once.
+
+    With no more orders K than voters, each block's trials are tallied by order
+    into one ``(trials, K)`` count table, and subset ``s``'s symbol counts are
+    that table times the ``(K, m)`` indicator of each order's top on ``s``.  A
+    unique top count names the winner; only the trials whose top count is tied
+    are recounted voter by voter, by :func:`plurality_winners` under
+    ``first_occurrence``.  With more orders than voters, that recount is made
+    for every trial.
+    """
+    k, m = len(probs), int(top_table.max()) + 1  # each symbol tops its singleton
+    # the tally costs K*m multiply-adds a trial and subset against n_voters for a
+    # count of tops, and with K <= n_voters it is no larger than the block's draws
+    by_tally = k <= n_voters
+    if by_tally:
+        covers = [(tops[:, None] == np.arange(m)).astype(np.int64) for tops in top_table]
+    hits, joint = [0] * len(top_table), 0
+    block = max(1, _BLOCK_ENTRIES // n_voters)
+    for draws in _draw_blocks(rng, probs, trials, n_voters, block):
+        rows = np.arange(len(draws))
+        if by_tally:
+            tally = np.bincount((draws + k * rows[:, None]).ravel(), minlength=k * len(draws))
+            tally = tally.reshape(-1, k)
+        every = np.ones(len(draws), dtype=bool)
+        for s, tops in enumerate(top_table):
+            if by_tally:
+                counts = tally @ covers[s]
+                winners = counts.argmax(axis=1)
+                tied = np.flatnonzero((counts == counts[rows, winners, None]).sum(axis=1) > 1)
+                if tied.size:
+                    winners[tied] = plurality_winners(tops[draws[tied]], m, "first_occurrence")
+            else:
+                winners = plurality_winners(tops[draws], m, "first_occurrence")
+            agree = winners == targets[s]
+            hits[s] += int(np.count_nonzero(agree))
+            every &= agree
+        joint += int(np.count_nonzero(every))
+    return hits, joint
+
+
 def indeterminacy_experiment(
     c0: ChoiceFunction,
     n_voters: int,
@@ -379,6 +444,20 @@ def indeterminacy_experiment(
     with ``c0``, the minimum over subsets, and the joint agreement rate.
     With a single voter the outcome law is the top distribution itself, so
     the probabilities are computed in closed form instead of sampled.
+
+    The draws are those of one ``rng.choice`` of shape ``(trials, n_voters)``
+    over the rankings in sorted order, made in blocks of whole trials of about
+    ``_BLOCK_ENTRIES`` = 32768 voters.  When the K rankings of positive weight
+    are no more than the voters, each block is tallied into a count per trial
+    and ranking, and a subset's plurality is the unique top count of the
+    rankings' tops on it; only trials with a tied top count are recounted
+    voter by voter under ``first_occurrence``.  With more rankings than
+    voters, every trial is recounted voter by voter.  A block's uniforms and
+    tally take at most 32768 entries each, near 0.5 MB, its draws a byte a
+    voter (up to 256 rankings), and only per-subset hit counts outlive it, so
+    past the ``(2^m - 1, K)`` table of tops the peak does not grow with the
+    number of trials: about 2 bytes per drawn voter at 1001 voters and 200
+    trials.
     """
     if n_voters < 1 or trials < 1:
         raise DimensionMismatchError("need positive voters and trials")
@@ -396,26 +475,24 @@ def indeterminacy_experiment(
     probs /= probs.sum()
     orders = [LinearOrder(c0.m, r) for r in rankings]
     masks = list(nonempty_subsets(c0.m))
-    top_table = np.array([[o.top_of(mask) for o in orders] for mask in masks])
+    top_table = np.array(
+        [[o.top_of(mask) for o in orders] for mask in masks],
+        dtype=np.min_scalar_type(c0.m - 1),
+    )
+    targets = np.array([c0.get(mask) for mask in masks])
     if n_voters == 1:
-        agree_matrix = top_table == np.array([[c0.get(mask)] for mask in masks])
+        agree_matrix = top_table == targets[:, None]
         per_subset = {
             str(mask): float(probs[agree_matrix[row]].sum())
             for row, mask in enumerate(masks)
         }
         joint = float(probs[agree_matrix.all(axis=0)].sum())
     else:
-        rng = np.random.default_rng(seed)
-        draws = _categorical(rng, probs, (trials, n_voters))
-        per_subset = {}
-        agree_all = np.ones(trials, dtype=bool)
-        for row, mask in enumerate(masks):
-            tops = top_table[row][draws]
-            winners = plurality_winners(tops, c0.m, "first_occurrence")
-            agree = winners == c0.get(mask)
-            per_subset[str(mask)] = float(agree.mean())
-            agree_all &= agree
-        joint = float(agree_all.mean())
+        hits, joint = _sampled_agreement(
+            np.random.default_rng(seed), probs, top_table, targets, n_voters, trials
+        )
+        per_subset = {str(mask): h / trials for mask, h in zip(masks, hits)}
+        joint /= trials
     return IndeterminacyReport(
         m=c0.m,
         n_voters=n_voters,

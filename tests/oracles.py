@@ -279,6 +279,25 @@ def enum_plurality(x, q: int, tie_break: str) -> int:
     return next(v for v in x if v in tied)
 
 
+def brute_indeterminacy(c0, rankings, draws) -> tuple[dict, float]:
+    """Per-subset and joint agreement of plurality with the choice function
+    ``c0`` over the trials in ``draws``, where trial t's voter i ranks by
+    ``rankings[draws[t][i]]``: every subset of every trial recounted voter by
+    voter, a tie going to the tied alternative that tops some voter first."""
+    masks = range(1, 1 << c0.m)
+    hits = dict.fromkeys(masks, 0)
+    joint = 0
+    for row in np.asarray(draws).tolist():
+        every = True
+        for mask in masks:
+            tops = [next(a for a in rankings[k] if mask >> a & 1) for k in row]
+            agrees = enum_plurality(tops, c0.m, "first_occurrence") == c0.get(mask)
+            hits[mask] += agrees
+            every = every and agrees
+        joint += every
+    return {str(mask): hits[mask] / len(draws) for mask in masks}, joint / len(draws)
+
+
 def enum_antisym_majority(x, n: int) -> int:
     """1 when the first block of bits out-sums the second; on equal sums the
     first coordinate where the blocks differ decides, else coordinate 0."""

@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import brute_indeterminacy
 
 from threshold_lab import (
     ChoiceFunction,
@@ -347,10 +349,12 @@ def test_saari_m4_random_sample_reported(rng):
 
 
 class TestIndeterminacy:
-    def test_concentrated_distribution_always_agrees(self):
-        order = LinearOrder(3, (2, 0, 1))
+    # one alternative: every subset's count is the electorate, with no tie
+    @pytest.mark.parametrize("ranking", [(2, 0, 1), (0,)])
+    def test_concentrated_distribution_always_agrees(self, ranking):
+        order = LinearOrder(len(ranking), ranking)
         c0 = ChoiceFunction.from_order(order)
-        profile = VoterProfile(3, ((order, 5),))
+        profile = VoterProfile(order.m, ((order, 5),))
         rep = indeterminacy_experiment(c0, n_voters=9, trials=50, seed=1, profile=profile)
         assert rep.min_subset == 1.0
         assert rep.joint == 1.0
@@ -386,6 +390,74 @@ class TestIndeterminacy:
     def test_runs_search_when_no_profile_given(self):
         rep = indeterminacy_experiment(cyclic_choice_m3(), 50, 20, seed=2)
         assert 0.0 <= rep.min_subset <= 1.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), m=st.integers(2, 4), n_voters=st.integers(2, 8),
+           trials=st.integers(1, 12), block=st.integers(1, 20), seed=st.integers(0, 2**32))
+    def test_agrees_with_a_voter_by_voter_recount(self, data, m, n_voters, trials, block, seed):
+        # even electorates tie often; blocks of `block` voters hold 1 to 10 trials,
+        # so most runs cross a block boundary
+        rankings = list(itertools.permutations(range(m)))
+        weights = data.draw(
+            st.lists(st.integers(0, 3), min_size=len(rankings), max_size=len(rankings)).filter(any)
+        )
+        profile = VoterProfile.from_rankings(
+            m, [r for r, w in zip(rankings, weights) if w], [w for w in weights if w]
+        )
+        c0 = ChoiceFunction(
+            m, {mask: data.draw(st.sampled_from(subset_members(mask))) for mask in nonempty_subsets(m)}
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(social_choice, "_BLOCK_ENTRIES", block)
+            rep = indeterminacy_experiment(c0, n_voters, trials, seed=seed, profile=profile)
+        drawn = [tuple(map(int, key.split(","))) for key in rep.weights]
+        draws = np.random.default_rng(seed).choice(
+            len(drawn), size=(trials, n_voters), p=list(rep.weights.values())
+        )
+        per_subset, joint = brute_indeterminacy(c0, drawn, draws)
+        assert rep.per_subset == per_subset
+        assert rep.joint == joint
+        assert rep.min_subset == min(per_subset.values())
+
+    @pytest.mark.parametrize("block, trials, n_voters", [(2, 10, 3), (1, 4, 5), (5, 9, 11), (4, 3, 40)])
+    def test_blocks_draw_as_one_call(self, block, trials, n_voters):
+        probs = np.array([0.5, 0.0, 0.2, 0.3])
+        rng, whole = np.random.default_rng(4), np.random.default_rng(4)
+        blocks = list(social_choice._draw_blocks(rng, probs, trials, n_voters, block))
+        expected = _categorical(whole, probs, (trials, n_voters))
+        assert [len(draws) for draws in blocks[:-1]] == [block] * (len(blocks) - 1)
+        np.testing.assert_array_equal(np.concatenate(blocks), expected)
+        assert rng.bit_generator.state == whole.bit_generator.state
+
+    @pytest.mark.parametrize("n_voters, trials, bound", [
+        (1001, 200, 4 * 1001 * 200),  # bytes per drawn entry
+        (10_000, 200, 8_000_000),  # the README example
+    ])
+    def test_peak_memory(self, n_voters, trials, bound):
+        c0 = cyclic_choice_m3()
+        profile = saari_search(c0)
+        indeterminacy_experiment(c0, n_voters, 2, seed=1, profile=profile)
+        tracemalloc.start()
+        try:
+            indeterminacy_experiment(c0, n_voters, trials, seed=1, profile=profile)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+    def test_peak_memory_with_more_orders_than_voters(self):
+        # all 720 orders of 6 alternatives and 3 voters: a (trials, 720) tally
+        # of a block would take tens of MB
+        profile = VoterProfile.from_rankings(6, list(itertools.permutations(range(6))))
+        c0 = ChoiceFunction.from_order(LinearOrder(6, tuple(range(6))))
+        indeterminacy_experiment(c0, 3, 2, seed=1, profile=profile)
+        tracemalloc.start()
+        try:
+            indeterminacy_experiment(c0, 3, 20_000, seed=1, profile=profile)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_500_000
 
     @pytest.mark.parametrize("m", [2, 4])
     def test_refuses_a_profile_on_other_alternatives(self, m):
