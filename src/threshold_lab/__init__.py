@@ -75,12 +75,10 @@ from .social_choice import (
     LinearOrder,
     Tournament,
     VoterProfile,
-    borda_choice,
     indeterminacy_experiment,
     is_rational,
     majority_relation,
     mcgarvey_profile,
-    outdegree_choice,
     plurality_choice,
     saari_search,
 )

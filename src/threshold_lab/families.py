@@ -61,8 +61,10 @@ def _gate_winners(Y: np.ndarray, q: int, arity: int, tie_break: str) -> np.ndarr
     an input reads its bit with one shift; past 64 symbols the words stack and
     each input first gathers its word.
     """
-    counter = np.min_scalar_type(arity)
     rows, n_gates = Y.shape[0], Y.shape[1] // arity
+    if q == 1:
+        return np.zeros((rows, n_gates), dtype=np.uint8)  # the one symbol wins every gate
+    counter = np.min_scalar_type(arity)
     wide = arity > _COLUMN_COUNT_MAX_ARITY
     gates = Y.reshape(rows, n_gates, arity) if wide else None
 

@@ -1,6 +1,6 @@
 """Choice functions, voting rules over linear orders, and indeterminacy
-experiments: McGarvey profiles for arbitrary tournaments, plurality
-realization of arbitrary choice functions, and relation-based rules.
+experiments: McGarvey profiles for arbitrary tournaments by pairwise majority,
+and plurality realization of arbitrary choice functions.
 
 Alternatives are ``0..m-1``.  Subsets of alternatives are bitmasks with bit
 ``j`` standing for alternative ``j``; :func:`subset_members` and
@@ -53,6 +53,18 @@ def _subset(m: int, subset) -> int:
     return mask
 
 
+def _whole(value, what: str) -> int:
+    """``value`` as an int, refused unless it is integral: ``2.0`` reads as 2,
+    but ``2.7`` is never truncated to 2."""
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):  # inf and nan have no int
+        whole = None
+    if whole != value:
+        raise DimensionMismatchError(f"{what} {value!r} is not an integer")
+    return whole
+
+
 @dataclasses.dataclass(frozen=True)
 class LinearOrder:
     """A strict ranking of the ``m`` alternatives, best first."""
@@ -61,22 +73,17 @@ class LinearOrder:
     ranking: tuple
 
     def __post_init__(self) -> None:
-        ranking = tuple(int(a) for a in self.ranking)
+        ranking = tuple(_whole(a, "alternative") for a in self.ranking)
         if sorted(ranking) != list(range(self.m)):
             raise DimensionMismatchError(f"{ranking} is not a ranking of [{self.m})")
         object.__setattr__(self, "ranking", ranking)
 
-    def top_of(self, mask: int) -> int:
-        for a in self.ranking:
-            if mask >> a & 1:
-                return a
-        raise DimensionMismatchError("empty subset has no top")
+    def top_of(self, subset) -> int:
+        mask = _subset(self.m, subset)
+        return next(a for a in self.ranking if mask >> a & 1)
 
     def prefers(self, a: int, b: int) -> bool:
         return self.ranking.index(a) < self.ranking.index(b)
-
-    def position(self, a: int) -> int:
-        return self.ranking.index(a)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,7 +104,7 @@ class VoterProfile:
         for order, weight in self.orders:
             if order.m != self.m:
                 raise DimensionMismatchError("order size mismatch")
-            weight = int(weight)
+            weight = _whole(weight, "weight")
             if weight < 1:
                 raise DimensionMismatchError("weights must be positive integers")
             normalized.append((order, weight))
@@ -222,11 +229,6 @@ def is_rational(c: ChoiceFunction) -> LinearOrder | None:
     return order if ChoiceFunction.from_order(order).choices == c.choices else None
 
 
-def _top_sequence(profile: VoterProfile, mask: int):
-    """Per-listed-voter tops on the subset, with weights."""
-    return [(order.top_of(mask), weight) for order, weight in profile.orders]
-
-
 def plurality_choice(
     profile: VoterProfile, subset, tie_break: str = "first_occurrence"
 ) -> int:
@@ -236,7 +238,7 @@ def plurality_choice(
     alternatives) and always returns some voter's top (Pareto).
     """
     mask = _subset(profile.m, subset)
-    tops, weights = zip(*_top_sequence(profile, mask))
+    tops, weights = zip(*((order.top_of(mask), weight) for order, weight in profile.orders))
     # the voter sequence: each listed voter's top repeated by its weight
     voters = np.repeat(tops, weights)[None, :]
     return int(plurality_winners(voters, profile.m, tie_break)[0])
@@ -277,6 +279,24 @@ def all_orders(m: int) -> list[LinearOrder]:
     return [LinearOrder(m, p) for p in itertools.permutations(range(m))]
 
 
+def _top_table(rankings, m: int) -> np.ndarray:
+    """The ``(2^m - 1, K)`` table of each of the K rankings' top on each
+    nonempty subset, row ``mask - 1`` for subset ``mask``, in the narrowest
+    unsigned dtype that holds ``m - 1``.  A subset's tops are its members of
+    least rank, read from one array of rank positions."""
+    rank = np.argsort(np.reshape(rankings, (-1, m)), axis=1)  # rank[k, a]: a's place in ranking k
+    table = np.empty(((1 << m) - 1, len(rank)), dtype=np.min_scalar_type(m - 1))
+    for mask in nonempty_subsets(m):
+        members = np.array(subset_members(mask))
+        table[mask - 1] = members[rank[:, members].argmin(axis=1)]
+    return table
+
+
+#: seconds the integer program of :func:`saari_search` may run before it is
+#: refused: past m = 5 a search can run for minutes
+_SAARI_TIME_LIMIT_S = 60
+
+
 def saari_search(
     c0: ChoiceFunction, max_profile_size: int = 10_000
 ) -> VoterProfile | None:
@@ -286,12 +306,15 @@ def saari_search(
     requiring the target to win every subset strictly (so no tie break is
     ever consulted): one constraint row per subset ``S`` and rival ``b``, the
     strict margin ``#tops(S) = c0(S)`` minus ``#tops(S) = b`` as a linear form in
-    the weights.  The rounded solution is checked against the same rows, each
-    at least 1.  Returns ``None`` when no profile of any size exists;
-    raises :class:`SearchBudgetExceededError` when the minimal realizing
-    profile exceeds the budget, and :class:`TableSizeError`, before any order
-    is built, when the ``m! * (2**m - 1)`` table of tops exceeds
-    :data:`MAX_TABLE_SIZE` (so m <= 8).
+    the weights.  The ``(2**m - 1, m!)`` table of tops is built by
+    :func:`_top_table`: for each subset, each order's member of least rank,
+    read from one array of rank positions.  The rounded solution is checked
+    against the same rows, each at least 1.  Returns ``None`` when no profile
+    of any size exists; raises :class:`SearchBudgetExceededError` when the
+    minimal realizing profile exceeds the budget, :class:`TableSizeError`,
+    before any order is built, when the table exceeds :data:`MAX_TABLE_SIZE`
+    (so m <= 8), and :class:`ThresholdLabError` when the solver reaches its
+    time limit, ``_SAARI_TIME_LIMIT_S`` = 60 s, before it proves a minimum.
     """
     from scipy.optimize import LinearConstraint, milp  # deferred: scipy is slow to import
 
@@ -306,11 +329,9 @@ def saari_search(
     k = len(orders)
     if m == 1:
         return VoterProfile(1, ((orders[0], 1),))
-    tops = np.array(
-        [[order.top_of(mask) for mask in nonempty_subsets(m)] for order in orders]
-    )
+    tops = _top_table([order.ranking for order in orders], m)
     rows = []
-    for col, mask in enumerate(nonempty_subsets(m)):
+    for mask in nonempty_subsets(m):
         members = subset_members(mask)
         if len(members) < 2:
             continue
@@ -318,17 +339,21 @@ def saari_search(
         for b in members:
             if b == target:
                 continue
-            rows.append(
-                (tops[:, col] == target).astype(float) - (tops[:, col] == b)
-            )
+            rows.append((tops[mask - 1] == target).astype(float) - (tops[mask - 1] == b))
     matrix = np.array(rows)
     result = milp(
         c=np.ones(k),
         constraints=LinearConstraint(matrix, lb=np.ones(matrix.shape[0])),
         integrality=np.ones(k),
+        options={"time_limit": _SAARI_TIME_LIMIT_S},
     )
     if result.status == 2:  # proven infeasible
         return None
+    if result.status == 1:  # time limit reached
+        raise ThresholdLabError(
+            f"saari_search at m = {m} reached its {_SAARI_TIME_LIMIT_S} s time limit "
+            "before the integer program was solved"
+        )
     if not result.success:
         raise ThresholdLabError(f"integer program failed: {result.message}")
     weights = np.rint(result.x).astype(int)
@@ -457,7 +482,8 @@ def indeterminacy_experiment(
     voter (up to 256 rankings), and only per-subset hit counts outlive it, so
     past the ``(2^m - 1, K)`` table of tops the peak does not grow with the
     number of trials: about 2 bytes per drawn voter at 1001 voters and 200
-    trials.
+    trials.  That table is :func:`_top_table`'s, as in :func:`saari_search`:
+    each ranking's member of least rank on each subset.
     """
     if n_voters < 1 or trials < 1:
         raise DimensionMismatchError("need positive voters and trials")
@@ -473,12 +499,8 @@ def indeterminacy_experiment(
     rankings = sorted(agg)
     probs = np.array([agg[r] for r in rankings], dtype=float)
     probs /= probs.sum()
-    orders = [LinearOrder(c0.m, r) for r in rankings]
     masks = list(nonempty_subsets(c0.m))
-    top_table = np.array(
-        [[o.top_of(mask) for o in orders] for mask in masks],
-        dtype=np.min_scalar_type(c0.m - 1),
-    )
+    top_table = _top_table(rankings, c0.m)
     targets = np.array([c0.get(mask) for mask in masks])
     if n_voters == 1:
         agree_matrix = top_table == targets[:, None]
@@ -504,49 +526,3 @@ def indeterminacy_experiment(
         weights={",".join(map(str, r)): float(p) for r, p in zip(rankings, probs)},
     )
 
-
-def outdegree_choice(
-    profile: VoterProfile, subset, fixed_tie_order: LinearOrder
-) -> int:
-    """Pick the subset member beating the most others by strict majority.
-
-    Ties in out-degree are broken by the fixed order, realizing a
-    single-valued rule from the pairwise-majority correspondence.  The order
-    must rank the profile's ``m`` alternatives.
-    """
-    if fixed_tie_order.m != profile.m:
-        raise DimensionMismatchError(
-            f"tie order ranks {fixed_tie_order.m} alternatives, "
-            f"but the profile has {profile.m}"
-        )
-    members = subset_members(_subset(profile.m, subset))
-    beats = majority_relation(profile)
-    out_degree = {a: sum(bool(beats[a, b]) for b in members if b != a) for a in members}
-    best = max(out_degree.values())
-    tied = [a for a in members if out_degree[a] == best]
-    return min(tied, key=fixed_tie_order.position)
-
-
-def borda_choice(profile: VoterProfile, subset) -> int:
-    """Minimal total within-subset rank, weighted by voters.
-
-    Rank 1 is a voter's top among the subset members.  Ties go to the tied
-    member whose first appearance as some voter's top is earliest, then to
-    the smaller index.
-    """
-    mask = _subset(profile.m, subset)
-    members = subset_members(mask)
-    score = {a: 0 for a in members}
-    for order, weight in profile.orders:
-        restricted = [a for a in order.ranking if a in score]
-        for rank, a in enumerate(restricted, start=1):
-            score[a] += weight * rank
-    best = min(score.values())
-    tied = [a for a in members if score[a] == best]
-    if len(tied) == 1:
-        return tied[0]
-    first = {a: len(profile.orders) + 1 for a in tied}
-    for pos, (top, _) in enumerate(_top_sequence(profile, mask)):
-        if top in first:
-            first[top] = min(first[top], pos)
-    return min(tied, key=lambda a: (first[a], a))

@@ -748,7 +748,7 @@ def _symbol_rows(rng, q, n, rows=300):
     return np.concatenate([X, constant])
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])  # with one symbol, every row's winner is 0
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
 def test_plurality_winners_match_the_int64_kernel(rng, q, tie_break):
     for n in (1, 2, 3, 4, 7, _COLUMN_COUNT_MAX_ARITY, _COLUMN_COUNT_MAX_ARITY + 1, 10, 300):

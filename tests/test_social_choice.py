@@ -17,18 +17,16 @@ from threshold_lab import (
     ThresholdLabError,
     Tournament,
     VoterProfile,
-    borda_choice,
     indeterminacy_experiment,
     is_rational,
     majority_relation,
     mcgarvey_profile,
-    outdegree_choice,
     plurality_choice,
     saari_search,
 )
 from threshold_lab import social_choice
 from threshold_lab.core import _categorical
-from threshold_lab.social_choice import nonempty_subsets, subset_mask, subset_members
+from threshold_lab.social_choice import all_orders, nonempty_subsets, subset_mask, subset_members
 
 
 def cyclic_choice_m3():
@@ -59,6 +57,15 @@ class TestLinearOrderAndProfile:
         with pytest.raises(DimensionMismatchError):
             LinearOrder(3, (0, 0, 1))
 
+    @pytest.mark.parametrize("value", [1.7, 0.5, float("nan"), float("inf")])
+    def test_order_refuses_a_fractional_alternative(self, value):
+        # truncated, 1.7 would read as 1 and the ranking as (0, 1); int() of
+        # nan or inf raises ValueError or OverflowError of its own
+        message = f"alternative {value!r} is not an integer"
+        with pytest.raises(DimensionMismatchError, match=message):
+            LinearOrder(2, (0.0, value))
+        assert LinearOrder(2, (1.0, np.int64(0))).ranking == (1, 0)
+
     def test_top_of_subset(self):
         order = LinearOrder(4, (2, 0, 3, 1))
         assert order.top_of(subset_mask((0, 1, 3))) == 0
@@ -71,6 +78,24 @@ class TestLinearOrderAndProfile:
         profile = VoterProfile.from_rankings(2, [(0, 1), (1, 0)], [3, 2])
         assert profile.total_weight == 5
         assert profile.order_weights() == {(0, 1): 3, (1, 0): 2}
+
+    @pytest.mark.parametrize("value", [2.7, 0.5, float("nan"), float("inf")])
+    def test_profile_refuses_a_fractional_weight(self, value):
+        # 0.5 is refused as fractional, not truncated to a zero weight
+        with pytest.raises(DimensionMismatchError, match=f"weight {value!r} is not an integer"):
+            VoterProfile.from_rankings(2, [(0, 1)], [value])
+        assert VoterProfile.from_rankings(2, [(0, 1)], [2.0]).orders[0][1] == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 6))
+    def test_top_table_is_each_orders_top(self, data, m):
+        orders = all_orders(m)
+        picked = data.draw(st.permutations(orders))[: data.draw(st.integers(1, len(orders)))]
+        table = social_choice._top_table([order.ranking for order in picked], m)
+        assert table.dtype == np.min_scalar_type(m - 1)
+        assert table.tolist() == [
+            [order.top_of(mask) for order in picked] for mask in nonempty_subsets(m)
+        ]
 
     @pytest.mark.parametrize("rankings,weights", [([(0, 1), (1, 0)], [3]), ([(0, 1)], [3, 4])])
     def test_from_rankings_refuses_unequal_lengths(self, rankings, weights):
@@ -120,6 +145,11 @@ class TestPluralityChoice:
         assert plurality_choice(profile, (0, 1, 2)) == 2
         assert plurality_choice(profile, (0, 1)) == 0
 
+    def test_one_alternative(self):
+        profile = VoterProfile.from_rankings(1, [(0,), (0,)], [2, 3])
+        for tie_break in ("first_occurrence", "smallest_index"):
+            assert plurality_choice(profile, 1, tie_break) == 0
+
     def test_three_voters(self):
         profile = VoterProfile.from_rankings(3, [(0, 1, 2), (0, 2, 1), (1, 0, 2)])
         assert plurality_choice(profile, (0, 1)) == 0
@@ -127,6 +157,31 @@ class TestPluralityChoice:
     def test_condorcet_cycle_tie_goes_to_first_listed(self):
         profile = VoterProfile.from_rankings(3, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
         assert plurality_choice(profile, (0, 1, 2)) == 0
+
+    @pytest.mark.parametrize("shift", [0, 1, 2])
+    def test_cycle_tie_breaks(self, shift):
+        # the three voters of a Condorcet cycle each top a different alternative:
+        # first occurrence follows the voter listed first, smallest index does not
+        cycle = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+        profile = VoterProfile.from_rankings(3, cycle[shift:] + cycle[:shift])
+        assert plurality_choice(profile, 0b111) == shift
+        assert plurality_choice(profile, 0b111, "smallest_index") == 0
+
+    @pytest.mark.parametrize("tie_break", ["first_occurrence", "smallest_index"])
+    def test_pairs_agree_with_majority(self, rng, tie_break):
+        # on two alternatives plurality is pairwise majority; a tied pair is
+        # left undecided by majority_relation and chosen by the tie break
+        for _ in range(30):
+            m = 4
+            rankings = [tuple(rng.permutation(m)) for _ in range(4)]
+            profile = VoterProfile.from_rankings(m, rankings, rng.integers(1, 3, size=4))
+            beats = majority_relation(profile)
+            for a, b in itertools.combinations(range(m), 2):
+                winner = plurality_choice(profile, (a, b), tie_break)
+                if beats[a, b] or beats[b, a]:
+                    assert beats[winner, a + b - winner]
+                else:
+                    assert winner in (a, b)
 
     def test_unknown_tie_break_is_invalid_function(self):
         # the same error plurality() raises for the same name
@@ -292,6 +347,17 @@ class TestSaariSearch:
         # m = 8 is inside the cap: it gets as far as building the orders
         with pytest.raises(AssertionError, match="built the orders"):
             saari_search(ChoiceFunction.from_order(LinearOrder(8, range(8))))
+
+    def test_time_limit_ends_the_search(self, monkeypatch):
+        # a random choice function on 6 alternatives: unbounded, its search runs for minutes
+        rng = np.random.default_rng(1)
+        c6 = ChoiceFunction(6, {
+            mask: subset_members(mask)[rng.integers(len(subset_members(mask)))]
+            for mask in nonempty_subsets(6)
+        })
+        monkeypatch.setattr(social_choice, "_SAARI_TIME_LIMIT_S", 0.5)
+        with pytest.raises(ThresholdLabError, match="m = 6 reached its 0.5 s time limit"):
+            saari_search(c6)
 
     def test_budget_exhaustion_raises(self):
         from threshold_lab.social_choice import SearchBudgetExceededError
@@ -473,9 +539,8 @@ _TWO = VoterProfile.from_rankings(2, [(0, 1)])
 #: each rule on a subset of the two alternatives of ``_TWO``
 _SUBSET_RULES = {
     "plurality": lambda subset: plurality_choice(_TWO, subset),
-    "outdegree": lambda subset: outdegree_choice(_TWO, subset, LinearOrder(2, (0, 1))),
-    "borda": lambda subset: borda_choice(_TWO, subset),
     "choice_function": lambda subset: ChoiceFunction(2, {1: 0, 2: 1, 3: 0}).get(subset),
+    "top_of": lambda subset: LinearOrder(2, (1, 0)).top_of(subset),
 }
 
 
@@ -496,68 +561,9 @@ class TestSubsetsOfTheAlternatives:
             _SUBSET_RULES[rule]((0, -1))
 
 
-class TestOutdegreeChoice:
-    def test_transitive_majority_top(self):
-        profile = VoterProfile.from_rankings(
-            3, [(0, 1, 2), (0, 1, 2), (1, 0, 2)]
-        )
-        tie_order = LinearOrder(3, (2, 1, 0))
-        assert outdegree_choice(profile, (0, 1, 2), tie_order) == 0
-
-    def test_cycle_decided_by_tie_order(self):
-        profile = VoterProfile.from_rankings(3, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
-        assert outdegree_choice(profile, (0, 1, 2), LinearOrder(3, (2, 1, 0))) == 2
-        assert outdegree_choice(profile, (0, 1, 2), LinearOrder(3, (1, 0, 2))) == 1
-
-    def test_membership(self, rng):
-        tie_order = LinearOrder(4, (0, 1, 2, 3))
-        for _ in range(30):
-            rankings = [tuple(rng.permutation(4)) for _ in range(5)]
-            profile = VoterProfile.from_rankings(4, rankings)
-            mask = int(rng.integers(1, 16))
-            assert outdegree_choice(profile, mask, tie_order) in subset_members(mask)
-
-    @pytest.mark.parametrize("m", [2, 4])
-    def test_refuses_a_tie_order_of_other_alternatives(self, m):
-        # unchecked, 2 alternatives end in tuple.index's ValueError and 4 answer
-        # silently from an order of other alternatives
-        profile = mcgarvey_profile(Tournament.from_pairs(3, [(0, 1), (1, 2), (2, 0)]))
-        with pytest.raises(
-            DimensionMismatchError, match=f"tie order ranks {m} alternatives, but the profile has 3"
-        ):
-            outdegree_choice(profile, 7, LinearOrder(m, tuple(range(m))))
-
-
-class TestBordaChoice:
-    def test_single_voter(self):
-        profile = VoterProfile.from_rankings(3, [(1, 2, 0)])
-        assert borda_choice(profile, (0, 1, 2)) == 1
-        assert borda_choice(profile, (0, 2)) == 2
-
-    def test_two_voter_tie_by_first_top(self):
-        profile = VoterProfile.from_rankings(3, [(0, 1, 2), (1, 0, 2)])
-        # scores on {0,1,2}: both 0 and 1 get 3, 2 gets 6; voter 1's top breaks it
-        assert borda_choice(profile, (0, 1, 2)) == 0
-
-    def test_pairs_agree_with_majority(self, rng):
-        for _ in range(30):
-            m = 4
-            rankings = [tuple(rng.permutation(m)) for _ in range(5)]  # odd count
-            profile = VoterProfile.from_rankings(m, rankings)
-            beats = majority_relation(profile)
-            for a in range(m):
-                for b in range(a + 1, m):
-                    winner = borda_choice(profile, (a, b))
-                    if beats[a, b]:
-                        assert winner == a
-                    elif beats[b, a]:
-                        assert winner == b
-
-
 @pytest.mark.parametrize("np_int", [np.int64, np.uint8])
 def test_numpy_integer_masks_choose_as_int_masks(rng, np_int):
     c = ChoiceFunction.from_order(LinearOrder(4, (2, 0, 3, 1)))
-    tie_order = LinearOrder(4, (3, 1, 0, 2))
     for _ in range(10):
         profile = VoterProfile.from_rankings(
             4, [tuple(rng.permutation(4)) for _ in range(5)], rng.integers(1, 4, size=5)
@@ -565,10 +571,7 @@ def test_numpy_integer_masks_choose_as_int_masks(rng, np_int):
         for mask in nonempty_subsets(4):
             assert c.get(np_int(mask)) == c.get(mask)
             assert plurality_choice(profile, np_int(mask)) == plurality_choice(profile, mask)
-            assert outdegree_choice(profile, np_int(mask), tie_order) == outdegree_choice(
-                profile, mask, tie_order
-            )
-            assert borda_choice(profile, np_int(mask)) == borda_choice(profile, mask)
+            assert c.get(np_int(mask)) == LinearOrder(4, (2, 0, 3, 1)).top_of(np_int(mask))
 
 
 @settings(max_examples=100)
