@@ -39,8 +39,8 @@ SMALL_TABLE_SIZE = 1 << 16
 ATOM_SUM_TOL = 1e-12
 
 #: Coordinates held by the point buffer that :meth:`QaryFunction.tabulate`
-#: hands to an oracle's ``batch``.
-_TABULATE_COORDS = 4_000_000
+#: hands to an oracle's ``batch``: blocks of a megabyte, with their temporaries.
+_TABULATE_COORDS = 1_000_000
 
 #: Coordinates per block of rows that a table's ``batch`` encodes into table
 #: indices: half a MiB of one-byte digits, read column by column from cache.
@@ -444,7 +444,7 @@ class QaryFunction:
         alphabet = self.codomain == "alphabet"
         values = np.empty(size, dtype=_alphabet_dtype(self.out_q) if alphabet else float)
         # blocks of q**low points share their high digits; the point buffer
-        # stays within _TABULATE_COORDS coordinates at the size cap
+        # holds at most _TABULATE_COORDS coordinates, or one point if n is larger
         rows = max(1, _TABULATE_COORDS // n)
         low = 0
         while low < n and q ** (low + 1) <= rows:

@@ -4,8 +4,8 @@ called as ``law(measure, a)``.  Its ``bounds(atoms, a)`` encloses ``P[f = a]`` a
 every row of an ``(M, q)`` atoms array in closed form: dictator's is the atom
 itself, plurality's a pair of Chernoff bounds.  Plurality's ``along(path)`` is the
 whole curve ``t -> P[f = path.anchor]``, from n + 1 conditional probabilities
-(:class:`_PluralityPath`).  A leaf module: it imports only ``.core``, numpy and
-the stdlib."""
+(:class:`_PluralityPath`); it and the per-measure law sum over the Poisson pmfs'
+supports only.  A leaf module: it imports only ``.core``, numpy and the stdlib."""
 
 from __future__ import annotations
 
@@ -37,25 +37,45 @@ class _PluralityExact:
     the degree ``q - 1`` integrand exactly.  Under ``smallest_index`` ``y_b``
     is 0 for ``b < a`` and 1 for ``b > a``.  Only pmf entries above 1e-18
     count, every term lies in [0, 1], and a zero atom is a point mass at 0.
+    :meth:`_banded` sums over the rivals' supports alone, the widest rival
+    through a Hankel view of its pmf, in memory ``O(rows x support)``.
     """
 
     def __init__(self, q: int, n: int, tie_break: str):
         self.q, self.n, self.tie_break = q, n, tie_break
-        self._counts = np.arange(n + 1.0)
-        self._log_factorials = _log_factorials(n)
+        # log j! for j = 0..n and log((-1)!) = inf: a count of -1 has chance 0
+        self._log_factorials = np.append(_log_factorials(n), np.inf)
 
-    def _poisson_pmf(self, rates: np.ndarray, top: int) -> np.ndarray:
-        """``Poisson(rate)(j)`` for j = 0..``top`` on a new last axis, with every
-        entry not above 1e-18 cut to 0.  A zero rate's log, clamped to the least
-        normal float, leaves a point mass at 0 once the cut applies."""
-        pmf = np.multiply.outer(
-            np.log(np.maximum(rates, np.finfo(float).tiny)), self._counts[: top + 1]
-        )
-        pmf -= self._log_factorials[: top + 1]
-        pmf -= rates[..., None]
+    def _poisson_pmf(self, rates: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """``Poisson(rate)(j)`` at the counts ``j`` in -1..n on a new last axis,
+        each rate against its row of ``counts``, with every entry not above
+        1e-18 cut to 0.  A zero rate's log, clamped to the least normal float,
+        leaves a point mass at 0 once the cut applies."""
+        rates = rates[..., None]
+        pmf = np.log(np.maximum(rates, np.finfo(float).tiny)) * counts
+        pmf -= self._log_factorials.take(counts)
+        pmf -= rates
         np.exp(pmf, out=pmf)
         pmf *= pmf > 1e-18
         return pmf
+
+    def _windows(self, rates: np.ndarray, top: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(start, pmf)`` per row of ``rates``, at most ``top``: ``pmf[k]`` is
+        ``Poisson(rates[k])`` on the counts ``start[k] + m`` up to ``top``, on the
+        fewest columns that hold every entry the cut keeps.  With ``j! >=
+        (j/e)^j`` an entry is at most ``exp(-r h(j/r))`` at rate r, ``h(u) = u log
+        u - u + 1``, and ``h(1 - d) >= d^2/2``, ``h(1 + d) >= d^2/(2 + 2d/3)`` put
+        it below 1e-18 under ``r - sqrt(c r)`` and over ``r + c/6 + sqrt(c^2/36 +
+        c r)``, ``c = 2 log 1e18``."""
+        c = 36 * math.log(10)
+        lo = np.maximum(np.floor(rates - np.sqrt(c * rates)), 0)
+        hi = np.ceil(rates + c / 6 + np.sqrt(c * c / 36 + c * rates))
+        width = int(min((hi - lo).max(), top)) + 1
+        start = np.minimum(lo, top + 1 - width).astype(int)
+        pmf = self._poisson_pmf(rates, start[..., None] + np.arange(width))
+        kept = pmf.any(axis=1)
+        first, stop = kept.argmax(axis=1), width - kept[:, ::-1].argmax(axis=1)
+        return [(s + f, p[:, f:t]) for s, p, f, t in zip(start, pmf, first, stop)]
 
     def _ties(self, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The symbols other than ``a``, the weight ``y[node, i]`` of a tie with
@@ -67,50 +87,83 @@ class _PluralityExact:
             return others, np.repeat(nodes[:, None], self.q - 1, axis=1), weights
         return others, (others > a)[None, :].astype(float), np.ones(1)
 
+    def _banded(self, rates, windows, sums, ks=None, y=None, weights=None) -> np.ndarray:
+        """Row k's ``[x^sums[k]]`` in the product of the rivals' Poisson pmfs at
+        ``rates[b]`` (one rate for every row, or one per row), ``sums`` falling by
+        one per row.  With ``ks``, b's factor is cut below ``ks[k]`` and its count
+        ``ks[k]`` weighted by ``y[node, b]``, integrated over the nodes.
+
+        All rivals but the last are read on their :meth:`_windows` and multiply
+        to ``rows`` on the counts ``offset + m``; the last is read at ``sums[k] -
+        offset - m``, through a Hankel view of one reversed vector where the rows
+        share its rate.  With one rival before the last, ``int (B + y_b T_b)(C +
+        y_c T_c) dy = BC + E[y_c] B T_c + E[y_b] T_b C + E[y_b y_c] T_b T_c`` (T
+        the ties at ``ks[k]``): ``BC`` is one masked sum, the rest vectors, and
+        no node axis is made.  More rivals keep it through their FFT product.
+        """
+        if not windows:  # one rival: the other is a point mass at 0, of rate 0
+            rates = np.concatenate([np.zeros_like(rates), rates])
+            windows = [(np.zeros(1, dtype=int), np.ones((1, 1)))]
+        if ks is not None:  # no count above every k is kept
+            windows = [(lo, pmf[:, : max(1, (ks - lo).max() + 1)]) for lo, pmf in windows]
+        offset = sum(lo for lo, _ in windows)
+        factors = [pmf for _, pmf in windows]
+        nodes = ks is not None and len(windows) > 1
+        for i, (lo, pmf) in enumerate(windows if nodes else ()):
+            cut = ks - lo
+            below = pmf * (np.arange(pmf.shape[-1]) < cut[:, None])
+            factors[i] = np.repeat(below[None], len(weights), axis=0)
+            tied = np.flatnonzero((cut >= 0) & (cut < pmf.shape[-1]))
+            each = tied if len(pmf) > 1 else 0
+            factors[i][:, tied, cut[tied]] = y[:, i, None] * pmf[each, cut[tied]]
+        rows = factors[0] if len(factors) == 1 else _product(factors)
+        width = rows.shape[-1]
+        shared = rates.shape[1] == 1  # then row k + 1 reads row k's counts, one lower
+        counts = (sums[: 1 if shared else None] - offset)[:, None]
+        counts = counts - np.arange(sums.size + width - 1 if shared else width)
+        last = self._poisson_pmf(rates[-1], np.maximum(counts, -1))
+        if shared:
+            last = np.ndarray((sums.size, width), buffer=last, strides=last.strides[1:] * 2)
+        if ks is None:
+            return np.einsum("km,km->k", rows, last)
+        # gap: the others' count when one ties a's count k, at the last's column tied
+        gap = sums - ks
+        tied, m = (gap - offset)[:, None], np.arange(width)
+        if nodes:
+            by_k = np.einsum("nkm,km->nk", rows, last * (m > tied))
+            hit = np.flatnonzero((tied >= 0) & (tied < width))
+            column = tied[hit, 0]
+            by_k[:, hit] += y[:, -1, None] * last[hit, column] * rows[:, hit, column]
+            return weights @ by_k
+        counts = np.maximum(np.stack([ks, gap], axis=1), -1)
+        (tie_b, rest_b), (tie, rest) = self._poisson_pmf(rates[[0, -1]], counts).transpose(0, 2, 1)
+        mean_b, mean = weights @ y[:, [0, -1]]
+        by_k = np.einsum("km,km->k", rows, last * ((m > tied) & (m < (ks - offset)[:, None])))
+        by_k += (mean * tie * rest_b + mean_b * tie_b * rest) * (gap < ks)
+        return by_k + weights @ (y[:, 0] * y[:, -1]) * tie_b * tie * (gap == ks)
+
     def __call__(self, measure: ProductMeasure, a: int) -> float:
         _check_compatible(self, measure)
         _check_range(a, self.q, "symbol")
         q, n = self.q, self.n
         rates = n * measure.atoms
-        pmf = self._poisson_pmf(rates, n)
+        pmf = self._poisson_pmf(rates, np.arange(n + 1))
         kept = pmf > 0.0
-        lo, hi = kept.argmax(axis=1), n - kept[:, ::-1].argmax(axis=1)
+        lo, hi = kept.argmax(axis=1), n + 1 - kept[:, ::-1].argmax(axis=1)
         # a's count k is at least n/q and at least every other symbol's least count
-        ks = np.arange(max(lo.max(), -(-n // q)), hi[a] + 1)
+        ks = np.arange(max(lo.max(), -(-n // q)), hi[a])
         if ks.size == 0:
             return 0.0
         others, y, weights = self._ties(a)
-        *inner, last = others
-        # rows[node, k, m]: the product of the factors but the last at count
-        # offset + m
-        rows, offset, factors = np.ones((1, ks.size, 1)), 0, []
-        for i, b in enumerate(inner):
-            top = min(hi[b], ks[-1])
-            below = (np.arange(lo[b], top + 1) < ks[:, None]) * pmf[b, lo[b] : top + 1]
-            factor = np.repeat(below[None], y.shape[0], axis=0)
-            tied = np.flatnonzero(ks <= top)
-            factor[:, tied, ks[tied] - lo[b]] = y[:, i, None] * pmf[b, ks[tied]]
-            factors.append(factor)
-        if len(factors) == 1:
-            rows, offset = factors[0], lo[inner[0]]
-        elif factors:
-            rows, offset = _product(factors), lo[inner].sum()
-        # the last factor at count n - k - offset - m is a Hankel view of one
-        # vector; it stays below k where m > n - 2k - offset, and its tie at k
-        # is one lookup per k
-        width = rows.shape[-1]
-        counts = n - ks[0] - offset - np.arange(ks.size + width - 1)
-        band = pmf[last].take(counts, mode="clip") * (counts >= 0)
-        last_rows = np.ndarray((ks.size, width), buffer=band, strides=band.strides * 2)
-        tie = n - 2 * ks - offset
-        by_k = np.einsum("nkm,km->nk", rows, last_rows * (np.arange(width) > tie[:, None]))
-        hit = np.flatnonzero((tie >= 0) & (tie < width))
-        by_k[:, hit] += y[:, -1, None] * pmf[last, ks[hit]] * rows[:, hit, tie[hit]]
+        order = np.argsort(hi[others] - lo[others], kind="stable")  # the widest last
+        others, y = others[order], y[:, order]
+        windows = [(lo[b, None], pmf[b, None, lo[b] : hi[b]]) for b in others[:-1]]
+        by_k = self._banded(rates[others, None], windows, n - ks, ks, y, weights)
         total = rates.sum()
         norm = np.exp(n * np.log(total) - total - self._log_factorials[n])
         # the log-pmf rounding can carry the sum of nonnegative terms past 1, and
         # the FFT product's rounding can leave it at -1e-32 where it vanishes
-        return min(1.0, max(0.0, float(weights @ by_k @ pmf[a, ks] / norm)))
+        return min(1.0, max(0.0, float(by_k @ pmf[a, ks] / norm)))
 
     def bounds(self, atoms: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
         """``(lo, hi)`` enclosing ``P[plurality = a]`` at each row of ``atoms``.
@@ -182,29 +235,6 @@ def _product(factors: list[np.ndarray]) -> np.ndarray:
     return np.fft.irfft(spectrum, length)[..., :size]
 
 
-def _coefficients(factors: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``[x^counts[k]]`` of the product of the polynomials ``factors[b][..., k, :]``
-    (coefficients along the last axis), where ``counts`` falls by one per row k:
-    the product of all but the last factor, dotted with the last one reversed."""
-    *inner, last = factors
-    if not inner:
-        rows = np.ones(last.shape[:-1] + (1,))
-    else:
-        rows = inner[0] if len(inner) == 1 else _product(inner)
-    last = last[..., : counts[0] + 1]
-    width, depth = last.shape[-1], rows.shape[-1]
-    # row k of ``padded`` is the reversed last factor, shifted so that column
-    # k + j holds its coefficient at counts[k] - j: a skewed view reads it
-    pad = counts[0] + 1 - width
-    padded = np.zeros(last.shape[:-1] + (max(pad + width, counts.size - 1 + depth),))
-    padded[..., pad : pad + width] = last[..., ::-1]
-    *outer, row, column = padded.strides
-    skewed = np.lib.stride_tricks.as_strided(
-        padded, last.shape[:-1] + (depth,), (*outer, row + column, column), writeable=False
-    )
-    return (rows * skewed).sum(axis=-1)
-
-
 class _PluralityPath:
     """``G(t) = P[plurality = a]`` along ``mu_t = t delta_a + (1 - t) beta``.
 
@@ -217,8 +247,8 @@ class _PluralityPath:
     Poissonized at rate ``(n - c) rho`` for every ``c`` at once: the coefficient
     of ``x^(n - c)`` in ``prod_{b != a} (sum_{j<c} pi_b(j) x^j + y_b pi_b(c) x^c)``
     over the same coefficient of ``prod_{b != a} sum_j pi_b(j) x^j``, which is
-    ``P[Poisson(n - c) = n - c]``; the last factor is read as one dot product
-    per ``c``.  ``H`` is built on the first read of ``G``.
+    ``P[Poisson(n - c) = n - c]``, both on each row's own pmf windows.  ``H``
+    is built on the first read of ``G``.
     """
 
     def __init__(self, law: _PluralityExact, base: ProductMeasure, a: int):
@@ -236,19 +266,15 @@ class _PluralityPath:
             return H
         others, y, weights = law._ties(self.a)
         rho = self.base.atoms[others] / self.base.atoms[others].sum()
+        order = np.argsort(rho, kind="stable")  # the widest last
         rest = n - ks
-        pmf = law._poisson_pmf(np.multiply.outer(rho, rest), rest[0])
-        # factors[b, node, k, j]: b's count j below a's count k, or tied with it
-        # at weight y[node, b]
-        factors = pmf[:, None, :, : top + 1] * (np.arange(top + 1) < ks[:, None])
-        factors = np.repeat(factors, y.shape[0], axis=1)
-        each = np.arange(ks.size)
-        factors[:, :, each, ks] = y.T[:, :, None] * pmf[:, None, each, ks]
-        wins = _coefficients(factors, rest)
+        rates, y = np.multiply.outer(rho[order], rest), y[:, order]
+        windows = law._windows(rates[:-1], rest[0]) if law.q > 2 else []
+        wins = law._banded(rates, windows, rest, ks, y, weights)
         # the same coefficient of the whole product, P[sum N_b = n - k], from the same
         # pmf entries: their rounding cancels in the ratio, so H is flat where it is 1
-        total = _coefficients(pmf[:, None], rest)
-        H[ks] = np.clip(weights @ wins / total[0], 0.0, 1.0)
+        total = law._banded(rates, windows, rest)
+        H[ks] = np.clip(wins / total, 0.0, 1.0)
         return H
 
     @functools.cached_property

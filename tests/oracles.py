@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -277,6 +278,59 @@ def enum_plurality(x, q: int, tie_break: str) -> int:
     if tie_break == "smallest_index":
         return tied[0]
     return next(v for v in x if v in tied)
+
+
+def _win_share(counts, a: int, top: int, tie_break: str) -> Fraction:
+    """The chance that ``a``, at count ``top``, wins against the other counts
+    ``counts`` (none above ``top``): a tie of t + 1 symbols pays 1/(t + 1)
+    under ``first_occurrence`` and goes to the smallest tied symbol under
+    ``smallest_index``."""
+    tied = [b for b, c in counts if c == top]
+    if tie_break == "smallest_index":
+        return Fraction(all(b > a for b in tied))
+    return Fraction(1, len(tied) + 1)
+
+
+def _compositions(total: int, parts: int):
+    """Every tuple of ``parts`` counts summing to ``total``."""
+    for cuts in itertools.combinations(range(total + parts - 1), parts - 1):
+        bounds = (-1, *cuts, total + parts - 1)
+        yield tuple(hi - lo - 1 for lo, hi in zip(bounds, bounds[1:]))
+
+
+def fraction_plurality(weights, n: int, a: int, tie_break: str) -> Fraction:
+    """``P[plurality = a]`` exactly, at the measure ``weights / sum(weights)`` of
+    integer weights: every composition of the n voters over the q symbols,
+    with its multinomial chance in integers."""
+    q, total = len(weights), sum(weights)
+    others = [b for b in range(q) if b != a]
+    wins = Fraction(0)
+    for counts in _compositions(n, q):
+        if max(counts) != counts[a]:
+            continue
+        ways = math.factorial(n)
+        for w, c in zip(weights, counts):
+            ways = ways // math.factorial(c) * w**c
+        share = _win_share([(b, counts[b]) for b in others], a, counts[a], tie_break)
+        wins += ways * share
+    return wins / total**n
+
+
+def fraction_plurality_conditional(weights, n: int, a: int, c: int, tie_break: str) -> Fraction:
+    """``H(c) = P[plurality = a | N_a = c]`` exactly: the other ``n - c`` voters
+    are i.i.d. over the other symbols, at the integer weights ``weights``
+    with ``a``'s left out, so the counts are ``Mult(n - c, rho)``."""
+    others = [b for b in range(len(weights)) if b != a]
+    rest, total = n - c, sum(weights[b] for b in others)
+    wins = Fraction(0)
+    for counts in _compositions(rest, len(others)):
+        if max(counts) > c:
+            continue
+        ways = math.factorial(rest)
+        for b, k in zip(others, counts):
+            ways = ways // math.factorial(k) * weights[b] ** k
+        wins += ways * _win_share(list(zip(others, counts)), a, c, tie_break)
+    return wins / total**rest
 
 
 def brute_indeterminacy(c0, rankings, draws) -> tuple[dict, float]:

@@ -361,7 +361,7 @@ PINNED_STDOUT = [
     # printed when exact plurality curves read the path law sum_c Bin(n, t)(c) H(c)
     # (the per-measure law was at most 3.6e-14 away, at t = 0.32)
     ("scan --family plurality --q 4 --n 61 --anchor 3 --format json",
-     "5a8c4558544759cf28b92b3dc279701bfb2da903c15eb8cb830a4ebcbefb3d87"),
+     "2ce2d3022028eb0628b28d4400f6d4f2211b4d2792044d81ab63450cacaf1b94"),
     ("sweep --family plurality --q 4 --n 63 --samples 30 --seed 5",
      "128bc85a2704a276f27e9b8895a0eb2e80f14b9400888c1dcd4b5622df168b0e"),
     ("sweep --family dictator --q 4 --n 5 --samples 2000 --seed 3",

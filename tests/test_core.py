@@ -787,7 +787,7 @@ class TestTabulate:
     def test_blocks_at_the_default_budget(self):
         from threshold_lab import dictator
 
-        # 2**18 points exceed the 4_000_000 // 18 rows, so two blocks of 2**17
+        # 2**18 points exceed the 1_000_000 // 18 rows, so eight blocks of 2**15
         enumerated = np.array(list(points(2, 18)), dtype=np.int64)
         for coord in (0, 17):
             f = dictator(2, 18, coord)
@@ -799,7 +799,7 @@ class TestTabulate:
 
             traced = QaryFunction.from_oracle(2, 18, Oracle("dictator", {}, batch))
             assert np.array_equal(traced.tabulate().table, enumerated[:, coord])
-            assert calls == [2**17, 2**17]
+            assert calls == [2**15] * 8
 
     @pytest.mark.parametrize("q, n", [(2, 5), (3, 4), (4, 3), (257, 2)])
     def test_batch_sees_read_only_one_byte_columns(self, q, n, monkeypatch):
@@ -832,6 +832,20 @@ class TestTabulate:
         finally:
             tracemalloc.stop()
         assert peak <= tab.table.nbytes + (1 << 17)
+
+    def test_default_blocks_hold_three_bytes_per_entry(self):
+        from threshold_lab import plurality
+
+        # a (2, 20) table of one byte per entry, and the point blocks and the
+        # batch's temporaries beside it
+        f = plurality(2, 20)
+        tracemalloc.start()
+        try:
+            tab = f.tabulate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * tab.table.size
 
     def test_batch_may_not_write_its_points(self):
         def batch(X):

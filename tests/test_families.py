@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,8 @@ from oracles import (
     enum_compositions,
     enum_plurality,
     enum_prob,
+    fraction_plurality,
+    fraction_plurality_conditional,
     int64_plurality_winners,
     points,
     random_positive_measure,
@@ -213,6 +216,45 @@ def test_exact_prob_past_the_enumeration(rng, q, n):
         assert abs(est.p_hat - law[a]) <= 5 * est.half_width / 1.96 + 1 / 2000
 
 
+# the log-pmf rounding (ROADMAP item 7) leaves the law 1.6e-14 from the exact
+# value at (3, 61) under the weights 1, 2, 3, where the winner's chance is 0.92
+@pytest.mark.parametrize("q,n,tol", [(3, 31, 1e-14), (3, 61, 2e-14), (4, 31, 1e-14), (5, 25, 1e-14)])
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+def test_law_matches_the_exact_fractions(q, n, tol, tie_break):
+    law = plurality(q, n, tie_break).oracle.exact_prob
+    for weights in ((1,) * q, tuple(range(1, q + 1))):
+        mu = ProductMeasure(q, np.array(weights) / sum(weights))
+        for a in range(q):
+            want = fraction_plurality(weights, n, a, tie_break)
+            assert abs(Fraction(law(mu, a)) - want) <= tol, (weights, a)
+
+
+@pytest.mark.parametrize("q,n", [(3, 31), (4, 21)])
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+def test_conditional_law_matches_the_exact_fractions(q, n, tie_break):
+    for weights in ((1,) * q, tuple(range(1, q + 1))):
+        for a in range(q):
+            H = plurality(q, n, tie_break).oracle.law.along(_path(q, a, weights)).conditional
+            for c in range(n + 1):
+                want = fraction_plurality_conditional(weights, n, a, c, tie_break)
+                assert abs(Fraction(H[c]) - want) <= 1e-14, (weights, a, c)
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+def test_law_holds_one_row_band_at_729_voters(tie_break):
+    # the rows k times the rivals' support, not the rows times n
+    law = plurality(3, 729, tie_break).oracle.exact_prob
+    mu = ProductMeasure.uniform(3)
+    law(mu, 0)
+    tracemalloc.start()
+    try:
+        law(mu, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 @pytest.mark.parametrize("q,n", [(2, 3051), (3, 729)])
 def test_laws_sum_to_one_at_large_n(rng, q, n):
     # log-factorials from a cumulative sum of logs miss this by 4e-11 at (2, 3051)
@@ -341,7 +383,9 @@ class TestPluralityPathLaw:
             assert abs(G(t) - want) <= 1e-13, (t, G(t), want)
 
     @pytest.mark.parametrize(
-        "q,n", [(2, 10), (2, 111), (3, 8), (3, 301), (3, 729), (4, 61), (5, 31), (5, 83), (2, 3051)]
+        "q,n",
+        [(2, 10), (2, 111), (3, 8), (3, 301), (3, 729), (4, 61), (5, 31), (5, 83), (2, 3051),
+         (3, 3001), (4, 1001)],
     )
     @pytest.mark.parametrize("tie_break", TIE_BREAKS)
     def test_conditional_law_is_a_nondecreasing_probability(self, rng, q, n, tie_break):
@@ -357,7 +401,8 @@ class TestPluralityPathLaw:
 
     # the exact windows and the scan of the exact-threshold benchmark
     @pytest.mark.parametrize(
-        "q,n", [(2, 111), (3, 301), (3, 729), (4, 61), (5, 31), (5, 83), (2, 3051)]
+        "q,n",
+        [(2, 111), (3, 301), (3, 729), (4, 61), (5, 31), (5, 83), (2, 3051), (3, 3001), (4, 1001)],
     )
     @pytest.mark.parametrize("tie_break", TIE_BREAKS)
     def test_matches_the_per_measure_law(self, rng, q, n, tie_break):
@@ -367,6 +412,19 @@ class TestPluralityPathLaw:
         G = f.oracle.law.along(path)
         for t in np.linspace(0.0, 1.0, 21):
             assert abs(G(t) - f.oracle.exact_prob(path.measure_at(t), a)) <= 1e-11
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_conditional_law_holds_row_windows_at_3001_voters(self, tie_break):
+        # each row's pmfs on that row's support, where one row per count was
+        # 44 MB (smallest index) and 65 MB (first occurrence)
+        G = plurality(3, 3001, tie_break).oracle.law.along(_path(3, 0, [0.0, 1.0, 1.0]))
+        tracemalloc.start()
+        try:
+            G.conditional
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
 
     def test_binomial_tail_at_3051_voters(self):
         # P[Bin(n, t) > n/2] exactly, at dyadic t near 1/2 so the integers stay small
